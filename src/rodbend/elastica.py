@@ -271,7 +271,7 @@ def first_example_profile(rod: RodProperties, P: float, xi: float) -> FirstExamp
     return FirstExampleResult(eta_exact, eta_approx)
 
 
-_PROFILE_METHODS = ("quadrature", "closed-form", "linearized")
+_PROFILE_METHODS = ("quadrature", "linearized")
 
 
 @dataclass(frozen=True)

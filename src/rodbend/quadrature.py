@@ -13,8 +13,7 @@ result in the library is checked against.
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -128,36 +127,22 @@ def _adaptive(f, lo, hi, rtol, atol, max_subdivisions):
 _EPS = float(np.finfo(float).eps)
 
 
-def _absorb_lo(f, lo, hi, p):
-    """Map [lo, hi] to t in [0, 1] so that (x-lo)**p becomes ~t**2.
+def _absorb(f, end, width, p, direction):
+    """Map the piece of length ``width`` beside ``end`` to t in [0, 1] so
+    that |x - end|**p becomes ~t**2; ``direction`` is +1 when the piece
+    lies above ``end`` (a lower endpoint) and -1 when below it.
 
     Offsets below one ulp of the endpoint cannot be represented in x,
     so evaluation is clamped there; the affected tail mass is returned
     as an error floor instead of being silently trusted.
     """
     gamma = max(1.0, 3.0 / (1.0 + p))
-    width = hi - lo
-    d_min = _EPS * max(abs(lo), width)
+    d_min = _EPS * max(abs(end), width)
 
     def g(t):
         t = np.asarray(t, dtype=float)
         d = np.maximum(width * t ** gamma, d_min)
-        return f(lo + d) * width * gamma * t ** (gamma - 1.0)
-
-    t_clamp = (d_min / width) ** (1.0 / gamma)
-    floor = abs(float(np.asarray(g(np.array([t_clamp])))[0])) * t_clamp / 3.0
-    return g, floor
-
-
-def _absorb_hi(f, lo, hi, p):
-    gamma = max(1.0, 3.0 / (1.0 + p))
-    width = hi - lo
-    d_min = _EPS * max(abs(hi), width)
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        d = np.maximum(width * t ** gamma, d_min)
-        return f(hi - d) * width * gamma * t ** (gamma - 1.0)
+        return f(end + direction * d) * width * gamma * t ** (gamma - 1.0)
 
     t_clamp = (d_min / width) ** (1.0 / gamma)
     floor = abs(float(np.asarray(g(np.array([t_clamp])))[0])) * t_clamp / 3.0
@@ -176,14 +161,14 @@ def integrate(spec: IntegrandSpec) -> tuple[float, float]:
     f, lo, hi = spec.f, spec.lo, spec.hi
     if spec.lo_exponent is not None and spec.hi_exponent is not None:
         mid = 0.5 * (lo + hi)
-        g1, fl1 = _absorb_lo(f, lo, mid, spec.lo_exponent)
-        g2, fl2 = _absorb_hi(f, mid, hi, spec.hi_exponent)
+        g1, fl1 = _absorb(f, lo, mid - lo, spec.lo_exponent, 1)
+        g2, fl2 = _absorb(f, hi, hi - mid, spec.hi_exponent, -1)
         pieces = [(g1, 0.0, 1.0, fl1), (g2, 0.0, 1.0, fl2)]
     elif spec.lo_exponent is not None:
-        g1, fl1 = _absorb_lo(f, lo, hi, spec.lo_exponent)
+        g1, fl1 = _absorb(f, lo, hi - lo, spec.lo_exponent, 1)
         pieces = [(g1, 0.0, 1.0, fl1)]
     elif spec.hi_exponent is not None:
-        g1, fl1 = _absorb_hi(f, lo, hi, spec.hi_exponent)
+        g1, fl1 = _absorb(f, hi, hi - lo, spec.hi_exponent, -1)
         pieces = [(g1, 0.0, 1.0, fl1)]
     else:
         pieces = [(f, lo, hi, 0.0)]

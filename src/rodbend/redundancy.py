@@ -46,14 +46,11 @@ __all__ = [
 # reaction series and its published convergence behavior belong to this
 # kernel. "displacement" uses the tip-shear closed-form parameters, which
 # makes the equation the exact zero-displacement closure.
-_KERNELS = {
-    "expansion": (7.0 / 6.0, 5.0 / 3.0),
-    "displacement": (1.25, 1.75),
-}
 _KERNEL_FRACTIONS = {
     "expansion": (Fraction(7, 6), Fraction(5, 3)),
     "displacement": (Fraction(5, 4), Fraction(7, 4)),
 }
+_KERNELS = {name: (float(p1), float(p2)) for name, (p1, p2) in _KERNEL_FRACTIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -108,21 +105,14 @@ def _check_kernel(kernel: str) -> None:
         raise UsageError(f"kernel must be one of {sorted(_KERNELS)}, got {kernel!r}")
 
 
-def _check_roller_load(rod: RodProperties, q: float) -> None:
-    if q < 0:
+def _check_load(load: UniformLoad | BuiltInCombined, rod: RodProperties) -> None:
+    """Refuse a negative or infeasible load; building ``load`` refused a non-finite q."""
+    if load.q < 0:
         raise UsageError("q must be nonnegative (loads act downward)")
-    if q * rod.L ** 3 >= 6.0 * rod.EJ:
+    limit = 12.0 if isinstance(load, BuiltInCombined) else 6.0
+    if load.q * rod.L ** 3 >= limit * rod.EJ:
         raise InfeasibleLoadError(
-            f"q = {q:.6g} violates {feasibility_bound(UniformLoad(q), rod)}"
-        )
-
-
-def _check_builtin_load(rod: RodProperties, q: float) -> None:
-    if q < 0:
-        raise UsageError("q must be nonnegative (loads act downward)")
-    if q * rod.L ** 3 >= 12.0 * rod.EJ:
-        raise InfeasibleLoadError(
-            f"q = {q:.6g} violates {feasibility_bound(BuiltInCombined(q), rod)}"
+            f"q = {load.q:.6g} violates {feasibility_bound(load, rod)}"
         )
 
 
@@ -137,7 +127,7 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     zero-displacement closure exactly.
     """
     _check_kernel(kernel)
-    _check_roller_load(rod, q)
+    _check_load(UniformLoad(q), rod)
     L, EJ = rod.L, rod.EJ
     if abs(X) * L ** 2 >= 2.0 * EJ:
         raise InfeasibleLoadError(
@@ -263,7 +253,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
     n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
     """
     _check_kernel(kernel)
-    _check_roller_load(rod, q)
+    _check_load(UniformLoad(q), rod)
     L, EJ = rod.L, rod.EJ
     linearized = 3.0 * q * L / 8.0
 
@@ -294,7 +284,7 @@ def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
     the closed 2F1 approximation, which is reliable only well below the
     critical load (leading order in q).
     """
-    _check_builtin_load(rod, q)
+    _check_load(BuiltInCombined(q), rod)
     if q == 0.0:
         return 0.0
     L, EJ = rod.L, rod.EJ
@@ -317,7 +307,7 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     ``n_terms`` is the largest series index k, so the series sums the
     n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
     """
-    _check_builtin_load(rod, q)
+    _check_load(BuiltInCombined(q), rod)
     L, EJ = rod.L, rod.EJ
     linearized = q * L ** 2 / 12.0
 

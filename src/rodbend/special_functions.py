@@ -7,7 +7,9 @@ representation
     G(c) / (G(a) G(c-a)) * int_0^1 u^(a-1) (1-u)^(c-a-1) prod (1-x_i u)^(-b_i) du,
 
 valid for c > a > 0, with algebraic endpoint singularities absorbed by
-the quadrature layer. Gamma ratios are computed in the log domain only.
+the quadrature layer. Gamma ratios are computed in the log domain only,
+from the standard library's ``math.lgamma`` (which returns log|G(v)|)
+and the sign rule G(v) < 0 exactly when v < 0 and floor(v) is odd.
 All arguments are real; the reduction identities collapse a unit
 Lauricella argument into an Appell value and an Appell value with
 opposite arguments into a 3F2 value.
@@ -16,18 +18,14 @@ opposite arguments into a 3F2 value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, UsageError
 from .quadrature import _adaptive
 
 __all__ = [
-    "HypSeriesParams",
-    "LauricellaArgs",
     "pochhammer",
     "gauss_2f1",
     "gauss_summation",
@@ -57,51 +55,6 @@ def _check_lower(params: Sequence[float], where: str) -> None:
     for b in params:
         if _is_nonpositive_integer(b):
             raise DomainError(f"{where}: lower parameter {b} is a nonpositive integer")
-
-
-@dataclass(frozen=True)
-class HypSeriesParams:
-    """Parameters of a pFq series: upper a_1..a_p, lower b_1..b_q, argument x."""
-
-    upper: tuple[float, ...]
-    lower: tuple[float, ...]
-    argument: float
-
-    def __post_init__(self):
-        _check_lower(self.lower, "pFq")
-        x = self.argument
-        if abs(x) < 1:
-            return
-        if x == 1.0 and len(self.upper) == 2 and len(self.lower) == 1:
-            a, b = self.upper
-            if self.lower[0] > a + b:
-                return
-        raise DomainError(f"series argument {x} outside the convergence domain")
-
-
-@dataclass(frozen=True)
-class LauricellaArgs:
-    """Arguments of F1 (n=2) or FD(3) (n=3) in the integral representation."""
-
-    a: float
-    b: tuple[float, ...]
-    c: float
-    x: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.b) != len(self.x) or len(self.b) not in (2, 3):
-            raise UsageError("b and x must both have length 2 or 3")
-        if not self.c > self.a > 0:
-            raise DomainError(f"integral representation needs c > a > 0, got a={self.a}, c={self.c}")
-        for bi, xi in zip(self.b, self.x):
-            if xi > 1:
-                raise DomainError(f"argument {xi} > 1 is outside the real domain")
-            if xi == 1.0 and not self.c > self.a + bi:
-                raise DomainError(f"unit argument needs c > a + b_i, got c={self.c}, a+b_i={self.a + bi}")
-
-    @property
-    def n(self) -> int:
-        return len(self.b)
 
 
 def pochhammer(lam, n: int):
@@ -161,8 +114,9 @@ def gauss_summation(a: float, b: float, c: float) -> float:
     for v in args:
         if _is_nonpositive_integer(v):
             raise DomainError(f"gamma argument {v} is a nonpositive integer")
-    logs = gammaln(args)
-    sign = float(np.prod(gammasgn(args)))  # each +-1; poles excluded above
+    logs = [math.lgamma(v) for v in args]
+    # G(v) < 0 exactly when v < 0 and floor(v) is odd; poles excluded above
+    sign = math.prod(-1.0 if v < 0 and math.floor(v) % 2 else 1.0 for v in args)
     return sign * math.exp(logs[0] + logs[1] - logs[2] - logs[3])
 
 
@@ -180,11 +134,6 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
     )
 
 
-def _beta_prefactor(a: float, c: float) -> float:
-    # G(c) / (G(a) G(c-a)) with c > a > 0: all arguments positive
-    return math.exp(gammaln(c) - gammaln(a) - gammaln(c - a))
-
-
 def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
                   rtol: float, unit_b: float = 0.0) -> float:
     """Euler-type integral for F1/FD values.
@@ -200,32 +149,37 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     """
     alpha1 = a              # exponent of u, plus one
     beta1 = c - a - unit_b  # exponent of (1-u), plus one
-    comp = [(bi, xi, 1.0 - xi) for bi, xi in factors if bi != 0.0 and xi != 0.0]
+    comp = [(bi, xi) for bi, xi in factors if bi != 0.0 and xi != 0.0]
+    if not comp and not unit_b:
+        # the integral is B(a, c-a) itself; return the exact quotient
+        return 1.0
 
-    s_lo = max(1.0, 3.0 / alpha1)
-    s_hi = max(1.0, 3.0 / beta1)
+    def half(own, other, terms):
+        """Integral over the half next to one endpoint, e = distance from it.
 
-    def g_left(t):
-        t = np.asarray(t, dtype=float)
-        u = 0.5 * t ** s_lo
-        val = s_lo * 0.5 ** alpha1 * t ** (s_lo * alpha1 - 1.0)
-        val = val * (1.0 - u) ** (beta1 - 1.0)
-        for bi, xi, _ in comp:
-            val = val * (1.0 - xi * u) ** (-bi)
-        return val
+        ``own``/``other`` are the endpoint powers (plus one) at this and
+        the far endpoint; each (b_i, c_i, d_i) in ``terms`` contributes
+        (c_i + d_i e)^(-b_i).
+        """
+        s = max(1.0, 3.0 / own)
 
-    def g_right(t):
-        t = np.asarray(t, dtype=float)
-        v = 0.5 * t ** s_hi  # v = 1 - u
-        val = s_hi * 0.5 ** beta1 * t ** (s_hi * beta1 - 1.0)
-        val = val * (1.0 - v) ** (alpha1 - 1.0)
-        for bi, xi, ci in comp:
-            val = val * (ci + xi * v) ** (-bi)  # 1 - x_i u without cancellation
-        return val
+        def g(t):
+            t = np.asarray(t, dtype=float)
+            e = 0.5 * t ** s
+            val = s * 0.5 ** own * t ** (s * own - 1.0)
+            val = val * (1.0 - e) ** (other - 1.0)
+            for bi, ci, di in terms:
+                val = val * (ci + di * e) ** (-bi)
+            return val
 
-    v1, _ = _adaptive(g_left, 0.0, 1.0, rtol, 0.5 * _IRT_ATOL, 4096)
-    v2, _ = _adaptive(g_right, 0.0, 1.0, rtol, 0.5 * _IRT_ATOL, 4096)
-    return _beta_prefactor(a, c) * (v1 + v2)
+        return _adaptive(g, 0.0, 1.0, rtol, 0.5 * _IRT_ATOL, 4096)[0]
+
+    # left half: e = u; right half: e = 1 - u, with 1 - x_i u written
+    # as (1 - x_i) + x_i e to avoid cancellation
+    v1 = half(alpha1, beta1, [(bi, 1.0, -xi) for bi, xi in comp])
+    v2 = half(beta1, alpha1, [(bi, 1.0 - xi, xi) for bi, xi in comp])
+    # G(c) / (G(a) G(c-a)) with c > a > 0: all arguments positive
+    return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * (v1 + v2)
 
 
 def _f1_series(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
@@ -381,8 +335,7 @@ def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,
     f1 = appell_f1(a, b1, b2, c - b3, x, y, method=method, rtol=rtol)
     if b3 == 0.0:
         return f1
-    log = gammaln(c) + gammaln(c - a - b3) - gammaln(c - a) - gammaln(c - b3)
-    return math.exp(log) * f1
+    return gauss_summation(a, b3, c) * f1
 
 
 def reduce_f1_to_3f2(a: float, b: float, c: float, x: float,

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,6 +72,14 @@ def test_solve_infeasible_load_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "q < 6*EJ/L^3" in err
+
+
+def test_solve_nan_load_exits_1(capsys):
+    code, out, err = run(capsys, "solve", "builtin", *ROD_ARGS,
+                         "--q", "nan", "--method", "series", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert "q must be finite" in err
 
 
 def test_solve_series_requires_n(capsys):
@@ -299,3 +310,17 @@ def test_missing_subcommand_exits_1(capsys):
 def test_unknown_problem_exits_1(capsys):
     code, _, _ = run(capsys, "solve", "arch", *ROD_ARGS, "--q", "1", "--method", "linearized")
     assert code == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the runtime import path must not load it
+    import rodbend
+
+    src = os.path.dirname(os.path.dirname(rodbend.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import rodbend.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

@@ -256,6 +256,8 @@ def test_profile_linearized_method():
 def test_profile_rejects_unknown_method():
     with pytest.raises(UsageError):
         deflection_profile(UniformLoad(10.0), ROD, method="spline")
+    with pytest.raises(UsageError):
+        DeflectionProfile(samples=((0.0, 0.1), (1.0, 0.0)), method="closed-form")
 
 
 def test_profile_validates_wall_deflection():

@@ -1,0 +1,77 @@
+"""Byte-for-byte regression of the CLI on a fixed command set.
+
+Each file ``tests/golden/<name>.txt`` holds the exact standard output of
+one command below. The set covers the README commands, every deflection
+load kind, both convergence tables and the series routes of ``eval``;
+none of them evaluates a Gamma function, so a refactor of the series,
+quadrature, solver or formatting layers must leave every byte in place.
+
+Regenerate the files only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from rodbend.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
+
+_ROD = ["--L", "1", "--EJ", "200"]
+
+COMMANDS = {
+    # README "Command line" section (deflect to stdout instead of --out)
+    "readme_solve_roller_root_find": ["solve", "roller", *_ROD, "--q", "1000", "--method", "root-find"],
+    "readme_solve_builtin_series": ["solve", "builtin", *_ROD, "--q", "1000", "--method", "series", "--n", "11"],
+    "readme_deflect_q_csv": ["deflect", *_ROD, "--q", "1000", "--format", "csv"],
+    "readme_table_builtin_json": ["table", "builtin", *_ROD, "--q", "1000", "--n", "14"],
+    "readme_eval_2f1": ["eval", "2f1", "0.5", "0.5", "1.5", "0.36"],
+    # other solve routes
+    "solve_roller_linearized_csv": ["solve", "roller", *_ROD, "--q", "1000", "--method", "linearized",
+                                    "--format", "csv"],
+    "solve_roller_series_csv": ["solve", "roller", *_ROD, "--q", "1000", "--method", "series", "--n", "7",
+                                "--format", "csv"],
+    "solve_builtin_closed": ["solve", "builtin", *_ROD, "--q", "1000", "--method", "closed"],
+    # one deflection profile per load kind
+    "deflect_P_csv": ["deflect", *_ROD, "--P", "300", "--format", "csv"],
+    "deflect_M0_csv": ["deflect", *_ROD, "--M0", "150", "--format", "csv"],
+    # convergence tables in both formats
+    "table_roller_json": ["table", "roller", *_ROD, "--q", "1000", "--n", "10"],
+    "table_roller_csv": ["table", "roller", *_ROD, "--q", "1000", "--n", "10", "--format", "csv"],
+    "table_builtin_csv": ["table", "builtin", *_ROD, "--q", "1000", "--n", "14", "--format", "csv"],
+    # series routes of eval, |x| < 1
+    "eval_2f1_negative_x_csv": ["eval", "2f1", "1", "1", "2", "-0.5", "--format", "csv"],
+    "eval_3f2": ["eval", "3f2", "0.5", "1", "1.5", "1.1666666666666667", "1.6666666666666667", "0.25"],
+    "eval_3f2_csv": ["eval", "3f2", "0.5", "1", "1.5", "1.25", "1.75", "0.81", "--format", "csv"],
+}
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and standard output of one in-process CLI run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden(name):
+    code, out = run_cli(COMMANDS[name])
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(COMMANDS.items()):
+        code, out = run_cli(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}")
+        (GOLDEN_DIR / f"{name}.txt").write_text(out, encoding="utf-8")
+        print(f"wrote {name}.txt")

@@ -1,5 +1,6 @@
 """Redundant-reaction solvers: series, root finding, closed forms, reports."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -300,6 +301,21 @@ def test_negative_load_rejected():
         solve_roller(ROD, -1.0, method="linearized")
     with pytest.raises(UsageError):
         solve_builtin(ROD, -1.0, method="linearized")
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+@pytest.mark.parametrize("solve, kwargs", [
+    (solve_roller, {"method": "linearized"}),
+    (solve_roller, {"method": "series"}),
+    (solve_roller, {"method": "root_find"}),
+    (solve_builtin, {"method": "linearized"}),
+    (solve_builtin, {"method": "series"}),
+    (solve_builtin, {"method": "closed"}),
+    (solve_builtin, {"method": "closed", "integral_mode": "hyp_approx"}),
+], ids=lambda v: v.__name__ if callable(v) else "-".join(v.values()))
+def test_non_finite_load_rejected(solve, kwargs, q):
+    with pytest.raises(UsageError, match="finite"):
+        solve(ROD, q, **kwargs)
 
 
 def test_infeasible_loads_rejected():

@@ -129,6 +129,24 @@ def test_gauss_summation_matches_beta_integral():
             gammaln(c) - gammaln(b) - gammaln(c - b)) + 1e-13
 
 
+# Each case puts one to three of the Gamma arguments c, c-a-b, c-a, c-b
+# (c-a-b is always positive) on the negative axis, so both signs of
+# Gamma there are exercised: negative on (-1, 0) and (-3, -2), positive
+# on (-2, -1).
+@pytest.mark.parametrize("a, b, c", [
+    (-0.8, -0.9, -0.3),   # c in (-1, 0)
+    (2.1, -1.9, 0.7),     # c-a in (-2, -1)
+    (-2.9, 3.2, 0.6),     # c-b in (-3, -2)
+    (-0.9, -2.4, -1.3),   # c in (-2, -1), c-a in (-1, 0)
+    (-2.9, -0.9, -2.4),   # c in (-3, -2), c-b in (-2, -1)
+    (-2.0, -0.7, -2.5),   # c in (-3, -2), c-a in (-1, 0), c-b in (-2, -1)
+])
+def test_gauss_summation_negative_gamma_arguments(a, b, c):
+    want = (math.gamma(c) * math.gamma(c - a - b)
+            / (math.gamma(c - a) * math.gamma(c - b)))
+    assert rel_err(gauss_summation(a, b, c), want) < 1e-13
+
+
 def test_gauss_summation_rejects_divergent_parameters():
     with pytest.raises(DomainError):
         gauss_summation(1.0, 1.0, 2.0)
