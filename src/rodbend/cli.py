@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -128,8 +129,8 @@ def _resolve_rtol(args) -> float:
             rtol = float(raw)
         except ValueError:
             raise UsageError(f"ELASTICA_HYP_RTOL={raw!r} is not a number")
-    if not rtol > 0:
-        raise UsageError(f"tolerance must be positive, got {rtol}")
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise UsageError(f"tolerance must be finite and positive, got {rtol}")
     return rtol
 
 

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-import numpy as np
-
 from .errors import InfeasibleLoadError, UsageError
 from .quadrature import integrate_deflection
 from .special_functions import hyp_3f2
@@ -123,12 +121,16 @@ LoadCase = Union[UniformLoad, TipShear, TipMoment, BuiltInCombined]
 
 
 def _as_array(x):
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
 
 
 def bending_moment(load: LoadCase, x, rod: RodProperties):
     """Bending moment M(x) [N m]; accepts scalar or array positions."""
+    import numpy as np
+
     xa, scalar = _as_array(x)
     L = rod.L
     if isinstance(load, UniformLoad):
@@ -305,6 +307,8 @@ class DeflectionProfile:
 def deflection_profile(load: LoadCase, rod: RodProperties, method: str = "quadrature",
                        n_points: int = 201, rtol: float = 1e-10) -> DeflectionProfile:
     """Sample the deflection curve on a uniform grid (default 201 points)."""
+    import numpy as np
+
     if n_points < 2:
         raise UsageError("need at least 2 grid points")
     xs = np.linspace(0.0, rod.L, n_points)

@@ -12,19 +12,22 @@ result in the library is checked against.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import sys
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["IntegrandSpec", "integrate", "integrate_deflection"]
 
 # 15-point Kronrod nodes on [-1, 1] (nonnegative half; the rule is symmetric).
 # Even indices of the half array form the embedded 7-point Gauss subset.
-_XK = np.array([
+_XK = (
     0.000000000000000000000000000000000,
     0.207784955007898467600689403773245,
     0.405845151377397166906606412076961,
@@ -33,8 +36,8 @@ _XK = np.array([
     0.864864423359769072789712788640926,
     0.949107912342758524526189684047851,
     0.991455371120812639206854697526329,
-])
-_WK = np.array([
+)
+_WK = (
     0.209482141084727828012999174891714,
     0.204432940075298892414161999234649,
     0.190350578064785409913256402421014,
@@ -43,20 +46,30 @@ _WK = np.array([
     0.104790010322250183839876322541518,
     0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
-])
-_WG = np.array([
+)
+_WG = (
     0.417959183673469387755102040816327,
     0.381830050505118944950369775488975,
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
-])
+)
 
-# All 15 abscissae, mirrored once so panel evaluation is a single array call.
-# The center lands at index 7, so the Gauss subset is the odd indices.
-_NODES = np.concatenate([-_XK[:0:-1], _XK])
-_KWEIGHTS = np.concatenate([_WK[:0:-1], _WK])
-_GWEIGHTS = np.zeros(15)
-_GWEIGHTS[1::2] = np.concatenate([_WG[:0:-1], _WG])
+
+@functools.cache
+def _rule():
+    """numpy and the 15 mirrored nodes with their Kronrod and Gauss weights.
+
+    Built on first use, so importing the package does not load numpy.
+    The center lands at index 7, so the Gauss subset is the odd indices.
+    """
+    import numpy as np
+
+    xk, wk, wg = np.array(_XK), np.array(_WK), np.array(_WG)
+    nodes = np.concatenate([-xk[:0:-1], xk])
+    kweights = np.concatenate([wk[:0:-1], wk])
+    gweights = np.zeros(15)
+    gweights[1::2] = np.concatenate([wg[:0:-1], wg])
+    return np, nodes, kweights, gweights
 
 
 @dataclass(frozen=True)
@@ -89,13 +102,14 @@ class IntegrandSpec:
 
 def _panel(f, lo, hi):
     """Gauss-Kronrod panel: returns (K15 value, error estimate)."""
+    np, nodes, kweights, gweights = _rule()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
+    fx = np.asarray(f(mid + half * nodes), dtype=float)
     if not np.all(np.isfinite(fx)):
         raise UsageError(f"integrand not finite inside [{lo}, {hi}]")
-    k15 = half * float(_KWEIGHTS @ fx)
-    g7 = half * float(_GWEIGHTS @ fx)
+    k15 = half * float(kweights @ fx)
+    g7 = half * float(gweights @ fx)
     return k15, abs(k15 - g7)
 
 
@@ -124,7 +138,7 @@ def _adaptive(f, lo, hi, rtol, atol, max_subdivisions):
     return total, total_err
 
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 def _absorb(f, end, width, p, direction):
@@ -136,6 +150,8 @@ def _absorb(f, end, width, p, direction):
     so evaluation is clamped there; the affected tail mass is returned
     as an error floor instead of being silently trusted.
     """
+    import numpy as np
+
     gamma = max(1.0, 3.0 / (1.0 + p))
     d_min = _EPS * max(abs(end), width)
 
@@ -197,6 +213,8 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10, atol: float =
     NearCriticalLoadError when the relative margin is below 1e-6, where
     the integrand is numerically intractable.
     """
+    import numpy as np
+
     from . import elastica  # deferred: elastica depends on this module
 
     L = rod.L

@@ -4,6 +4,13 @@ Coefficients stay `Fraction` through every operation and only become
 floats at evaluation time, so reversion results can be compared for
 exact equality. Series carry a parity tag: odd series (only odd powers)
 revert to odd series, which is what the reaction expansions rely on.
+
+Reversion is Lagrange inversion: the n-th coefficient of the inverse is
+read off the n-th power of y/f(y), and each power comes from Miller's
+recurrence in O(n^2) rational operations, so reverting to order N costs
+O(N^3) with no series composition. Composition (Horner over the outer
+coefficients, also O(N^3)) now dominates the cost of building a
+reaction series.
 """
 
 from __future__ import annotations
@@ -113,22 +120,34 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
 def lagrange_revert(f: PowerSeries) -> PowerSeries:
     """Series g with f(g(x)) = x through the truncation order.
 
-    Coefficients are extracted order by order from the composition
-    identity; odd input yields odd output.
+    Lagrange inversion: g_n = [y^(n-1)] h(y)^n / n with h = y/f(y).
+    h is the reciprocal of f(y)/y, and each power h^n is built only
+    through degree n-1 by J.C.P. Miller's recurrence (Knuth, TAOCP
+    vol. 2, 4.7), p_0 = h_0^n and
+
+        k h_0 p_k = sum_{j=1..k} ((n+1) j - k) h_j p_(k-j),
+
+    so the whole reversion costs O(order^3) rational operations. Odd
+    input has even h and yields odd output; only the even powers of h
+    and the odd coefficients of g are then computed.
     """
     if f.coefficient(0) != 0:
         raise UsageError("reversion needs f(0) = 0")
     if f.order < 1 or f.coefficient(1) == 0:
         raise UsageError("reversion needs a nonzero linear coefficient")
     order = f.order
-    f1 = f.coefficient(1)
-    g = [Fraction(0)] * (order + 1)
-    g[1] = 1 / f1
     step = 2 if f.parity == "odd" else 1
-    for n in range(1 + step, order + 1, step):
-        g[n] = Fraction(0)
-        comp = compose(f.truncated(n), PowerSeries(tuple(g[: n + 1]), n, "general"))
-        g[n] = -comp.coefficient(n) / f1
+    f1 = f.coefficient(1)
+    h = [1 / f1] + [Fraction(0)] * (order - 1)
+    for k in range(step, order, step):
+        h[k] = -sum(f.coefficient(j + 1) * h[k - j] for j in range(step, k + 1, step)) / f1
+    g = [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1, step):
+        p = [h[0] ** n] + [Fraction(0)] * (n - 1)
+        for k in range(step, n, step):
+            p[k] = sum(((n + 1) * j - k) * h[j] * p[k - j]
+                       for j in range(step, k + 1, step)) / (k * h[0])
+        g[n] = p[n - 1] / n
     return PowerSeries(tuple(g), order, f.parity)
 
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, UsageError
 from .quadrature import _adaptive
 
@@ -147,6 +145,8 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     analytically, so the adaptive stage sees a bounded smooth integrand
     and endpoint powers arbitrarily close to -1 cost no accuracy.
     """
+    import numpy as np
+
     alpha1 = a              # exponent of u, plus one
     beta1 = c - a - unit_b  # exponent of (1-u), plus one
     comp = [(bi, xi) for bi, xi in factors if bi != 0.0 and xi != 0.0]
@@ -252,6 +252,8 @@ def _fd3_series(a: float, b: Sequence[float], c: float, x: Sequence[float],
     Shell s contributes (a)_s/(c)_s times the degree-s coefficient of the
     product of the three single-variable factor series (b_i)_k x_i^k / k!.
     """
+    import numpy as np
+
     cols = [[1.0], [1.0], [1.0]]
     ratio_sc = 1.0  # (a)_s / (c)_s
     total = 0.0

@@ -302,6 +302,23 @@ def test_rtol_flag_must_be_positive(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "2f1", "0.5", "0.5", "1.5", "0.36"],
+    ["solve", "builtin", *ROD_ARGS, "--q", "1000", "--method", "closed"],
+], ids=["eval", "solve"])
+def test_infinite_rtol_exits_1(monkeypatch, capsys, via, argv):
+    # an infinite tolerance would stop every series and quadrature at once
+    if via == "flag":
+        argv = [*argv, "--rtol", "inf"]
+    else:
+        monkeypatch.setenv("ELASTICA_HYP_RTOL", "inf")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_missing_subcommand_exits_1(capsys):
     assert cli.main([]) == 1
     capsys.readouterr()
@@ -312,15 +329,39 @@ def test_unknown_problem_exits_1(capsys):
     assert code == 1
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; the runtime import path must not load it
+def _packages_loaded(argv=None):
+    """Top-level packages in sys.modules of a fresh process after
+    ``import rodbend.cli`` and, when ``argv`` is given, one ``main(argv)``."""
     import rodbend
 
     src = os.path.dirname(os.path.dirname(rodbend.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import rodbend.cli, sys; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+    probe = ("import contextlib, io, sys; import rodbend.cli\n"
+             "if sys.argv[1:]:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert rodbend.cli.main(sys.argv[1:]) == 0\n"
+             "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))")
+    result = subprocess.run([sys.executable, "-c", probe, *(argv or [])], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the runtime import path must not load it
+    assert "scipy" not in _packages_loaded()
+
+
+@pytest.mark.parametrize("argv, wants_numpy", [
+    (None, False),
+    (["solve", "roller", *ROD_ARGS, "--q", "1000", "--method", "root-find"], False),
+    (["table", "roller", *ROD_ARGS, "--q", "1000", "--n", "5"], False),
+    (["table", "builtin", *ROD_ARGS, "--q", "1000", "--n", "5"], False),
+    (["eval", "3f2", "0.5", "1", "1.5", "1.25", "1.75", "0.81"], False),
+    # positive control: a deflection profile needs arrays
+    (["deflect", *ROD_ARGS, "--q", "1000"], True),
+], ids=["import", "solve-roller", "table-roller", "table-builtin", "eval-3f2", "deflect"])
+def test_cli_loads_numpy_only_for_arrays(argv, wants_numpy):
+    # numpy costs a cold process tens of milliseconds, so only the
+    # quadrature, profile and F1/FD3 routes may import it
+    assert ("numpy" in _packages_loaded(argv)) == wants_numpy

@@ -5,6 +5,9 @@ one command below. The set covers the README commands, every deflection
 load kind, both convergence tables and the series routes of ``eval``;
 none of them evaluates a Gamma function, so a refactor of the series,
 quadrature, solver or formatting layers must leave every byte in place.
+Each ``tests/golden/<name>.json`` holds the exact numerator/denominator
+coefficients (``PowerSeries.json_obj``) of one reaction series to order
+41, which any change to the exact-rational series layer must reproduce.
 
 Regenerate the files only when an output change is intended:
 
@@ -15,11 +18,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import pathlib
 
 import pytest
 
 from rodbend.cli import main
+from rodbend.redundancy import builtin_reaction_series, roller_reaction_series
 
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
 
@@ -51,6 +56,12 @@ COMMANDS = {
     "eval_3f2_csv": ["eval", "3f2", "0.5", "1", "1.5", "1.25", "1.75", "0.81", "--format", "csv"],
 }
 
+SERIES = {
+    "series_roller_expansion_41": lambda: roller_reaction_series(41, "expansion"),
+    "series_roller_displacement_41": lambda: roller_reaction_series(41, "displacement"),
+    "series_builtin_41": lambda: builtin_reaction_series(41),
+}
+
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
     """Exit code and standard output of one in-process CLI run."""
@@ -67,6 +78,12 @@ def test_cli_output_matches_golden(name):
     assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_series_coefficients_match_golden(name):
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    assert SERIES[name]().json_obj() == golden
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in sorted(COMMANDS.items()):
@@ -75,3 +92,7 @@ if __name__ == "__main__":
             raise SystemExit(f"{name}: exit {code}")
         (GOLDEN_DIR / f"{name}.txt").write_text(out, encoding="utf-8")
         print(f"wrote {name}.txt")
+    for name, build in sorted(SERIES.items()):
+        text = json.dumps(build().json_obj(), indent=2) + "\n"
+        (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
+        print(f"wrote {name}.json")

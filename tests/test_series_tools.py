@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodbend.errors import UsageError
 from rodbend.series_tools import (
@@ -147,6 +149,49 @@ def test_revert_requires_unit_linear_term_scaling():
     round_trip = compose(f, g)
     assert round_trip.coefficient(1) == 1
     assert round_trip.coefficient(3) == 0
+
+
+def test_revert_general_catalan_example():
+    # f(y) = y - y^2 reverts to the Catalan generating series
+    f = PowerSeries.from_coefficients([0, 1, -1], order=6)
+    g = lagrange_revert(f)
+    assert g.parity == "general"
+    assert g.coefficients == (0, 1, 1, 2, 5, 14, 42)
+
+
+# coefficient 1 is any nonzero rational; the others are zero about half
+# the time, so interior gaps and short stored tails both occur
+_LINEAR = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambda c: c != 0)
+_COEFF = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@st.composite
+def general_series(draw):
+    order = draw(st.integers(min_value=1, max_value=9))
+    tail = draw(st.lists(_COEFF, min_size=0, max_size=order - 1))
+    return PowerSeries.from_coefficients([0, draw(_LINEAR), *tail], order=order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_series())
+def test_revert_general_round_trip_is_identity(f):
+    g = lagrange_revert(f)
+    assert g.parity == "general"
+    identity = identity_series(f.order, parity="general").coefficients
+    assert compose(f, g).coefficients == identity
+    assert compose(g, f).coefficients == identity
+
+
+@settings(max_examples=30, deadline=None)
+@given(general_series())
+def test_revert_odd_path_matches_general_path(f):
+    # dropping the even powers makes f odd; the step-2 (odd) reversion
+    # must give exactly the coefficients of the step-1 (general) one
+    odd = [c if k % 2 else F(0) for k, c in enumerate(f.coefficients)]
+    g_odd = lagrange_revert(PowerSeries.from_coefficients(odd, order=f.order, parity="odd"))
+    g_gen = lagrange_revert(PowerSeries.from_coefficients(odd, order=f.order))
+    assert g_odd.parity == "odd"
+    assert g_odd.coefficients == g_gen.coefficients
 
 
 def test_revert_rejects_vanishing_linear_term():
