@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import InfeasibleLoadError, UsageError
 from .quadrature import integrate_deflection
@@ -68,43 +68,79 @@ class RodProperties:
         return cls(L=L, E=EJ, J=1.0)
 
 
-def _check_magnitude(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise UsageError(f"{name} must be finite, got {value}")
+class LoadCase:
+    """Base of the load shapes: frozen dataclasses with one magnitude field.
+
+    Each shape defines its bending moment ``moment(x, L)``, the running
+    moment integral ``H(x, L)`` (M integrated from x to L), the
+    small-deflection profile ``linearized(x, L, EJ)`` and the class
+    attribute ``bound = (text, k, p, unit)``: the load is feasible while
+    |magnitude| * L^p < k * EJ, i.e. |H(0)| < EJ. That covers the whole
+    rod only because |H| must not increase toward the wall, which the
+    feasibility gate and the deflection quadrature rely on.
+    """
+
+    bound: tuple[str, float, int, str]
+
+    def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
-class UniformLoad:
+class UniformLoad(LoadCase):
     """Distributed load q [N/m], positive downward."""
 
     q: float
+    bound = ("q < 6*EJ/L^3", 6.0, 3, "N/m")
 
-    def __post_init__(self):
-        _check_magnitude(self.q, "q")
+    def moment(self, x, L):
+        return -self.q * x ** 2 / 2.0
+
+    def H(self, x, L):
+        return -self.q * (L ** 3 - x ** 3) / 6.0
+
+    def linearized(self, x, L, EJ):
+        return self.q * (3.0 * L ** 4 - 4.0 * L ** 3 * x + x ** 4) / (24.0 * EJ)
 
 
 @dataclass(frozen=True)
-class TipShear:
+class TipShear(LoadCase):
     """Concentrated tip force P [N], positive downward."""
 
     P: float
+    bound = ("|P| < 2*EJ/L^2", 2.0, 2, "N")
 
-    def __post_init__(self):
-        _check_magnitude(self.P, "P")
+    def moment(self, x, L):
+        return -self.P * x
+
+    def H(self, x, L):
+        return -self.P * (L ** 2 - x ** 2) / 2.0
+
+    def linearized(self, x, L, EJ):
+        return self.P * (2.0 * L ** 3 - 3.0 * L ** 2 * x + x ** 3) / (6.0 * EJ)
 
 
 @dataclass(frozen=True)
-class TipMoment:
+class TipMoment(LoadCase):
     """Concentrated tip couple M0 [N m]."""
 
     M0: float
+    bound = ("|M0| < EJ/L", 1.0, 1, "N m")
 
-    def __post_init__(self):
-        _check_magnitude(self.M0, "M0")
+    def moment(self, x, L):
+        return self.M0 * x ** 0  # constant, in the shape of x
+
+    def H(self, x, L):
+        return self.M0 * (L - x)
+
+    def linearized(self, x, L, EJ):
+        return -self.M0 * (L - x) ** 2 / (2.0 * EJ)
 
 
 @dataclass(frozen=True)
-class BuiltInCombined:
+class BuiltInCombined(LoadCase):
     """Distributed load q with half of it equilibrated at the far support.
 
     Bending moment -q(Lx - x^2)/2: the configuration of a doubly clamped
@@ -112,55 +148,35 @@ class BuiltInCombined:
     """
 
     q: float
+    bound = ("q < 12*EJ/L^3", 12.0, 3, "N/m")
 
-    def __post_init__(self):
-        _check_magnitude(self.q, "q")
+    def moment(self, x, L):
+        return -self.q * (L * x - x ** 2) / 2.0
+
+    def H(self, x, L):
+        return -self.q * (L - x) ** 2 * (L + 2.0 * x) / 12.0
+
+    def linearized(self, x, L, EJ):
+        return self.q * (L - x) ** 3 * (L + x) / (24.0 * EJ)
 
 
-LoadCase = Union[UniformLoad, TipShear, TipMoment, BuiltInCombined]
-
-
-def _as_array(x):
+def _at(method, x, *args):
+    """Apply a load method to positions x as a float array; a scalar x gives a float."""
     import numpy as np
 
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+    xa = np.asarray(x, dtype=float)
+    value = method(xa, *args)
+    return float(value) if xa.ndim == 0 else value
 
 
 def bending_moment(load: LoadCase, x, rod: RodProperties):
     """Bending moment M(x) [N m]; accepts scalar or array positions."""
-    import numpy as np
-
-    xa, scalar = _as_array(x)
-    L = rod.L
-    if isinstance(load, UniformLoad):
-        m = -load.q * xa ** 2 / 2.0
-    elif isinstance(load, TipShear):
-        m = -load.P * xa
-    elif isinstance(load, TipMoment):
-        m = load.M0 * np.ones_like(xa)
-    elif isinstance(load, BuiltInCombined):
-        m = -load.q * (L * xa - xa ** 2) / 2.0
-    else:
-        raise UsageError(f"unknown load case {load!r}")
-    return float(m) if scalar else m
+    return _at(load.moment, x, rod.L)
 
 
 def cumulative_moment(load: LoadCase, x, rod: RodProperties):
     """Running moment integral H(x) [N m^2], integrating M from x to L."""
-    xa, scalar = _as_array(x)
-    L = rod.L
-    if isinstance(load, UniformLoad):
-        h = -load.q * (L ** 3 - xa ** 3) / 6.0
-    elif isinstance(load, TipShear):
-        h = -load.P * (L ** 2 - xa ** 2) / 2.0
-    elif isinstance(load, TipMoment):
-        h = load.M0 * (L - xa)
-    elif isinstance(load, BuiltInCombined):
-        h = -load.q * (L - xa) ** 2 * (L + 2.0 * xa) / 12.0
-    else:
-        raise UsageError(f"unknown load case {load!r}")
-    return float(h) if scalar else h
+    return _at(load.H, x, rod.L)
 
 
 def feasibility_check(load: LoadCase, rod: RodProperties) -> float:
@@ -169,28 +185,22 @@ def feasibility_check(load: LoadCase, rod: RodProperties) -> float:
     |H| is monotone decreasing toward the wall for every supported load
     shape, so the maximum sits at the free tip.
     """
-    return abs(cumulative_moment(load, 0.0, rod)) / rod.EJ
+    return abs(load.H(0.0, rod.L)) / rod.EJ
 
 
 def feasibility_bound(load: LoadCase, rod: RodProperties) -> str:
     """Human-readable feasibility bound for the given load shape."""
-    L, EJ = rod.L, rod.EJ
-    if isinstance(load, UniformLoad):
-        return f"q < 6*EJ/L^3 = {6.0 * EJ / L ** 3:.6g} N/m"
-    if isinstance(load, TipShear):
-        return f"|P| < 2*EJ/L^2 = {2.0 * EJ / L ** 2:.6g} N"
-    if isinstance(load, TipMoment):
-        return f"|M0| < EJ/L = {EJ / L:.6g} N m"
-    if isinstance(load, BuiltInCombined):
-        return f"q < 12*EJ/L^3 = {12.0 * EJ / L ** 3:.6g} N/m"
-    raise UsageError(f"unknown load case {load!r}")
+    text, k, p, unit = load.bound
+    return f"{text} = {k * rod.EJ / rod.L ** p:.6g} {unit}"
 
 
 def _require_feasible(load: LoadCase, rod: RodProperties) -> None:
-    ratio = feasibility_check(load, rod)
-    if ratio >= 1.0:
+    """The one feasibility gate: refuse |magnitude| * L^p >= k * EJ."""
+    (name, magnitude), = load.__dict__.items()
+    _, k, p, _ = load.bound
+    if abs(magnitude) * rod.L ** p >= k * rod.EJ:
         raise InfeasibleLoadError(
-            f"|H|/EJ reaches {ratio:.6g} >= 1; need {feasibility_bound(load, rod)}"
+            f"{name} = {magnitude:.6g} violates {feasibility_bound(load, rod)}"
         )
 
 
@@ -216,11 +226,8 @@ def tip_deflection_shear(rod: RodProperties, X: float, rtol: float = 1e-13) -> f
 
 def tip_deflection_moment(rod: RodProperties, X: float) -> float:
     """Exact tip deflection under a constant tip couple X, elementary closed form."""
+    _require_feasible(TipMoment(X), rod)
     L, EJ = rod.L, rod.EJ
-    if abs(X) * L >= EJ:
-        raise InfeasibleLoadError(
-            f"|M0|*L = {abs(X) * L:.6g} >= EJ = {EJ:.6g}; need {feasibility_bound(TipMoment(X), rod)}"
-        )
     if X == 0.0:
         return 0.0
     if abs(X) * L ** 2 / EJ < 1e-6:
@@ -231,19 +238,7 @@ def tip_deflection_moment(rod: RodProperties, X: float) -> float:
 
 def linearized_deflection(load: LoadCase, rod: RodProperties, x):
     """Small-deflection profile y_lin(x) = -(1/EJ) int_x^L H, per load shape."""
-    xa, scalar = _as_array(x)
-    L, EJ = rod.L, rod.EJ
-    if isinstance(load, UniformLoad):
-        y = load.q * (3.0 * L ** 4 - 4.0 * L ** 3 * xa + xa ** 4) / (24.0 * EJ)
-    elif isinstance(load, TipShear):
-        y = load.P * (2.0 * L ** 3 - 3.0 * L ** 2 * xa + xa ** 3) / (6.0 * EJ)
-    elif isinstance(load, TipMoment):
-        y = -load.M0 * (L - xa) ** 2 / (2.0 * EJ)
-    elif isinstance(load, BuiltInCombined):
-        y = load.q * (L - xa) ** 3 * (L + xa) / (24.0 * EJ)
-    else:
-        raise UsageError(f"unknown load case {load!r}")
-    return float(y) if scalar else y
+    return _at(load.linearized, x, rod.L, rod.EJ)
 
 
 def linearized_tip_deflection(load: LoadCase, rod: RodProperties) -> float:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .elastica import BuiltInCombined, RodProperties, UniformLoad, feasibility_bound
-from .errors import BracketError, InfeasibleLoadError, UsageError
+from .elastica import BuiltInCombined, RodProperties, TipShear, UniformLoad, _require_feasible
+from .errors import BracketError, UsageError
 from .quadrature import integrate_deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
 from .special_functions import gauss_2f1, hyp_3f2
@@ -109,11 +109,7 @@ def _check_load(load: UniformLoad | BuiltInCombined, rod: RodProperties) -> None
     """Refuse a negative or infeasible load; building ``load`` refused a non-finite q."""
     if load.q < 0:
         raise UsageError("q must be nonnegative (loads act downward)")
-    limit = 12.0 if isinstance(load, BuiltInCombined) else 6.0
-    if load.q * rod.L ** 3 >= limit * rod.EJ:
-        raise InfeasibleLoadError(
-            f"q = {load.q:.6g} violates {feasibility_bound(load, rod)}"
-        )
+    _require_feasible(load, rod)
 
 
 def roller_consistency(rod: RodProperties, q: float, X: float,
@@ -128,11 +124,8 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     """
     _check_kernel(kernel)
     _check_load(UniformLoad(q), rod)
+    _require_feasible(TipShear(X), rod)
     L, EJ = rod.L, rod.EJ
-    if abs(X) * L ** 2 >= 2.0 * EJ:
-        raise InfeasibleLoadError(
-            f"|X| = {abs(X):.6g} violates |X| < 2*EJ/L^2 = {2.0 * EJ / L ** 2:.6g} N"
-        )
     p1, p2 = _KERNELS[kernel]
     f_load = hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0,
                      L ** 6 * q ** 2 / (36.0 * EJ ** 2), rtol=rtol)

@@ -49,6 +49,13 @@ def _is_nonpositive_integer(v: float) -> bool:
     return v <= 0 and float(v).is_integer()
 
 
+def _check_finite(where: str, *values: float) -> None:
+    """Refuse NaN or infinite input once, before any term is summed."""
+    for v in values:
+        if not math.isfinite(v):
+            raise UsageError(f"{where}: parameters and arguments must be finite, got {v}")
+
+
 def _check_lower(params: Sequence[float], where: str) -> None:
     for b in params:
         if _is_nonpositive_integer(b):
@@ -92,6 +99,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
     Direct series summation; the x = 1 value is the closed Gamma-ratio
     evaluation because the series converges too slowly there.
     """
+    _check_finite("2F1", a, b, c, x)
     _check_lower((c,), "2F1")
     if x == 0.0:
         return 1.0
@@ -106,6 +114,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
 
 def gauss_summation(a: float, b: float, c: float) -> float:
     """2F1(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b)), log-gamma computed."""
+    _check_finite("Gauss summation", a, b, c)
     if not c > a + b:
         raise DomainError(f"Gauss summation needs c > a + b, got c={c}, a+b={a + b}")
     args = (c, c - a - b, c - a, c - b)
@@ -121,6 +130,7 @@ def gauss_summation(a: float, b: float, c: float) -> float:
 def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
             rtol: float = DEFAULT_RTOL) -> float:
     """3F2(a1, a2, a3; b1, b2; x) by series, |x| < 1."""
+    _check_finite("3F2", a1, a2, a3, b1, b2, x)
     _check_lower((b1, b2), "3F2")
     if x == 0.0:
         return 1.0
@@ -229,6 +239,7 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
     """
     if method not in ("auto", "integral", "series"):
         raise UsageError(f"unknown method {method!r}")
+    _check_finite("F1", a, b1, b2, c, x1, x2)
     integral_ok = c > a > 0 and x1 < 1 and x2 < 1
     series_ok = abs(x1) < 1 and abs(x2) < 1
     if method == "auto":
@@ -290,6 +301,7 @@ def lauricella_fd3(a: float, b: Sequence[float], c: float, x: Sequence[float],
     x = tuple(float(v) for v in x)
     if len(b) != 3 or len(x) != 3:
         raise UsageError("FD3 takes exactly three b parameters and three arguments")
+    _check_finite("FD3", a, *b, c, *x)
     if method not in ("auto", "integral", "series"):
         raise UsageError(f"unknown method {method!r}")
 

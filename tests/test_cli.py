@@ -252,6 +252,24 @@ def test_eval_domain_error_exits_3(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["2f1", "0.5", "0.5", "1.5", "nan"],
+    ["2f1", "0.5", "0.5", "1.5", "inf"],
+    ["3f2", "0.5", "1", "1.5", "1.25", "1.75", "nan"],
+    ["f1", "nan", "0.5", "0.5", "2", "0.1", "0.2"],
+    ["fd3", "nan", "0.5", "0.5", "0.5", "2", "0.1", "0.2", "0.3"],
+    ["gauss-sum", "0.5", "inf", "3"],
+], ids=["2f1-nan", "2f1-inf", "3f2", "f1", "fd3", "gauss-sum"])
+def test_eval_non_finite_input_exits_1(argv):
+    # a fresh process with a timeout: unguarded, these sum 10^6 terms
+    # or (fd3) run for minutes
+    result = subprocess.run([sys.executable, "-m", "rodbend.cli", "eval", *argv], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "must be finite" in result.stderr
+
+
 def test_eval_csv_layout(capsys):
     code, out, _ = run(capsys, "eval", "gauss-sum", "0.5", "0.5", "2", "--format", "csv")
     assert code == 0
@@ -329,20 +347,24 @@ def test_unknown_problem_exits_1(capsys):
     assert code == 1
 
 
-def _packages_loaded(argv=None):
-    """Top-level packages in sys.modules of a fresh process after
-    ``import rodbend.cli`` and, when ``argv`` is given, one ``main(argv)``."""
+def _src_env():
+    """Environment for a fresh process that imports this rodbend."""
     import rodbend
 
     src = os.path.dirname(os.path.dirname(rodbend.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _packages_loaded(argv=None):
+    """Top-level packages in sys.modules of a fresh process after
+    ``import rodbend.cli`` and, when ``argv`` is given, one ``main(argv)``."""
     probe = ("import contextlib, io, sys; import rodbend.cli\n"
              "if sys.argv[1:]:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        assert rodbend.cli.main(sys.argv[1:]) == 0\n"
              "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))")
-    result = subprocess.run([sys.executable, "-c", probe, *(argv or [])], env=env,
+    result = subprocess.run([sys.executable, "-c", probe, *(argv or [])], env=_src_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     return set(result.stdout.split())
 

@@ -5,13 +5,16 @@ curvature integral; the two routes share no hypergeometric code.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from rodbend import elastica, redundancy
 from rodbend.elastica import (
     BuiltInCombined,
     DeflectionProfile,
+    LoadCase,
     RodProperties,
     TipMoment,
     TipShear,
@@ -28,10 +31,19 @@ from rodbend.elastica import (
     tip_deflection_shear,
     tip_deflection_uniform,
 )
-from rodbend.errors import InfeasibleLoadError, UsageError
+from rodbend.errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
 from rodbend.quadrature import integrate_deflection
+from rodbend.redundancy import roller_consistency, solve_builtin, solve_roller
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
+
+# magnitude at which |H(0)| reaches EJ, written out apart from LoadCase.bound
+BOUNDS = {
+    UniformLoad: lambda rod: 6.0 * rod.EJ / rod.L ** 3,
+    TipShear: lambda rod: 2.0 * rod.EJ / rod.L ** 2,
+    TipMoment: lambda rod: rod.EJ / rod.L,
+    BuiltInCombined: lambda rod: 12.0 * rod.EJ / rod.L ** 3,
+}
 
 
 # ------------------------------------------------------------ rod properties
@@ -87,13 +99,29 @@ def test_builtin_combined_moment_shape():
 
 
 def test_cumulative_moment_derivative_is_minus_moment():
+    assert set(LoadCase.__subclasses__()) == set(BOUNDS)
     h = 1e-6
-    for load in (UniformLoad(900.0), TipShear(250.0), TipMoment(60.0),
-                 BuiltInCombined(1500.0)):
-        for x in (0.2, 0.5, 0.8):
-            dh = (cumulative_moment(load, x + h, ROD)
-                  - cumulative_moment(load, x - h, ROD)) / (2.0 * h)
-            assert abs(dh + bending_moment(load, x, ROD)) < 1e-6
+    for rod in (ROD, RodProperties.from_stiffness(1.7, 350.0)):
+        L, EJ = rod.L, rod.EJ
+        for shape in LoadCase.__subclasses__():
+            for sign in (1.0, -1.0):
+                load = shape(sign * 0.45 * BOUNDS[shape](rod))
+                for x in (0.2 * L, 0.5 * L, 0.8 * L):
+                    dh = (cumulative_moment(load, x + h, rod)
+                          - cumulative_moment(load, x - h, rod)) / (2.0 * h)
+                    assert abs(dh + bending_moment(load, x, rod)) < 1e-6
+                    dy = (linearized_deflection(load, rod, x + h)
+                          - linearized_deflection(load, rod, x - h)) / (2.0 * h)
+                    assert abs(dy - cumulative_moment(load, x, rod) / EJ) < 1e-8
+                assert cumulative_moment(load, L, rod) == 0.0
+                tip = linearized_tip_deflection(load, rod)
+                assert abs(linearized_deflection(load, rod, L)) < 1e-14 * abs(tip)
+                # the feasibility gate and integrate_deflection read |H| at x only
+                habs = np.abs(cumulative_moment(load, np.linspace(0.0, L, 1001), rod))
+                assert np.all(np.diff(habs) <= 0.0)
+                _, k, p, _ = shape.bound
+                at_bound = shape(sign * k * EJ / L ** p)
+                assert abs(feasibility_check(at_bound, rod) - 1.0) < 1e-15
 
 
 def test_moment_accepts_arrays():
@@ -119,8 +147,51 @@ def test_feasibility_tip_moment_ratio():
 
 
 def test_feasibility_bound_messages_name_the_load():
-    assert "6" in feasibility_bound(UniformLoad(1.0), ROD)
-    assert "12" in feasibility_bound(BuiltInCombined(1.0), ROD)
+    rod = RodProperties.from_stiffness(2.0, 200.0)
+    assert feasibility_bound(UniformLoad(1.0), rod) == "q < 6*EJ/L^3 = 150 N/m"
+    assert feasibility_bound(TipShear(-1.0), rod) == "|P| < 2*EJ/L^2 = 100 N"
+    assert feasibility_bound(TipMoment(1.0), rod) == "|M0| < EJ/L = 100 N m"
+    assert feasibility_bound(BuiltInCombined(1.0), rod) == "q < 12*EJ/L^3 = 300 N/m"
+
+
+NEAR_BOUND_RODS = [RodProperties.from_stiffness(0.3, 17.0), RodProperties.from_stiffness(1.7, 350.0)]
+
+GATES = {
+    "solve_roller": (UniformLoad, lambda rod, q: solve_roller(rod, q, "linearized")),
+    "solve_builtin": (BuiltInCombined, lambda rod, q: solve_builtin(rod, q, "linearized")),
+    "roller_consistency": (TipShear, lambda rod, X: roller_consistency(rod, 0.0, X)),
+    "tip_deflection_uniform": (UniformLoad, tip_deflection_uniform),
+    "tip_deflection_shear": (TipShear, tip_deflection_shear),
+    "tip_deflection_moment": (TipMoment, tip_deflection_moment),
+}
+
+
+@pytest.mark.parametrize("rod", NEAR_BOUND_RODS, ids=["L0.3", "L1.7"])
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_gate_verdicts_at_the_bound(monkeypatch, rod, gate):
+    # stub the work behind the gates so that the gate alone decides: just
+    # below the bound the 3F2 series sums 10^6 terms before it gives up,
+    # and the linearized roller reaction 3qL/8 lies past the |X| bound
+    monkeypatch.setattr(elastica, "hyp_3f2", lambda *args, **kwargs: 1.0)
+    monkeypatch.setattr(redundancy, "hyp_3f2", lambda *args, **kwargs: 1.0)
+    monkeypatch.setattr(redundancy, "roller_consistency", lambda *args, **kwargs: 0.0)
+    shape, call = GATES[gate]
+    bound = BOUNDS[shape](rod)
+    call(rod, bound * (1.0 - 1e-12))
+    with pytest.raises(InfeasibleLoadError):
+        call(rod, bound * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("rod", NEAR_BOUND_RODS, ids=["L0.3", "L1.7"])
+@pytest.mark.parametrize("shape", sorted(BOUNDS, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_integrate_deflection_verdicts_at_the_bound(rod, shape):
+    bound = BOUNDS[shape](rod)
+    # feasible, but inside the quadrature's safety margin
+    with pytest.raises(NearCriticalLoadError):
+        integrate_deflection(shape(bound * (1.0 - 1e-12)), rod, 0.0)
+    with pytest.raises(InfeasibleLoadError) as excinfo:
+        integrate_deflection(shape(bound * (1.0 + 1e-12)), rod, 0.0)
+    assert excinfo.type is InfeasibleLoadError
 
 
 # ------------------------------------------------------- closed-form deflections
@@ -179,11 +250,11 @@ def test_closed_forms_match_quadrature_on_random_draws():
 
 
 def test_infeasible_loads_raise():
-    with pytest.raises(InfeasibleLoadError):
+    with pytest.raises(InfeasibleLoadError, match=re.escape("q = 1250 violates q < 6*EJ/L^3 = 1200 N/m")):
         tip_deflection_uniform(ROD, 1250.0)
-    with pytest.raises(InfeasibleLoadError):
+    with pytest.raises(InfeasibleLoadError, match=re.escape("P = 450 violates |P| < 2*EJ/L^2 = 400 N")):
         tip_deflection_shear(ROD, 450.0)
-    with pytest.raises(InfeasibleLoadError):
+    with pytest.raises(InfeasibleLoadError, match=re.escape("M0 = 210 violates |M0| < EJ/L = 200 N m")):
         tip_deflection_moment(ROD, 210.0)
 
 

@@ -5,6 +5,9 @@ one command below. The set covers the README commands, every deflection
 load kind, both convergence tables and the series routes of ``eval``;
 none of them evaluates a Gamma function, so a refactor of the series,
 quadrature, solver or formatting layers must leave every byte in place.
+Each ``tests/golden/<name>.err`` holds the exit code and the exact
+standard error of one refused command in ``ERRORS``: infeasible and
+near-critical loads at every gate, and a failed reaction bracket.
 Each ``tests/golden/<name>.json`` holds the exact numerator/denominator
 coefficients (``PowerSeries.json_obj``) of one reaction series to order
 41, which any change to the exact-rational series layer must reproduce.
@@ -56,6 +59,17 @@ COMMANDS = {
     "eval_3f2_csv": ["eval", "3f2", "0.5", "1", "1.5", "1.25", "1.75", "0.81", "--format", "csv"],
 }
 
+ERRORS = {
+    "error_solve_roller_infeasible": ["solve", "roller", *_ROD, "--q", "1300", "--method", "root-find"],
+    "error_solve_builtin_at_bound": ["solve", "builtin", *_ROD, "--q", "2400", "--method", "closed"],
+    "error_table_roller_at_bound": ["table", "roller", *_ROD, "--q", "1200"],
+    "error_deflect_q_at_bound": ["deflect", *_ROD, "--q", "1200"],
+    "error_deflect_P_at_bound": ["deflect", *_ROD, "--P", "400"],
+    "error_deflect_M0_near_critical": ["deflect", *_ROD, "--M0", "199.9999"],
+    "error_solve_roller_bracket": ["solve", "roller", *_ROD, "--q", "1199", "--method", "root-find"],
+    "error_deflect_negative_q": ["deflect", *_ROD, "--q", "-1300"],
+}
+
 SERIES = {
     "series_roller_expansion_41": lambda: roller_reaction_series(41, "expansion"),
     "series_roller_displacement_41": lambda: roller_reaction_series(41, "displacement"),
@@ -71,11 +85,27 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def run_cli_error(argv: list[str]) -> str:
+    """``exit <code>`` and the standard error of a run that prints no output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if out.getvalue():
+        raise AssertionError(f"refused command wrote standard output: {out.getvalue()!r}")
+    return f"exit {code}\n{err.getvalue()}"
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden(name):
     code, out = run_cli(COMMANDS[name])
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_cli_error_matches_golden(name):
+    got = run_cli_error(ERRORS[name])
+    assert got == (GOLDEN_DIR / f"{name}.err").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(SERIES))
@@ -92,6 +122,12 @@ if __name__ == "__main__":
             raise SystemExit(f"{name}: exit {code}")
         (GOLDEN_DIR / f"{name}.txt").write_text(out, encoding="utf-8")
         print(f"wrote {name}.txt")
+    for name, argv in sorted(ERRORS.items()):
+        text = run_cli_error(argv)
+        if text.startswith("exit 0"):
+            raise SystemExit(f"{name}: exit 0")
+        (GOLDEN_DIR / f"{name}.err").write_text(text, encoding="utf-8")
+        print(f"wrote {name}.err")
     for name, build in sorted(SERIES.items()):
         text = json.dumps(build().json_obj(), indent=2) + "\n"
         (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")

@@ -1,6 +1,7 @@
 """Redundant-reaction solvers: series, root finding, closed forms, reports."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -344,6 +345,8 @@ def test_unknown_method_and_kernel_rejected():
 def test_consistency_residual_rejects_infeasible_reaction():
     with pytest.raises(InfeasibleLoadError):
         roller_consistency(ROD, Q, 400.0)
+    with pytest.raises(InfeasibleLoadError, match=re.escape("P = -400 violates |P| < 2*EJ/L^2 = 400 N")):
+        roller_consistency(ROD, Q, -400.0)
 
 
 def test_series_order_validation():

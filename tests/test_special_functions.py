@@ -387,3 +387,27 @@ def test_reduce_f1_to_3f2_dual_route_battery():
 def test_reduce_f1_to_3f2_rejects_large_argument():
     with pytest.raises(DomainError):
         reduce_f1_to_3f2(2.0, 0.5, 3.0, 1.0)
+
+
+# ---------------------------------------------------------- non-finite input
+
+# one valid call per guarded function, arguments in signature order
+_FINITE_CALLS = {
+    "gauss_2f1": (gauss_2f1, (0.5, 0.5, 1.5, 0.36)),
+    "gauss_summation": (gauss_summation, (0.5, 0.5, 2.0)),
+    "hyp_3f2": (hyp_3f2, (0.5, 1.0, 1.5, 1.25, 1.75, 0.81)),
+    "appell_f1": (appell_f1, (2.0, 0.5, 0.5, 3.0, 0.1, 0.2)),
+    "lauricella_fd3": (lambda a, b1, b2, b3, c, x1, x2, x3:
+                       lauricella_fd3(a, (b1, b2, b3), c, (x1, x2, x3)),
+                       (0.5, 0.5, 0.5, 0.5, 2.0, 0.1, 0.2, 0.3)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_FINITE_CALLS))
+def test_non_finite_input_rejected_before_summing(name, bad):
+    fn, args = _FINITE_CALLS[name]
+    fn(*args)
+    for i in range(len(args)):
+        with pytest.raises(UsageError, match="must be finite"):
+            fn(*args[:i], bad, *args[i + 1:])
