@@ -74,10 +74,11 @@ class LoadCase:
     Each shape defines its bending moment ``moment(x, L)``, the running
     moment integral ``H(x, L)`` (M integrated from x to L), the
     small-deflection profile ``linearized(x, L, EJ)`` and the class
-    attribute ``bound = (text, k, p, unit)``: the load is feasible while
-    |magnitude| * L^p < k * EJ, i.e. |H(0)| < EJ. That covers the whole
-    rod only because |H| must not increase toward the wall, which the
-    feasibility gate and the deflection quadrature rely on.
+    attribute ``bound = (text, k, p, unit)``, which words the feasible
+    range |magnitude| * L^p < k * EJ, i.e. |H(0)| < EJ, for messages; the
+    gate itself tests |H(0)|. That covers the whole rod only because |H|
+    must not increase toward the wall, which the feasibility gate and the
+    deflection quadrature rely on.
     """
 
     bound: tuple[str, float, int, str]
@@ -195,10 +196,14 @@ def feasibility_bound(load: LoadCase, rod: RodProperties) -> str:
 
 
 def _require_feasible(load: LoadCase, rod: RodProperties) -> None:
-    """The one feasibility gate: refuse |magnitude| * L^p >= k * EJ."""
-    (name, magnitude), = load.__dict__.items()
-    _, k, p, _ = load.bound
-    if abs(magnitude) * rod.L ** p >= k * rod.EJ:
+    """The one feasibility gate: refuse |H(0)| >= EJ.
+
+    The same test as ``feasibility_check(load, rod) >= 1`` and as the
+    refusal in ``integrate_deflection``, so all three agree to the last
+    ulp; ``bound`` only words the message.
+    """
+    if abs(load.H(0.0, rod.L)) >= rod.EJ:
+        (name, magnitude), = load.__dict__.items()
         raise InfeasibleLoadError(
             f"{name} = {magnitude:.6g} violates {feasibility_bound(load, rod)}"
         )

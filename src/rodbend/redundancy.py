@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .elastica import BuiltInCombined, RodProperties, TipShear, UniformLoad, _require_feasible
-from .errors import BracketError, UsageError
+from .errors import BracketError, NearCriticalLoadError, UsageError
 from .quadrature import integrate_deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
 from .special_functions import gauss_2f1, hyp_3f2
@@ -120,7 +120,9 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     kernel evaluates the reaction factor with the load-side parameter
     pair (7/6, 5/3); "displacement" uses the tip-shear pair (5/4, 7/4),
     which makes the zero of the residual agree with the quadrature
-    zero-displacement closure exactly.
+    zero-displacement closure exactly. ``solve_roller`` calls it once,
+    for the reported residual; its root finder evaluates the same
+    expression without the gates and with the load side summed once.
     """
     _check_kernel(kernel)
     _check_load(UniformLoad(q), rod)
@@ -204,26 +206,44 @@ def _series_trace(series: PowerSeries, w: float, scale: float, n_terms: int):
 
 
 def _find_roller_root(rod: RodProperties, q: float, kernel: str, rtol: float) -> float:
+    # Solves roller_consistency = 0 on [0, min(1.1 * 3qL/8, 0.999 * 2EJ/L^2)]
+    # without calling it: the load side does not depend on X, so it is
+    # summed once, and the gates are skipped because solve_roller has
+    # checked the load and every probe lies inside the tip-shear bound.
+    # The same expressions in the same order give the same bits.
     if q == 0.0:
         return 0.0
     L, EJ = rod.L, rod.EJ
+    p1, p2 = _KERNELS[kernel]
+    load_side = 3.0 * L * q * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0,
+                                      L ** 6 * q ** 2 / (36.0 * EJ ** 2))
+
+    def residual(X):
+        return load_side - 8.0 * X * hyp_3f2(0.5, 1.0, 1.5, p1, p2,
+                                             L ** 4 * X ** 2 / (4.0 * EJ ** 2))
+
     y_cap = 2.0 * EJ / L ** 2 * 0.999
     lo, hi = 0.0, min(1.1 * 3.0 * q * L / 8.0, y_cap)
-    r_lo = roller_consistency(rod, q, lo, kernel=kernel)
-    r_hi = roller_consistency(rod, q, hi, kernel=kernel)
+    # the residual at X = 0 is the load side; the one at the top is summed
+    # only if bisection never moves it, as near the cap a 3F2 there sums
+    # thousands of terms. A moved end keeps its sign, so the bracket check
+    # can fail only with the top unmoved and may wait for the bisection.
+    r_lo, r_hi = load_side, None
+    # bisection to a coarse width, then a secant polish on the same bracket
+    while hi - lo > 1e-6 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        r_mid = residual(mid)
+        if r_mid > 0.0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+    if r_hi is None:
+        r_hi = residual(hi)
     if not (r_lo > 0.0 >= r_hi):
         raise BracketError(
             f"no sign change on (0, {hi:.6g}); the load is too close to critical "
             f"for the reaction bracket"
         )
-    # bisection to a coarse width, then a secant polish on the same bracket
-    while hi - lo > 1e-6 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        r_mid = roller_consistency(rod, q, mid, kernel=kernel)
-        if r_mid > 0.0:
-            lo, r_lo = mid, r_mid
-        else:
-            hi, r_hi = mid, r_mid
     x0, x1 = lo, hi
     f0, f1 = r_lo, r_hi
     for _ in range(60):
@@ -234,7 +254,7 @@ def _find_roller_root(rod: RodProperties, q: float, kernel: str, rtol: float) ->
         if abs(x2 - x1) <= rtol * abs(x2):
             return x2
         x0, f0 = x1, f1
-        x1, f1 = x2, roller_consistency(rod, q, x2, kernel=kernel)
+        x1, f1 = x2, residual(x2)
     return x1
 
 
@@ -269,13 +289,21 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
                               residual=residual, deviation_pct=deviation, trace=trace)
 
 
+def _radius(rod: RodProperties, q: float, relation: str) -> str:
+    """Where the built-in 2F1-approximation routes stop: w = qL^3/EJ = 6."""
+    return (f"w = qL^3/EJ = 6 (q {relation} 6*EJ/L^3 = {6.0 * rod.EJ / rod.L ** 3:.6g} N/m), "
+            f"got w = {rod.L ** 3 * q / rod.EJ:.6g}")
+
+
 def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
                          rtol: float = 1e-13) -> float:
     """Tip integral of the clamped configuration, positive for q > 0.
 
     mode "quadrature" integrates the exact integrand; "hyp_approx" uses
     the closed 2F1 approximation, which is reliable only well below the
-    critical load (leading order in q).
+    critical load (leading order in q) and is refused with
+    NearCriticalLoadError past w = qL^3/EJ = 6, where its argument w^2/36
+    passes 1.
     """
     _check_load(BuiltInCombined(q), rod)
     if q == 0.0:
@@ -285,6 +313,12 @@ def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
         return integrate_deflection(BuiltInCombined(q), rod, 0.0, rtol=rtol)
     if mode == "hyp_approx":
         arg = L ** 6 * q ** 2 / (36.0 * EJ ** 2)
+        if arg > 1.0:
+            raise NearCriticalLoadError(
+                f"the 2F1 approximation of the tip integral diverges past "
+                f"{_radius(rod, q, '>')}; use --method closed, whose tip integral "
+                f"is the exact quadrature"
+            )
         return (L ** 4 * q / (24.0 * EJ)) * gauss_2f1(0.5, 2.0 / 3.0, 5.0 / 3.0, arg, rtol=rtol)
     raise UsageError(f"mode must be 'quadrature' or 'hyp_approx', got {mode!r}")
 
@@ -296,7 +330,9 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
 
     'closed' evaluates X = 2 EJ I / (L^2 + I^2) with the tip integral I
     from ``integral_mode``; the series follows the 2F1-approximation
-    route, so its limit is the closed value with mode "hyp_approx".
+    route, so its limit is the closed value with mode "hyp_approx", and
+    like that route it is refused with NearCriticalLoadError from its
+    radius w = qL^3/EJ = 6 on, half the feasible range.
     ``n_terms`` is the largest series index k, so the series sums the
     n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
     """
@@ -309,8 +345,14 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     elif method == "series":
         if n_terms < 0:
             raise UsageError("n_terms must be nonnegative")
+        w = L ** 3 * q / EJ
+        if w >= 6.0:
+            raise NearCriticalLoadError(
+                f"the built-in reaction series diverges at and past its radius "
+                f"{_radius(rod, q, '>=')}; use --method closed"
+            )
         series = builtin_reaction_series(2 * n_terms + 1)
-        trace = tuple(_series_trace(series, L ** 3 * q / EJ, EJ / L, n_terms))
+        trace = tuple(_series_trace(series, w, EJ / L, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
     elif method == "closed":
         i_val = builtin_tip_integral(rod, q, mode=integral_mode, rtol=rtol)

@@ -36,6 +36,8 @@ __all__ = [
 
 # Series stop policy: a term counts as negligible when |term| < rtol*|partial|;
 # summation stops after three negligible terms in a row or fails at the cap.
+# gauss_2f1 and hyp_3f2 each write this loop out with the term ratio inline,
+# which spares a Python call per term in the root finder's hot path.
 DEFAULT_RTOL = 1e-13
 _CONSECUTIVE = 3
 _MAX_TERMS = 10 ** 6
@@ -76,23 +78,6 @@ def pochhammer(lam, n: int):
     return result
 
 
-def _sum_with_ratio(ratio, rtol: float) -> float:
-    """Sum 1 + t1 + t2 + ... where t_{k+1} = t_k * ratio(k)."""
-    partial = 1.0
-    term = 1.0
-    quiet = 0
-    for k in range(_MAX_TERMS):
-        term *= ratio(k)
-        partial += term
-        if abs(term) < rtol * abs(partial):
-            quiet += 1
-            if quiet >= _CONSECUTIVE:
-                return partial
-        else:
-            quiet = 0
-    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
-
-
 def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL) -> float:
     """2F1(a, b; c; x) for |x| < 1, or x = 1 under the condition c > a + b.
 
@@ -109,7 +94,18 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
         raise DomainError(f"2F1 diverges at x=1 unless c > a + b (c={c}, a+b={a + b})")
     if abs(x) >= 1:
         raise DomainError(f"2F1 series needs |x| < 1, got x={x}")
-    return _sum_with_ratio(lambda k: (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x, rtol)
+    partial = term = 1.0
+    quiet = 0
+    for k in range(_MAX_TERMS):
+        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
+        partial += term
+        if abs(term) < rtol * abs(partial):
+            quiet += 1
+            if quiet >= _CONSECUTIVE:
+                return partial
+        else:
+            quiet = 0
+    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
 
 
 def gauss_summation(a: float, b: float, c: float) -> float:
@@ -136,10 +132,18 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
         return 1.0
     if abs(x) >= 1:
         raise DomainError(f"3F2 series needs |x| < 1, got x={x}")
-    return _sum_with_ratio(
-        lambda k: (a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (1.0 + k)) * x,
-        rtol,
-    )
+    partial = term = 1.0
+    quiet = 0
+    for k in range(_MAX_TERMS):
+        term *= (a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (1.0 + k)) * x
+        partial += term
+        if abs(term) < rtol * abs(partial):
+            quiet += 1
+            if quiet >= _CONSECUTIVE:
+                return partial
+        else:
+            quiet = 0
+    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
 
 
 def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],

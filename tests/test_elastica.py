@@ -194,6 +194,43 @@ def test_integrate_deflection_verdicts_at_the_bound(rod, shape):
     assert excinfo.type is InfeasibleLoadError
 
 
+def _refused(call, *args):
+    try:
+        call(*args)
+    except InfeasibleLoadError as exc:
+        return type(exc) is InfeasibleLoadError
+    return False
+
+
+@pytest.mark.parametrize("rod", NEAR_BOUND_RODS, ids=["L0.3", "L1.7"])
+@pytest.mark.parametrize("shape", sorted(BOUNDS, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_curvature_tests_agree_to_the_last_ulp(rod, shape):
+    # 12 consecutive floats around the bound: the gate, feasibility_check
+    # and the quadrature's refusal must draw the line at the same float
+    magnitude = BOUNDS[shape](rod)
+    for _ in range(6):
+        magnitude = math.nextafter(magnitude, 0.0)
+    verdicts = []
+    for _ in range(12):
+        load = shape(magnitude)
+        refused = feasibility_check(load, rod) >= 1.0
+        assert _refused(elastica._require_feasible, load, rod) == refused
+        assert _refused(integrate_deflection, load, rod, 0.0) == refused
+        verdicts.append(refused)
+        magnitude = math.nextafter(magnitude, math.inf)
+    assert not verdicts[0] and verdicts[-1]
+
+
+@pytest.mark.parametrize("method", ["linearized", "series", "closed"])
+def test_builtin_refused_where_h_reaches_ej(method):
+    # q L^3 = 203.99999999999997 < 12 EJ = 204, but |H(0)| rounds to EJ
+    rod = RodProperties.from_stiffness(0.3, 17.0)
+    q = 7555.555555555556
+    assert feasibility_check(BuiltInCombined(q), rod) == 1.0
+    with pytest.raises(InfeasibleLoadError, match=re.escape("q = 7555.56 violates q < 12*EJ/L^3")):
+        solve_builtin(rod, q, method)
+
+
 # ------------------------------------------------------- closed-form deflections
 
 def test_tip_deflection_uniform_sample():

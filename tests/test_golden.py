@@ -7,10 +7,16 @@ none of them evaluates a Gamma function, so a refactor of the series,
 quadrature, solver or formatting layers must leave every byte in place.
 Each ``tests/golden/<name>.err`` holds the exit code and the exact
 standard error of one refused command in ``ERRORS``: infeasible and
-near-critical loads at every gate, and a failed reaction bracket.
+near-critical loads at every gate, a failed reaction bracket, and the
+built-in 2F1-approximation routes at and past their radius.
 Each ``tests/golden/<name>.json`` holds the exact numerator/denominator
 coefficients (``PowerSeries.json_obj``) of one reaction series to order
 41, which any change to the exact-rational series layer must reproduce.
+``tests/golden/roller_root_find_bits.json`` holds the exact bits
+(``float.hex``) of the root-find reaction and its residual for both
+kernels from 0.02 to 0.995 of the critical load, or the error class and
+message where the bracket fails, so a faster root finder must land on
+the same floats.
 
 Regenerate the files only when an output change is intended:
 
@@ -27,7 +33,9 @@ import pathlib
 import pytest
 
 from rodbend.cli import main
-from rodbend.redundancy import builtin_reaction_series, roller_reaction_series
+from rodbend.elastica import RodProperties
+from rodbend.errors import RodBendError
+from rodbend.redundancy import builtin_reaction_series, roller_reaction_series, solve_roller
 
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
 
@@ -68,6 +76,11 @@ ERRORS = {
     "error_deflect_M0_near_critical": ["deflect", *_ROD, "--M0", "199.9999"],
     "error_solve_roller_bracket": ["solve", "roller", *_ROD, "--q", "1199", "--method", "root-find"],
     "error_deflect_negative_q": ["deflect", *_ROD, "--q", "-1300"],
+    "error_solve_builtin_series_at_radius": ["solve", "builtin", *_ROD, "--q", "1200", "--method", "series",
+                                             "--n", "11"],
+    "error_solve_builtin_series_past_radius": ["solve", "builtin", *_ROD, "--q", "2000", "--method", "series",
+                                               "--n", "11"],
+    "error_table_builtin_past_radius": ["table", "builtin", *_ROD, "--q", "1500"],
 }
 
 SERIES = {
@@ -75,6 +88,30 @@ SERIES = {
     "series_roller_displacement_41": lambda: roller_reaction_series(41, "displacement"),
     "series_builtin_41": lambda: builtin_reaction_series(41),
 }
+
+# fractions of the roller bound q_crit = 6 EJ / L^3 = 1200 N/m; from about
+# 0.807 on, the bracket top sits at the 0.999 * 2 EJ / L^2 cap
+ROOT_FIND_FRACTIONS = (0.02, 0.1, 0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99, 0.995)
+ROOT_FIND_BRACKET_Q = 1199.0
+
+
+def root_find_bits() -> list[dict]:
+    """Bits of ``solve_roller(..., "root_find")`` on the reference rod, or its refusal."""
+    rod = RodProperties.from_stiffness(1.0, 200.0)
+    loads = [f * 1200.0 for f in ROOT_FIND_FRACTIONS] + [ROOT_FIND_BRACKET_Q]
+    cases = []
+    for kernel in ("expansion", "displacement"):
+        for q in loads:
+            case = {"kernel": kernel, "q": q.hex()}
+            try:
+                sol = solve_roller(rod, q, "root_find", kernel=kernel)
+            except RodBendError as exc:
+                case["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                case["X"] = sol.X.hex()
+                case["residual"] = sol.residual.hex()
+            cases.append(case)
+    return cases
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -114,6 +151,11 @@ def test_series_coefficients_match_golden(name):
     assert SERIES[name]().json_obj() == golden
 
 
+def test_roller_root_find_bits_match_golden():
+    golden = json.loads((GOLDEN_DIR / "roller_root_find_bits.json").read_text(encoding="utf-8"))
+    assert root_find_bits() == golden
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in sorted(COMMANDS.items()):
@@ -132,3 +174,6 @@ if __name__ == "__main__":
         text = json.dumps(build().json_obj(), indent=2) + "\n"
         (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
         print(f"wrote {name}.json")
+    text = json.dumps(root_find_bits(), indent=2) + "\n"
+    (GOLDEN_DIR / "roller_root_find_bits.json").write_text(text, encoding="utf-8")
+    print("wrote roller_root_find_bits.json")

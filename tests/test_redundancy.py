@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from rodbend import redundancy
 from rodbend.elastica import RodProperties, tip_deflection_shear, tip_deflection_uniform
-from rodbend.errors import BracketError, InfeasibleLoadError, UsageError
+from rodbend.errors import BracketError, InfeasibleLoadError, NearCriticalLoadError, UsageError
 from rodbend.redundancy import (
     ConsistencyEquation,
     builtin_reaction_series,
@@ -19,6 +20,7 @@ from rodbend.redundancy import (
     solve_roller,
     stabilized_from,
 )
+from rodbend.special_functions import hyp_3f2
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
 Q = 1000.0
@@ -80,6 +82,28 @@ def test_roller_root_displacement_kernel():
     sol = solve_roller(ROD, Q, method="root_find", kernel="displacement")
     assert sol.X == pytest.approx(ROOT_DISPLACEMENT, rel=1e-9)
     assert sol.deviation_pct == pytest.approx(5.2492531, abs=1e-5)
+
+
+def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
+    # at q = 1000 the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the
+    # solve sums goes through redundancy.hyp_3f2
+    args = []
+
+    def counting(*a, **kw):
+        args.append(a[5])
+        return hyp_3f2(*a, **kw)
+
+    monkeypatch.setattr(redundancy, "hyp_3f2", counting)
+    solve_roller(ROD, Q, method="root_find")
+    load_arg = ROD.L ** 6 * Q ** 2 / (36.0 * ROD.EJ ** 2)
+    y_cap = 2.0 * ROD.EJ / ROD.L ** 2 * 0.999
+    cap_arg = ROD.L ** 4 * y_cap ** 2 / (4.0 * ROD.EJ ** 2)
+    assert 1.1 * 3.0 * Q * ROD.L / 8.0 > y_cap
+    # once in the root finder, once for the reported residual
+    assert args.count(load_arg) == 2
+    assert max(args) < cap_arg
+    # 1 load side + 22 bisection and secant probes + 2 for the residual
+    assert len(args) == 25
 
 
 def test_displacement_kernel_closes_tip_displacement():
@@ -216,6 +240,23 @@ def test_builtin_closed_at_half_and_quarter_load():
         41.7709205952723, rel=1e-9)
     assert solve_builtin(ROD, 250.0, method="closed").X == pytest.approx(
         20.846279287674978, rel=1e-9)
+
+
+def test_builtin_2f1_routes_refused_past_their_radius():
+    # the 2F1 argument w^2/36, w = qL^3/EJ, reaches 1 at q = 1200 N/m,
+    # half the built-in bound; the end moment can never exceed EJ/L
+    q_radius = 6.0 * ROD.EJ / ROD.L ** 3
+    below, above = math.nextafter(q_radius, 0.0), math.nextafter(q_radius, math.inf)
+    assert solve_builtin(ROD, below, method="series", n_terms=11).X < ROD.EJ / ROD.L
+    for q in (q_radius, above, 2000.0, 2399.0):
+        with pytest.raises(NearCriticalLoadError, match="series diverges at and past its radius"):
+            solve_builtin(ROD, q, method="series", n_terms=11)
+    # at w = 6 the 2F1 still converges (c > a + b), by Gauss summation
+    assert solve_builtin(ROD, q_radius, method="closed", integral_mode="hyp_approx").X < ROD.EJ
+    for q in (above, 1500.0, 2399.0):
+        with pytest.raises(NearCriticalLoadError, match=re.escape("use --method closed")):
+            solve_builtin(ROD, q, method="closed", integral_mode="hyp_approx")
+    assert solve_builtin(ROD, 2000.0, method="closed").X < ROD.EJ / ROD.L
 
 
 def test_builtin_deviation_sign_is_negative():
