@@ -216,12 +216,11 @@ def cmd_deflect(args) -> str:
     cfg = _config(args)
     load = _deflect_load(args)
     exact = deflection_profile(load, cfg.rod, method="quadrature", rtol=cfg.rtol)
-    xs = [x for x, _ in exact.samples]
-    y_lin = linearized_deflection(load, cfg.rod, xs)
+    y_lin = [linearized_deflection(load, cfg.rod, x) for x, _ in exact.samples]
 
     if cfg.out_format == "json":
         samples = [
-            {"x_m": x, "y_exact_m": y, "y_linearized_m": float(yl)}
+            {"x_m": x, "y_exact_m": y, "y_linearized_m": yl}
             for (x, y), yl in zip(exact.samples, y_lin)
         ]
         return _json_text({"version": __version__, "L_m": cfg.rod.L, "samples": samples})

@@ -162,12 +162,12 @@ class BuiltInCombined(LoadCase):
 
 
 def _at(method, x, *args):
-    """Apply a load method to positions x as a float array; a scalar x gives a float."""
+    """Apply a load method to a float x, or to array positions as a float array."""
+    if isinstance(x, (int, float)):
+        return method(float(x), *args)
     import numpy as np
 
-    xa = np.asarray(x, dtype=float)
-    value = method(xa, *args)
-    return float(value) if xa.ndim == 0 else value
+    return method(np.asarray(x, dtype=float), *args)
 
 
 def bending_moment(load: LoadCase, x, rod: RodProperties):
@@ -307,16 +307,15 @@ class DeflectionProfile:
 def deflection_profile(load: LoadCase, rod: RodProperties, method: str = "quadrature",
                        n_points: int = 201, rtol: float = 1e-10) -> DeflectionProfile:
     """Sample the deflection curve on a uniform grid (default 201 points)."""
-    import numpy as np
-
     if n_points < 2:
         raise UsageError("need at least 2 grid points")
-    xs = np.linspace(0.0, rod.L, n_points)
+    L = float(rod.L)
+    step = L / (n_points - 1)
+    xs = [i * step for i in range(n_points - 1)] + [L]  # numpy.linspace's grid, bit for bit
     if method == "quadrature":
-        ys = [integrate_deflection(load, rod, float(x), rtol=rtol) for x in xs]
+        ys = [integrate_deflection(load, rod, x, rtol=rtol) for x in xs]
     elif method == "linearized":
-        ys = [float(v) for v in linearized_deflection(load, rod, xs)]
+        ys = [linearized_deflection(load, rod, x) for x in xs]
     else:
         raise UsageError(f"profiles support methods 'quadrature' and 'linearized', got {method!r}")
-    return DeflectionProfile(samples=tuple((float(x), float(y)) for x, y in zip(xs, ys)),
-                             method=method)
+    return DeflectionProfile(samples=tuple(zip(xs, ys)), method=method)

@@ -1,10 +1,13 @@
 """Adaptive one-dimensional quadrature with endpoint-singularity support.
 
-A 7-point Gauss rule nested in a 15-point Kronrod rule drives adaptive
-interval bisection; the difference between the two rules is the panel
-error estimate. Integrable algebraic endpoint singularities are absorbed
-by a power substitution before any panel is evaluated, so the adaptive
-stage only ever sees a smooth integrand.
+A 7-point Gauss rule nested in a 15-point Kronrod rule (QUADPACK's GK15)
+drives adaptive interval bisection; the difference between the two rules
+is the panel error estimate. A panel is pure Python: it calls the
+integrand once per node with a float and sums the weighted values left
+to right, so no route through this module loads numpy. Integrable
+algebraic endpoint singularities are absorbed by a power substitution
+before any panel is evaluated, so the adaptive stage only ever sees a
+smooth integrand.
 
 Also hosts the exact rod-deflection integral, which every closed-form
 result in the library is checked against.
@@ -12,16 +15,12 @@ result in the library is checked against.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import sys
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["IntegrandSpec", "integrate", "integrate_deflection"]
 
@@ -55,21 +54,11 @@ _WG = (
 )
 
 
-@functools.cache
-def _rule():
-    """numpy and the 15 mirrored nodes with their Kronrod and Gauss weights.
-
-    Built on first use, so importing the package does not load numpy.
-    The center lands at index 7, so the Gauss subset is the odd indices.
-    """
-    import numpy as np
-
-    xk, wk, wg = np.array(_XK), np.array(_WK), np.array(_WG)
-    nodes = np.concatenate([-xk[:0:-1], xk])
-    kweights = np.concatenate([wk[:0:-1], wk])
-    gweights = np.zeros(15)
-    gweights[1::2] = np.concatenate([wg[:0:-1], wg])
-    return np, nodes, kweights, gweights
+# the 15 mirrored nodes with their Kronrod weights; the center lands at
+# index 7, so the Gauss subset is the odd indices (zero Gauss weight elsewhere)
+_NODES = tuple(-x for x in _XK[:0:-1]) + _XK
+_KW = _WK[:0:-1] + _WK
+_GW = (0.0,) + tuple(v for w in _WG[:0:-1] + _WG for v in (w, 0.0))
 
 
 @dataclass(frozen=True)
@@ -78,10 +67,12 @@ class IntegrandSpec:
 
     ``lo_exponent``/``hi_exponent`` declare that the integrand behaves like
     (x - lo)**p resp. (hi - x)**p at the endpoint. Hints must be > -1
-    (integrable); None means the integrand is regular there.
+    (integrable); None means the integrand is regular there. ``f`` is
+    called once per node with a float and must return a float; numpy
+    ufuncs work too, since they accept and return scalars.
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[float], float]
     lo: float
     hi: float
     lo_exponent: float | None = None
@@ -102,15 +93,30 @@ class IntegrandSpec:
 
 def _panel(f, lo, hi):
     """Gauss-Kronrod panel: returns (K15 value, error estimate)."""
-    np, nodes, kweights, gweights = _rule()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    fx = np.asarray(f(mid + half * nodes), dtype=float)
-    if not np.all(np.isfinite(fx)):
+    k15 = g7 = 0.0
+    try:
+        for x, wk, wg in zip(_NODES, _KW, _GW):
+            v = f(mid + half * x)
+            k15 += wk * v
+            g7 += wg * v
+    except OverflowError:  # float ** raises on overflow instead of returning inf
+        k15 = math.inf
+    # every Kronrod weight is positive, so one non-finite node value shows here
+    if not math.isfinite(k15):
         raise UsageError(f"integrand not finite inside [{lo}, {hi}]")
-    k15 = half * float(kweights @ fx)
-    g7 = half * float(gweights @ fx)
-    return k15, abs(k15 - g7)
+    k15 *= half
+    return k15, abs(k15 - half * g7)
+
+
+class _NotConverged(UsageError):
+    """The subdivision budget ran out; ``error`` is the estimate reached."""
+
+    def __init__(self, max_subdivisions, error):
+        super().__init__(f"quadrature did not converge within {max_subdivisions} subdivisions "
+                         f"(error {error:.3e}); integrand may have a non-integrable singularity")
+        self.error = error
 
 
 def _adaptive(f, lo, hi, rtol, atol, max_subdivisions):
@@ -122,10 +128,7 @@ def _adaptive(f, lo, hi, rtol, atol, max_subdivisions):
     count = 1
     while total_err > max(atol, rtol * abs(total)):
         if count >= max_subdivisions:
-            raise UsageError(
-                f"quadrature did not converge within {max_subdivisions} subdivisions "
-                f"(error {total_err:.3e}); integrand may have a non-integrable singularity"
-            )
+            raise _NotConverged(max_subdivisions, total_err)
         _, _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         v1, e1 = _panel(f, a, m)
@@ -138,9 +141,6 @@ def _adaptive(f, lo, hi, rtol, atol, max_subdivisions):
     return total, total_err
 
 
-_EPS = sys.float_info.epsilon
-
-
 def _absorb(f, end, width, p, direction):
     """Map the piece of length ``width`` beside ``end`` to t in [0, 1] so
     that |x - end|**p becomes ~t**2; ``direction`` is +1 when the piece
@@ -148,21 +148,18 @@ def _absorb(f, end, width, p, direction):
 
     Offsets below one ulp of the endpoint cannot be represented in x,
     so evaluation is clamped there; the affected tail mass is returned
-    as an error floor instead of being silently trusted.
+    as an error floor instead of being silently trusted. Returns the
+    piece (g, 0.0, 1.0, floor) for ``integrate``.
     """
-    import numpy as np
-
     gamma = max(1.0, 3.0 / (1.0 + p))
-    d_min = _EPS * max(abs(end), width)
+    d_min = math.ulp(1.0) * max(abs(end), width)  # machine epsilon times scale
 
     def g(t):
-        t = np.asarray(t, dtype=float)
-        d = np.maximum(width * t ** gamma, d_min)
+        d = max(width * t ** gamma, d_min)
         return f(end + direction * d) * width * gamma * t ** (gamma - 1.0)
 
     t_clamp = (d_min / width) ** (1.0 / gamma)
-    floor = abs(float(np.asarray(g(np.array([t_clamp])))[0])) * t_clamp / 3.0
-    return g, floor
+    return g, 0.0, 1.0, abs(g(t_clamp)) * t_clamp / 3.0
 
 
 def integrate(spec: IntegrandSpec) -> tuple[float, float]:
@@ -173,21 +170,18 @@ def integrate(spec: IntegrandSpec) -> tuple[float, float]:
     singularities, the representability floor from the substitution
     layer; it is conservative on smooth pieces.
     """
-    pieces = []
     f, lo, hi = spec.f, spec.lo, spec.hi
-    if spec.lo_exponent is not None and spec.hi_exponent is not None:
-        mid = 0.5 * (lo + hi)
-        g1, fl1 = _absorb(f, lo, mid - lo, spec.lo_exponent, 1)
-        g2, fl2 = _absorb(f, hi, hi - mid, spec.hi_exponent, -1)
-        pieces = [(g1, 0.0, 1.0, fl1), (g2, 0.0, 1.0, fl2)]
-    elif spec.lo_exponent is not None:
-        g1, fl1 = _absorb(f, lo, hi - lo, spec.lo_exponent, 1)
-        pieces = [(g1, 0.0, 1.0, fl1)]
-    elif spec.hi_exponent is not None:
-        g1, fl1 = _absorb(f, hi, hi - lo, spec.hi_exponent, -1)
-        pieces = [(g1, 0.0, 1.0, fl1)]
-    else:
+    p_lo, p_hi = spec.lo_exponent, spec.hi_exponent
+    if p_lo is None and p_hi is None:
         pieces = [(f, lo, hi, 0.0)]
+    else:
+        # one substituted piece per hinted endpoint, meeting at the midpoint
+        mid = lo if p_lo is None else hi if p_hi is None else 0.5 * (lo + hi)
+        pieces = []
+        if p_lo is not None:
+            pieces.append(_absorb(f, lo, mid - lo, p_lo, 1))
+        if p_hi is not None:
+            pieces.append(_absorb(f, hi, hi - mid, p_hi, -1))
 
     total, total_err = 0.0, 0.0
     for g, a, b, floor in pieces:
@@ -213,8 +207,6 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10, atol: float =
     NearCriticalLoadError when the relative margin is below 1e-6, where
     the integrand is numerically intractable.
     """
-    import numpy as np
-
     L = rod.L
     if not 0.0 <= x <= L:
         raise UsageError(f"position x={x} outside the rod [0, {L}]")
@@ -236,7 +228,13 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10, atol: float =
 
     def integrand(xi):
         h = load.H(xi, L)
-        return h / np.sqrt((EJ - h) * (EJ + h))
+        return h / math.sqrt((EJ - h) * (EJ + h))
 
-    value, _ = integrate(IntegrandSpec(f=integrand, lo=x, hi=L, rtol=rtol, atol=atol))
+    try:
+        value, _ = integrate(IntegrandSpec(f=integrand, lo=x, hi=L, rtol=rtol, atol=atol))
+    except _NotConverged as exc:
+        raise NearCriticalLoadError(
+            f"load within {margin:.3e} of the curvature bound: the deflection quadrature "
+            f"stopped at error {exc.error:.3e}, short of rtol={rtol:g}"
+        ) from None
     return -value if value != 0.0 else 0.0

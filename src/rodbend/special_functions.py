@@ -159,8 +159,6 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     analytically, so the adaptive stage sees a bounded smooth integrand
     and endpoint powers arbitrarily close to -1 cost no accuracy.
     """
-    import numpy as np
-
     alpha1 = a              # exponent of u, plus one
     beta1 = c - a - unit_b  # exponent of (1-u), plus one
     comp = [(bi, xi) for bi, xi in factors if bi != 0.0 and xi != 0.0]
@@ -176,14 +174,13 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
         (c_i + d_i e)^(-b_i).
         """
         s = max(1.0, 3.0 / own)
+        lead, p_own, p_other = s * 0.5 ** own, s * own - 1.0, other - 1.0
 
         def g(t):
-            t = np.asarray(t, dtype=float)
             e = 0.5 * t ** s
-            val = s * 0.5 ** own * t ** (s * own - 1.0)
-            val = val * (1.0 - e) ** (other - 1.0)
+            val = lead * t ** p_own * (1.0 - e) ** p_other
             for bi, ci, di in terms:
-                val = val * (ci + di * e) ** (-bi)
+                val *= (ci + di * e) ** -bi
             return val
 
         return _adaptive(g, 0.0, 1.0, rtol, 0.5 * _IRT_ATOL, 4096)[0]
@@ -267,21 +264,24 @@ def _fd3_series(a: float, b: Sequence[float], c: float, x: Sequence[float],
     Shell s contributes (a)_s/(c)_s times the degree-s coefficient of the
     product of the three single-variable factor series (b_i)_k x_i^k / k!.
     """
-    import numpy as np
-
     cols = [[1.0], [1.0], [1.0]]
+    conv23 = []  # coefficients of the product of factor series 2 and 3, by degree
     ratio_sc = 1.0  # (a)_s / (c)_s
     total = 0.0
     quiet = 0
-    conv23 = np.array([1.0])
     for s in range(100000):
         if s > 0:
             ratio_sc *= (a + s - 1) / (c + s - 1)
             for col, bi, xi in zip(cols, b, x):
                 col.append(col[-1] * (bi + s - 1) * xi / s)
-            conv23 = np.convolve(np.asarray(cols[1]), np.asarray(cols[2]))
+        conv = 0.0
+        for u, v in zip(cols[1], reversed(cols[2])):
+            conv += u * v
+        conv23.append(conv)
         # degree-s coefficient of the triple factor product
-        shell_coeff = float(np.dot(np.asarray(cols[0]), conv23[s::-1]))
+        shell_coeff = 0.0
+        for u, v in zip(cols[0], reversed(conv23)):
+            shell_coeff += u * v
         shell = ratio_sc * shell_coeff
         total += shell
         if abs(shell) < rtol * max(abs(total), 1e-300):

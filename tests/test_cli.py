@@ -74,6 +74,14 @@ def test_solve_infeasible_load_exits_2(capsys):
     assert "q < 6*EJ/L^3" in err
 
 
+def test_solve_builtin_closed_near_critical_exits_2(capsys):
+    code, out, err = run(capsys, "solve", "builtin", *ROD_ARGS,
+                         "--q", "2399.99", "--method", "closed")
+    assert code == 2
+    assert out == ""
+    assert "within 4.167e-06 of the curvature bound" in err
+
+
 def test_solve_nan_load_exits_1(capsys):
     code, out, err = run(capsys, "solve", "builtin", *ROD_ARGS,
                          "--q", "nan", "--method", "series", "--n", "3")
@@ -374,16 +382,31 @@ def test_cli_import_loads_no_scipy():
     assert "scipy" not in _packages_loaded()
 
 
-@pytest.mark.parametrize("argv, wants_numpy", [
-    (None, False),
-    (["solve", "roller", *ROD_ARGS, "--q", "1000", "--method", "root-find"], False),
-    (["table", "roller", *ROD_ARGS, "--q", "1000", "--n", "5"], False),
-    (["table", "builtin", *ROD_ARGS, "--q", "1000", "--n", "5"], False),
-    (["eval", "3f2", "0.5", "1", "1.5", "1.25", "1.75", "0.81"], False),
-    # positive control: a deflection profile needs arrays
-    (["deflect", *ROD_ARGS, "--q", "1000"], True),
-], ids=["import", "solve-roller", "table-roller", "table-builtin", "eval-3f2", "deflect"])
-def test_cli_loads_numpy_only_for_arrays(argv, wants_numpy):
-    # numpy costs a cold process tens of milliseconds, so only the
-    # quadrature, profile and F1/FD3 routes may import it
-    assert ("numpy" in _packages_loaded(argv)) == wants_numpy
+@pytest.mark.parametrize("argv", [
+    None,
+    ["solve", "roller", *ROD_ARGS, "--q", "1000", "--method", "root-find"],
+    ["solve", "builtin", *ROD_ARGS, "--q", "1000", "--method", "closed"],
+    ["deflect", *ROD_ARGS, "--q", "1000"],
+    ["table", "roller", *ROD_ARGS, "--q", "1000", "--n", "5"],
+    ["table", "builtin", *ROD_ARGS, "--q", "1000", "--n", "5"],
+    ["eval", "3f2", "0.5", "1", "1.5", "1.25", "1.75", "0.81"],
+    ["eval", "f1", "0.5", "0.3", "0.7", "1.7", "0.4", "-0.6"],
+    ["eval", "fd3", "0.5", "0.3", "0.7", "0.2", "1.7", "0.4", "-0.6", "0.9"],
+], ids=["import", "solve-roller", "solve-builtin-closed", "deflect", "table-roller",
+        "table-builtin", "eval-3f2", "eval-f1", "eval-fd3"])
+def test_cli_loads_numpy_only_for_arrays(argv):
+    # numpy costs a cold process tens of milliseconds; the quadrature,
+    # profiles and special functions are pure Python and no command passes
+    # array positions, so no command needs it
+    assert "numpy" not in _packages_loaded(argv)
+
+
+def test_array_positions_load_numpy():
+    # positive control for the probe above: array positions do need numpy
+    probe = ("import sys; import rodbend\n"
+             "rod = rodbend.RodProperties.from_stiffness(1.0, 200.0)\n"
+             "rodbend.bending_moment(rodbend.UniformLoad(1000.0), [0.0, 0.5, 1.0], rod)\n"
+             "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.split() == ["True"]

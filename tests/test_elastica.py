@@ -348,6 +348,15 @@ def test_profile_default_grid_and_wall_condition():
     assert prof.samples[-1][1] == 0.0
 
 
+@pytest.mark.parametrize("L", [0.3, 1.0, 1.7])
+@pytest.mark.parametrize("n", [2, 7, 201])
+def test_profile_grid_is_numpy_linspace(L, n):
+    # the grid is built without numpy, bit for bit as numpy.linspace builds it
+    rod = RodProperties.from_stiffness(L, 200.0)
+    prof = deflection_profile(UniformLoad(100.0), rod, method="linearized", n_points=n)
+    assert [x for x, _ in prof.samples] == np.linspace(0.0, L, n).tolist()
+
+
 def test_profile_wall_slope_vanishes():
     h = 1e-5
     for load in (UniformLoad(1000.0), TipShear(300.0), TipMoment(80.0)):

@@ -5,10 +5,15 @@ one command below. The set covers the README commands, every deflection
 load kind, both convergence tables and the series routes of ``eval``;
 none of them evaluates a Gamma function, so a refactor of the series,
 quadrature, solver or formatting layers must leave every byte in place.
+No command loads numpy, so the pinned bits are those of CPython float
+arithmetic (correctly rounded +, -, *, / and the C library's ``pow``),
+not of a vectorised ``pow`` or a BLAS dot product chosen per CPU.
 Each ``tests/golden/<name>.err`` holds the exit code and the exact
 standard error of one refused command in ``ERRORS``: infeasible and
-near-critical loads at every gate, a failed reaction bracket, and the
-built-in 2F1-approximation routes at and past their radius.
+near-critical loads at every gate, a failed reaction bracket, the
+built-in 2F1-approximation routes at and past their radius, and a
+built-in load that passes the gates but whose deflection quadrature
+cannot reach the tolerance.
 Each ``tests/golden/<name>.json`` holds the exact numerator/denominator
 coefficients (``PowerSeries.json_obj``) of one reaction series to order
 41, which any change to the exact-rational series layer must reproduce.
@@ -81,6 +86,8 @@ ERRORS = {
     "error_solve_builtin_series_past_radius": ["solve", "builtin", *_ROD, "--q", "2000", "--method", "series",
                                                "--n", "11"],
     "error_table_builtin_past_radius": ["table", "builtin", *_ROD, "--q", "1500"],
+    "error_solve_builtin_closed_near_critical": ["solve", "builtin", *_ROD, "--q", "2399.99",
+                                                 "--method", "closed"],
 }
 
 SERIES = {

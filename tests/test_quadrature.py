@@ -90,6 +90,14 @@ def test_undeclared_nonintegrable_singularity_raises():
         integrate(spec)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_one_non_finite_node_value_refused(bad):
+    # 0.5 is the center node of the first panel on [0, 1]
+    spec = IntegrandSpec(f=lambda x: bad if x == 0.5 else 1.0, lo=0.0, hi=1.0)
+    with pytest.raises(UsageError, match="integrand not finite"):
+        integrate(spec)
+
+
 # ------------------------------------------------------------- deflection
 
 def test_deflection_vanishes_at_wall():

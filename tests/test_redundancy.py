@@ -259,6 +259,19 @@ def test_builtin_2f1_routes_refused_past_their_radius():
     assert solve_builtin(ROD, 2000.0, method="closed").X < ROD.EJ / ROD.L
 
 
+def test_builtin_closed_near_critical_quadrature_refused_with_exit_2_class():
+    # q = 2399.99 and 2399.997 pass both gates (margins 4.2e-6 and 1.3e-6
+    # against 1e-6), but the deflection quadrature cannot reach rtol 1e-13
+    # within its subdivision budget; that is a near-critical load, not a
+    # usage error
+    for q, margin in ((2399.99, "4.167e-06"), (2399.997, "1.250e-06")):
+        with pytest.raises(NearCriticalLoadError, match=re.escape(margin)) as info:
+            solve_builtin(ROD, q, method="closed")
+        assert "deflection quadrature stopped at error" in str(info.value)
+    assert solve_builtin(ROD, 2399.9, method="closed").X == pytest.approx(
+        143.992502312244, rel=1e-12)
+
+
 def test_builtin_deviation_sign_is_negative():
     # nonlinear end moments exceed the linearized value, either route
     assert solve_builtin(ROD, Q, method="closed").deviation_pct < 0.0

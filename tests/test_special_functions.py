@@ -292,6 +292,28 @@ def test_fd3_integral_equals_triple_series():
         assert rel_err(via_series, via_integral) < 1e-10
 
 
+# FD3 series values of the numpy implementation this pure-Python series
+# replaced, as float.hex; inputs fixed before the values were recorded
+_FD3_SERIES_BITS = [
+    ((0.5, (1.0, 0.5, 0.25), 1.5, (0.3, -0.2, 0.1)), "0x1.18753a41ee196p+0"),
+    ((1.0, (0.5, 0.5, 0.5), 2.0, (0.5, 0.25, -0.5)), "0x1.1fd2af5063d93p+0"),
+    ((2.0, (1.0, -0.5, 0.75), 1.5, (0.4, 0.4, 0.4)), "0x1.2de4ba3a738f9p+1"),
+    ((-0.5, (1.0, 1.0, 1.0), 1.0, (0.2, -0.3, 0.6)), "0x1.5cfb5a9feba16p-1"),
+    ((1.5, (2.0, 0.5, 1.0), 2.5, (-0.8, 0.1, 0.05)), "0x1.07a65bdaf2ab7p-1"),
+    ((0.25, (0.5, 1.5, -1.0), 3.0, (0.9, -0.9, 0.5)), "0x1.d40539affd0bcp-1"),
+    ((3.0, (0.5, 0.5, 0.5), 1.25, (0.1, 0.2, 0.3)), "0x1.23a893fa984e1p+1"),
+    ((1.0, (1.0, 2.0, 3.0), 4.0, (0.7, 0.0, -0.6)), "0x1.a76fcdba29ffdp-1"),
+    ((0.75, (-2.0, 1.0, 0.5), 1.75, (0.6, 0.6, -0.6)), "0x1.5b94f256fb733p-1"),
+    ((1.25, (0.3, 0.7, 1.1), 2.25, (-0.5, -0.5, -0.5)), "0x1.3e66381512478p-1"),
+]
+
+
+@pytest.mark.parametrize("args, bits", _FD3_SERIES_BITS)
+def test_fd3_series_bits_unchanged(args, bits):
+    a, b, c, x = args
+    assert lauricella_fd3(a, b, c, x, method="series").hex() == bits
+
+
 def _fd3_partial_sum_exact(a, b, c, x, order):
     """Triple series with Fraction arithmetic, truncated at total degree."""
     total = Fraction(0)
