@@ -284,7 +284,8 @@ def cmd_eval(args) -> str:
         value = lauricella_fd3(p[0], (p[1], p[2], p[3]), p[4], (p[5], p[6], p[7]), rtol=rtol)
     else:
         value = gauss_summation(p[0], p[1], p[2])
-    # conservative bound from the evaluation tolerance
+    # the requested tolerance scaled by |value|: neither a bound nor an
+    # achieved error, which the series and quadrature do not report yet
     estimate = max(abs(value) * rtol, 1e-300)
     obj = {"version": __version__, "function": name, "value": value, "error_estimate": estimate}
     if args.format == "json":

@@ -1,8 +1,11 @@
 """Hypergeometric machinery: 2F1, 3F2, Appell F1, Lauricella FD(3).
 
 Series evaluation uses term-ratio recurrences with a three-strikes stop
-rule; integral evaluation goes through the one-dimensional Euler-type
-representation
+rule. 2F1 and 3F2 share one summation loop, which multiplies each term
+by a term ratio read from a table: a ratio depends on the parameters and
+the index only, so each parameter tuple's ratios are evaluated once and
+kept, in a few tables of bounded length. Integral evaluation goes
+through the one-dimensional Euler-type representation
 
     G(c) / (G(a) G(c-a)) * int_0^1 u^(a-1) (1-u)^(c-a-1) prod (1-x_i u)^(-b_i) du,
 
@@ -18,6 +21,7 @@ opposite arguments into a 3F2 value.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Sequence
 
 from .errors import DomainError, UsageError
@@ -36,11 +40,24 @@ __all__ = [
 
 # Series stop policy: a term counts as negligible when |term| < rtol*|partial|;
 # summation stops after three negligible terms in a row or fails at the cap.
-# gauss_2f1 and hyp_3f2 each write this loop out with the term ratio inline,
-# which spares a Python call per term in the root finder's hot path.
+# gauss_2f1 and hyp_3f2 share this loop (_sum_series); _f1_series and
+# _fd3_series apply the same rule to their rows and shells.
 DEFAULT_RTOL = 1e-13
 _CONSECUTIVE = 3
 _MAX_TERMS = 10 ** 6
+
+# Term-ratio tables. The ratio r_k = t_(k+1) / (t_k x) of a 2F1 or 3F2
+# series depends on the parameters and k only, so _sum_series reads it
+# from a tuple kept per parameter tuple and grown on demand. At most
+# _RATIO_TUPLES tuples are kept, the oldest dropped first, each holding at
+# most _RATIO_CAP ratios; past the cap the same expression is evaluated
+# without being stored. Either way r_k is the same float, so no value
+# depends on what the tables hold. Only all-float parameter tuples are
+# kept, because equal int or Fraction parameters can round differently.
+_RATIO_TUPLES = 8
+_RATIO_CAP = 4096
+_ratio_tables: dict[tuple, tuple[float, ...]] = {}
+_ratio_lock = threading.Lock()
 
 # quadrature tolerances for the integral representations
 _IRT_RTOL = 1e-12
@@ -78,6 +95,68 @@ def pochhammer(lam, n: int):
     return result
 
 
+def _ratios_2f1(p, k0: int, fresh: list):
+    """2F1 term ratios r_k for k = k0, k0 + 1, ..., below _MAX_TERMS.
+
+    Those below the table cap are also appended to ``fresh``.
+    """
+    a, b, c = p
+    for k in range(k0, _MAX_TERMS):
+        r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
+        if k < _RATIO_CAP:
+            fresh.append(r)
+        yield r
+
+
+def _ratios_3f2(p, k0: int, fresh: list):
+    """3F2 term ratios, as _ratios_2f1."""
+    a1, a2, a3, b1, b2 = p
+    for k in range(k0, _MAX_TERMS):
+        r = (a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (1.0 + k))
+        if k < _RATIO_CAP:
+            fresh.append(r)
+        yield r
+
+
+def _sum_series(ratios, params: tuple, x: float, rtol: float) -> float:
+    """1 + sum of t_k with t_0 = 1 and t_(k+1) = t_k r_k x, under the stop policy.
+
+    The ratios come from the stored table for ``params``, then from
+    ``ratios``; the new ones below the cap extend the table when the sum
+    ends. Tables are immutable tuples, so a sum never sees another
+    thread's growth, and the lock only orders the stores.
+    """
+    key = (ratios, params) if all(type(v) is float for v in params) else None
+    table = _ratio_tables.get(key, ()) if key else ()
+    fresh = []
+    partial = term = 1.0
+    quiet = 0
+    for run in (table, ratios(params, len(table), fresh)):
+        for r in run:
+            # rounds r * x, then the product; term = term * r * x would
+            # round term * r first and change the last bits
+            term *= r * x
+            partial += term
+            if abs(term) < rtol * abs(partial):
+                quiet += 1
+                if quiet >= _CONSECUTIVE:
+                    if key and fresh:
+                        _store_ratios(key, table + tuple(fresh))
+                    return partial
+            else:
+                quiet = 0
+    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
+
+
+def _store_ratios(key: tuple, table: tuple) -> None:
+    """Keep ``table`` unless a longer one is kept; past _RATIO_TUPLES drop the oldest."""
+    with _ratio_lock:
+        if len(table) > len(_ratio_tables.get(key, ())):
+            _ratio_tables[key] = table
+            if len(_ratio_tables) > _RATIO_TUPLES:
+                del _ratio_tables[next(iter(_ratio_tables))]
+
+
 def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL) -> float:
     """2F1(a, b; c; x) for |x| < 1, or x = 1 under the condition c > a + b.
 
@@ -94,18 +173,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
         raise DomainError(f"2F1 diverges at x=1 unless c > a + b (c={c}, a+b={a + b})")
     if abs(x) >= 1:
         raise DomainError(f"2F1 series needs |x| < 1, got x={x}")
-    partial = term = 1.0
-    quiet = 0
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
-        partial += term
-        if abs(term) < rtol * abs(partial):
-            quiet += 1
-            if quiet >= _CONSECUTIVE:
-                return partial
-        else:
-            quiet = 0
-    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
+    return _sum_series(_ratios_2f1, (a, b, c), x, rtol)
 
 
 def gauss_summation(a: float, b: float, c: float) -> float:
@@ -132,18 +200,7 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
         return 1.0
     if abs(x) >= 1:
         raise DomainError(f"3F2 series needs |x| < 1, got x={x}")
-    partial = term = 1.0
-    quiet = 0
-    for k in range(_MAX_TERMS):
-        term *= (a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (1.0 + k)) * x
-        partial += term
-        if abs(term) < rtol * abs(partial):
-            quiet += 1
-            if quiet >= _CONSECUTIVE:
-                return partial
-        else:
-            quiet = 0
-    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
+    return _sum_series(_ratios_3f2, (a1, a2, a3, b1, b2), x, rtol)
 
 
 def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
@@ -345,6 +402,7 @@ def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,
     the F1 factor is summed as a double series when both arguments allow
     it, so the result is an independent route from the direct integral.
     """
+    _check_finite("FD3 reduction", a, b1, b2, b3, c, x, y)
     if not c > a + b3:
         raise DomainError(f"reduction needs c > a + b3, got c={c}, a+b3={a + b3}")
     if not c > a > 0:
@@ -362,6 +420,7 @@ def reduce_f1_to_3f2(a: float, b: float, c: float, x: float,
 
     Returns 3F2((a+1)/2, a/2, b; (c+1)/2, c/2; x^2).
     """
+    _check_finite("F1 reduction", a, b, c, x)
     if not abs(x) < 1:
         raise DomainError(f"reduction needs |x| < 1, got x={x}")
     return hyp_3f2((a + 1.0) / 2.0, a / 2.0, b, (c + 1.0) / 2.0, c / 2.0, x * x, rtol=rtol)

@@ -5,12 +5,18 @@ paths (double series vs one-dimensional integral, series vs log-gamma
 formula) so a shared bug cannot cancel out.
 """
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rodbend import special_functions
 from rodbend.errors import DomainError, UsageError
 from rodbend.quadrature import IntegrandSpec, integrate
 from rodbend.special_functions import (
@@ -29,6 +35,13 @@ from scipy.special import gammaln
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)
+
+
+def _src_env():
+    """Environment for a fresh process that imports this rodbend."""
+    src = os.path.dirname(os.path.dirname(special_functions.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 # ---------------------------------------------------------------- pochhammer
@@ -314,6 +327,94 @@ def test_fd3_series_bits_unchanged(args, bits):
     assert lauricella_fd3(a, b, c, x, method="series").hex() == bits
 
 
+# 3F2 and 2F1 series values of the loops that computed each term ratio
+# inline, as float.hex, for the library's kernels; z = 0.999 runs past the
+# ratio-table cap (about 14 000 to 19 000 terms), and the last two rows
+# terminate on a nonpositive-integer upper parameter
+_UNIFORM = (0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0)
+_SHEAR = (0.5, 1.0, 1.5, 1.25, 1.75)
+_BUILTIN = (0.5, 2.0 / 3.0, 5.0 / 3.0)
+_ARCSIN = (0.5, 0.5, 1.5)
+_HYP_SERIES_BITS = [
+    (hyp_3f2, _UNIFORM, -0.5, "0x1.b4ac75abc1598p-1"),
+    (hyp_3f2, _UNIFORM, 0.1, "0x1.0a915714612d5p+0"),
+    (hyp_3f2, _UNIFORM, 0.81, "0x1.cf4222a67f722p+0"),
+    (hyp_3f2, _UNIFORM, 0.99, "0x1.0d13b9fb28f40p+2"),
+    (hyp_3f2, _UNIFORM, 0.999, "0x1.cbbdb19af972dp+2"),
+    (hyp_3f2, _SHEAR, -0.5, "0x1.bbed883f2b5b8p-1"),
+    (hyp_3f2, _SHEAR, 0.1, "0x1.0959bc3e9875ap+0"),
+    (hyp_3f2, _SHEAR, 0.81, "0x1.a8f9af1668639p+0"),
+    (hyp_3f2, _SHEAR, 0.99, "0x1.8d9f4cdd4eddfp+1"),
+    (hyp_3f2, _SHEAR, 0.999, "0x1.14285f90823c3p+2"),
+    (gauss_2f1, _BUILTIN, -0.5, "0x1.d6144af4180e6p-1"),
+    (gauss_2f1, _BUILTIN, 0.1, "0x1.056029041dfccp+0"),
+    (gauss_2f1, _BUILTIN, 0.81, "0x1.4cfb4592077bbp+0"),
+    (gauss_2f1, _BUILTIN, 0.99, "0x1.9a19bc9143e23p+0"),
+    (gauss_2f1, _BUILTIN, 0.999, "0x1.af06915c7a453p+0"),
+    (gauss_2f1, _ARCSIN, -0.5, "0x1.dcca28fed0f2cp-1"),
+    (gauss_2f1, _ARCSIN, 0.1, "0x1.04788f343e021p+0"),
+    (gauss_2f1, _ARCSIN, 0.81, "0x1.3e8320b14e7cap+0"),
+    (gauss_2f1, _ARCSIN, 0.99, "0x1.7a60ad1e198a8p+0"),
+    (gauss_2f1, _ARCSIN, 0.999, "0x1.8a3967d1787ebp+0"),
+    (hyp_3f2, (-3.0, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0), 0.7, "0x1.3bf5ccc985031p-3"),
+    (gauss_2f1, (0.5, -4.0, 5.0 / 3.0), -0.9, "0x1.a5685bc01a36ep+1"),
+]
+
+
+@pytest.mark.parametrize("fn, params, z, bits", _HYP_SERIES_BITS)
+def test_hyp_series_bits_unchanged(fn, params, z, bits):
+    # twice: the first call may fill the ratio table, the second reads it
+    assert fn(*params, z).hex() == bits
+    assert fn(*params, z).hex() == bits
+
+
+def test_ratio_tables_stay_bounded():
+    # more parameter tuples than are kept, then two sums past the length cap
+    calls = [("hyp_3f2", (0.25 + i / 8, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, 0.5))
+             for i in range(2 * special_functions._RATIO_TUPLES)]
+    calls += [("gauss_2f1", (*_BUILTIN, 0.999)), ("hyp_3f2", (*_UNIFORM, 0.999))]
+    got = [getattr(special_functions, fn)(*args).hex() for fn, args in calls]
+    tables = special_functions._ratio_tables
+    assert len(tables) <= special_functions._RATIO_TUPLES
+    assert max(map(len, tables.values())) == special_functions._RATIO_CAP
+    # a fresh process, summing in reverse order, returns the same values
+    probe = ("import ast, sys; from rodbend import special_functions as sf\n"
+             "calls = ast.literal_eval(sys.argv[1])\n"
+             "print(' '.join(getattr(sf, fn)(*args).hex() for fn, args in calls))")
+    result = subprocess.run([sys.executable, "-c", probe, repr(calls[::-1])], env=_src_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.split() == got[::-1]
+
+
+def test_ratio_tables_shared_by_threads():
+    # more threads than cores, switching often, all growing the same tables
+    cases = [case for case in _HYP_SERIES_BITS if case[2] != 0.999]
+    special_functions._ratio_tables.clear()
+    wrong = []
+
+    def work(offset):
+        for i in range(2 * len(cases)):
+            fn, params, z, bits = cases[(offset + i) % len(cases)]
+            if fn(*params, z).hex() != bits:
+                wrong.append((fn.__name__, params, z))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    # every stored table is a prefix of its ratio sequence
+    for (ratios, params), table in special_functions._ratio_tables.items():
+        assert list(table) == list(itertools.islice(ratios(params, 0, []), len(table)))
+
+
 def _fd3_partial_sum_exact(a, b, c, x, order):
     """Triple series with Fraction arithmetic, truncated at total degree."""
     total = Fraction(0)
@@ -422,6 +523,8 @@ _FINITE_CALLS = {
     "lauricella_fd3": (lambda a, b1, b2, b3, c, x1, x2, x3:
                        lauricella_fd3(a, (b1, b2, b3), c, (x1, x2, x3)),
                        (0.5, 0.5, 0.5, 0.5, 2.0, 0.1, 0.2, 0.3)),
+    "reduce_fd3_unit_arg": (reduce_fd3_unit_arg, (0.5, 0.3, 0.3, 0.3, 1.5, 0.2, 0.1)),
+    "reduce_f1_to_3f2": (reduce_f1_to_3f2, (0.5, 0.3, 1.5, 0.4)),
 }
 
 
