@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .elastica import (
@@ -47,16 +46,6 @@ _EVAL_ARITY = {
     "fd3": 8,       # a b1 b2 b3 c x1 x2 x3
     "gauss-sum": 3  # a b c
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the rod-based subcommands."""
-
-    rod: RodProperties
-    rtol: float
-    out_format: str
-    out_path: str | None
 
 
 def _fmt(v: float) -> str:
@@ -148,11 +137,6 @@ def _resolve_rod(args) -> RodProperties:
     return RodProperties(L=args.L, E=args.E, J=args.J)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(rod=_resolve_rod(args), rtol=_resolve_rtol(args),
-                     out_format=args.format, out_path=args.out)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         try:
@@ -171,7 +155,7 @@ def _json_text(obj) -> str:
 
 
 def cmd_solve(args) -> str:
-    cfg = _config(args)
+    rod, rtol = _resolve_rod(args), _resolve_rtol(args)
     method = args.method.replace("-", "_")
     if method == "series" and args.n is None:
         raise UsageError("--method series requires --n")
@@ -179,13 +163,13 @@ def cmd_solve(args) -> str:
     if args.problem == "roller":
         if method == "closed":
             raise UsageError("the roller problem has no closed method; use root-find")
-        solution = solve_roller(cfg.rod, args.q, method=method, n_terms=n, rtol=cfg.rtol)
+        solution = solve_roller(rod, args.q, method=method, n_terms=n, rtol=rtol)
     else:
         if method == "root_find":
             raise UsageError("the built-in problem is root-free; use closed")
-        solution = solve_builtin(cfg.rod, args.q, method=method, n_terms=n, rtol=cfg.rtol)
+        solution = solve_builtin(rod, args.q, method=method, n_terms=n, rtol=rtol)
 
-    if cfg.out_format == "json":
+    if args.format == "json":
         return _json_text({"version": __version__, **solution.json_obj()})
     unit_col = "X_N" if solution.problem == "roller" else "X_Nm"
     lines = [
@@ -213,17 +197,17 @@ def _deflect_load(args):
 
 
 def cmd_deflect(args) -> str:
-    cfg = _config(args)
+    rod, rtol = _resolve_rod(args), _resolve_rtol(args)
     load = _deflect_load(args)
-    exact = deflection_profile(load, cfg.rod, method="quadrature", rtol=cfg.rtol)
-    y_lin = [linearized_deflection(load, cfg.rod, x) for x, _ in exact.samples]
+    exact = deflection_profile(load, rod, method="quadrature", rtol=rtol)
+    y_lin = [linearized_deflection(load, rod, x) for x, _ in exact.samples]
 
-    if cfg.out_format == "json":
+    if args.format == "json":
         samples = [
             {"x_m": x, "y_exact_m": y, "y_linearized_m": yl}
             for (x, y), yl in zip(exact.samples, y_lin)
         ]
-        return _json_text({"version": __version__, "L_m": cfg.rod.L, "samples": samples})
+        return _json_text({"version": __version__, "L_m": rod.L, "samples": samples})
     lines = [_HEADER, "x_m,y_exact_m,y_linearized_m"]
     for (x, y), yl in zip(exact.samples, y_lin):
         lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(yl)}")
@@ -231,17 +215,17 @@ def cmd_deflect(args) -> str:
 
 
 def cmd_table(args) -> str:
-    cfg = _config(args)
+    rod, rtol = _resolve_rod(args), _resolve_rtol(args)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     if args.problem == "roller":
-        reference = solve_roller(cfg.rod, args.q, method="root_find", rtol=cfg.rtol)
-        series = solve_roller(cfg.rod, args.q, method="series", n_terms=args.n)
+        reference = solve_roller(rod, args.q, method="root_find", rtol=rtol)
+        series = solve_roller(rod, args.q, method="series", n_terms=args.n)
         unit_col = "X_N"
     else:
-        reference = solve_builtin(cfg.rod, args.q, method="closed",
-                                  integral_mode="hyp_approx", rtol=cfg.rtol)
-        series = solve_builtin(cfg.rod, args.q, method="series", n_terms=args.n)
+        reference = solve_builtin(rod, args.q, method="closed",
+                                  integral_mode="hyp_approx", rtol=rtol)
+        series = solve_builtin(rod, args.q, method="series", n_terms=args.n)
         unit_col = "X_Nm"
     x_ref = reference.X
     rows = [
@@ -249,7 +233,7 @@ def cmd_table(args) -> str:
         for n, x_n in series.trace
     ]
 
-    if cfg.out_format == "json":
+    if args.format == "json":
         return _json_text({
             "version": __version__,
             "problem": args.problem,

@@ -122,18 +122,26 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     which makes the zero of the residual agree with the quadrature
     zero-displacement closure exactly. ``solve_roller`` calls it once,
     for the reported residual; its root finder evaluates the same
-    expression without the gates and with the load side summed once.
+    residual without the gates and with the load side summed once.
     """
     _check_kernel(kernel)
     _check_load(UniformLoad(q), rod)
     _require_feasible(TipShear(X), rod)
+    return _roller_residual(rod, q, kernel, rtol)[1](X)
+
+
+def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float = 1e-13):
+    """The load side 3Lq*F_load, summed once, and X -> load side - 8X*F_reaction."""
     L, EJ = rod.L, rod.EJ
     p1, p2 = _KERNELS[kernel]
-    f_load = hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0,
-                     L ** 6 * q ** 2 / (36.0 * EJ ** 2), rtol=rtol)
-    f_reaction = hyp_3f2(0.5, 1.0, 1.5, p1, p2,
-                         L ** 4 * X ** 2 / (4.0 * EJ ** 2), rtol=rtol)
-    return 3.0 * L * q * f_load - 8.0 * X * f_reaction
+    load_side = 3.0 * L * q * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0,
+                                      L ** 6 * q ** 2 / (36.0 * EJ ** 2), rtol=rtol)
+
+    def residual(X):
+        return load_side - 8.0 * X * hyp_3f2(0.5, 1.0, 1.5, p1, p2,
+                                             L ** 4 * X ** 2 / (4.0 * EJ ** 2), rtol=rtol)
+
+    return load_side, residual
 
 
 @lru_cache(maxsize=32)
@@ -207,21 +215,15 @@ def _series_trace(series: PowerSeries, w: float, scale: float, n_terms: int):
 
 def _find_roller_root(rod: RodProperties, q: float, kernel: str, rtol: float) -> float:
     # Solves roller_consistency = 0 on [0, min(1.1 * 3qL/8, 0.999 * 2EJ/L^2)]
-    # without calling it: the load side does not depend on X, so it is
-    # summed once, and the gates are skipped because solve_roller has
-    # checked the load and every probe lies inside the tip-shear bound.
-    # The same expressions in the same order give the same bits.
+    # through the same residual, built once: the load side does not depend
+    # on X, so it is summed once, and the gates are skipped because
+    # solve_roller has checked the load and every probe lies inside the
+    # tip-shear bound. ``rtol`` is the secant stop; the 3F2 sums keep the
+    # residual's default tolerance.
     if q == 0.0:
         return 0.0
     L, EJ = rod.L, rod.EJ
-    p1, p2 = _KERNELS[kernel]
-    load_side = 3.0 * L * q * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0,
-                                      L ** 6 * q ** 2 / (36.0 * EJ ** 2))
-
-    def residual(X):
-        return load_side - 8.0 * X * hyp_3f2(0.5, 1.0, 1.5, p1, p2,
-                                             L ** 4 * X ** 2 / (4.0 * EJ ** 2))
-
+    load_side, residual = _roller_residual(rod, q, kernel)
     y_cap = 2.0 * EJ / L ** 2 * 0.999
     lo, hi = 0.0, min(1.1 * 3.0 * q * L / 8.0, y_cap)
     # the residual at X = 0 is the load side; the one at the top is summed

@@ -1,10 +1,12 @@
 """Hypergeometric machinery: 2F1, 3F2, Appell F1, Lauricella FD(3).
 
 Series evaluation uses term-ratio recurrences with a three-strikes stop
-rule. 2F1 and 3F2 share one summation loop, which multiplies each term
+rule, in two loops. 2F1 and 3F2 share one, which multiplies each term
 by a term ratio read from a table: a ratio depends on the parameters and
 the index only, so each parameter tuple's ratios are evaluated once and
-kept, in a few tables of bounded length. Integral evaluation goes
+kept, in a few tables of bounded length. Appell F1 is Lauricella's FD in
+two variables, so F1 and FD3 share the other, a sum over total-degree
+shells that takes any number of variables. Integral evaluation goes
 through the one-dimensional Euler-type representation
 
     G(c) / (G(a) G(c-a)) * int_0^1 u^(a-1) (1-u)^(c-a-1) prod (1-x_i u)^(-b_i) du,
@@ -38,13 +40,15 @@ __all__ = [
     "reduce_f1_to_3f2",
 ]
 
-# Series stop policy: a term counts as negligible when |term| < rtol*|partial|;
+# Series stop policy: a term counts as negligible when |term| <= rtol*|partial|;
 # summation stops after three negligible terms in a row or fails at the cap.
-# gauss_2f1 and hyp_3f2 share this loop (_sum_series); _f1_series and
-# _fd3_series apply the same rule to their rows and shells.
+# gauss_2f1 and hyp_3f2 share this loop (_sum_series). Appell F1 and FD3
+# share the other one (_fd_series), the Lauricella FD shell sum in two or
+# three variables, which applies the same rule to whole shells.
 DEFAULT_RTOL = 1e-13
 _CONSECUTIVE = 3
 _MAX_TERMS = 10 ** 6
+_MAX_SHELLS = 10 ** 5
 
 # Term-ratio tables. The ratio r_k = t_(k+1) / (t_k x) of a 2F1 or 3F2
 # series depends on the parameters and k only, so _sum_series reads it
@@ -137,7 +141,8 @@ def _sum_series(ratios, params: tuple, x: float, rtol: float) -> float:
             # round term * r first and change the last bits
             term *= r * x
             partial += term
-            if abs(term) < rtol * abs(partial):
+            # <=, so that a terminating sum that is exactly 0 stops too
+            if abs(term) <= rtol * abs(partial):
                 quiet += 1
                 if quiet >= _CONSECUTIVE:
                     if key and fresh:
@@ -177,14 +182,19 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
 
 
 def gauss_summation(a: float, b: float, c: float) -> float:
-    """2F1(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b)), log-gamma computed."""
+    """2F1(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b)), log-gamma computed.
+
+    A pole of G(c-a) or G(c-b) in the denominator makes the value exactly 0.
+    """
     _check_finite("Gauss summation", a, b, c)
     if not c > a + b:
         raise DomainError(f"Gauss summation needs c > a + b, got c={c}, a+b={a + b}")
     args = (c, c - a - b, c - a, c - b)
-    for v in args:
+    for v in args[:2]:
         if _is_nonpositive_integer(v):
             raise DomainError(f"gamma argument {v} is a nonpositive integer")
+    if any(_is_nonpositive_integer(v) for v in args[2:]):
+        return 0.0
     logs = [math.lgamma(v) for v in args]
     # G(v) < 0 exactly when v < 0 and floor(v) is odd; poles excluded above
     sign = math.prod(-1.0 if v < 0 and math.floor(v) % 2 else 1.0 for v in args)
@@ -250,50 +260,14 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * (v1 + v2)
 
 
-def _f1_series(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
-               rtol: float) -> float:
-    """Double series for F1, |x1| < 1 and |x2| < 1.
-
-    Summed row by row in the first index; each row is a 2F1-type inner
-    series, and rows stop under the same three-strikes policy.
-    """
-    total = 0.0
-    row_lead = 1.0  # (a)_m (b1)_m x1^m / ((c)_m m!)
-    quiet_rows = 0
-    for m in range(_MAX_TERMS):
-        # inner sum over n with ratio ((a+m+n)(b2+n))/((c+m+n)(n+1)) * x2
-        term = row_lead
-        row = term
-        quiet = 0
-        for n in range(_MAX_TERMS):
-            term *= (a + m + n) * (b2 + n) / ((c + m + n) * (1.0 + n)) * x2
-            row += term
-            if abs(term) < rtol * max(abs(row), 1e-300):
-                quiet += 1
-                if quiet >= _CONSECUTIVE:
-                    break
-            else:
-                quiet = 0
-        else:
-            raise DomainError(f"F1 inner series did not converge within {_MAX_TERMS} terms")
-        total += row
-        if abs(row) < rtol * max(abs(total), 1e-300):
-            quiet_rows += 1
-            if quiet_rows >= _CONSECUTIVE:
-                return total
-        else:
-            quiet_rows = 0
-        row_lead *= (a + m) * (b1 + m) / ((c + m) * (1.0 + m)) * x1
-    raise DomainError(f"F1 outer series did not converge within {_MAX_TERMS} rows")
-
-
 def appell_f1(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
               method: str = "auto", rtol: float = DEFAULT_RTOL) -> float:
     """Appell F1(a; b1, b2; c; x1, x2).
 
     method "integral" uses the one-dimensional representation (needs
-    c > a > 0 and both arguments < 1); "series" uses the double sum
-    (needs |x1|, |x2| < 1); "auto" prefers the integral when valid.
+    c > a > 0 and both arguments < 1); "series" sums the double series
+    by total-degree shells, as FD3 in two variables (needs |x1|, |x2| < 1);
+    "auto" prefers the integral when valid.
     """
     if method not in ("auto", "integral", "series"):
         raise UsageError(f"unknown method {method!r}")
@@ -311,35 +285,39 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
     if not series_ok:
         raise DomainError(f"F1 series needs |x1|, |x2| < 1, got ({x1}, {x2})")
     _check_lower((c,), "F1")
-    return _f1_series(a, b1, b2, c, x1, x2, rtol)
+    return _fd_series("F1", a, (b1, b2), c, (x1, x2), rtol)
 
 
-def _fd3_series(a: float, b: Sequence[float], c: float, x: Sequence[float],
-                rtol: float) -> float:
-    """Triple series for FD(3), summed by total-degree shells.
+def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[float],
+               rtol: float) -> float:
+    """Lauricella FD series in len(x) variables, summed by total-degree shells.
 
     Shell s contributes (a)_s/(c)_s times the degree-s coefficient of the
-    product of the three single-variable factor series (b_i)_k x_i^k / k!.
+    product of the single-variable factor series (b_i)_k x_i^k / k!. The
+    product is folded from the right: each fold holds, by degree, the
+    coefficients of the product of one factor series with the fold to its
+    right, so a shell adds one coefficient per fold. Appell's F1 is the
+    two-variable case and FD3 the three-variable one; ``name`` ("F1" or
+    "FD3") labels the error.
     """
-    cols = [[1.0], [1.0], [1.0]]
-    conv23 = []  # coefficients of the product of factor series 2 and 3, by degree
+    cols = [[1.0] for _ in x]
+    folds = [[] for _ in x[1:]]  # innermost (the last two factors) first
     ratio_sc = 1.0  # (a)_s / (c)_s
     total = 0.0
     quiet = 0
-    for s in range(100000):
+    for s in range(_MAX_SHELLS):
         if s > 0:
             ratio_sc *= (a + s - 1) / (c + s - 1)
             for col, bi, xi in zip(cols, b, x):
                 col.append(col[-1] * (bi + s - 1) * xi / s)
-        conv = 0.0
-        for u, v in zip(cols[1], reversed(cols[2])):
-            conv += u * v
-        conv23.append(conv)
-        # degree-s coefficient of the triple factor product
-        shell_coeff = 0.0
-        for u, v in zip(cols[0], reversed(conv23)):
-            shell_coeff += u * v
-        shell = ratio_sc * shell_coeff
+        right = cols[-1]
+        for col, fold in zip(cols[-2::-1], folds):
+            conv = 0.0
+            for u, v in zip(col, reversed(right)):
+                conv += u * v
+            fold.append(conv)
+            right = fold
+        shell = ratio_sc * right[-1]
         total += shell
         if abs(shell) < rtol * max(abs(total), 1e-300):
             quiet += 1
@@ -347,7 +325,7 @@ def _fd3_series(a: float, b: Sequence[float], c: float, x: Sequence[float],
                 return total
         else:
             quiet = 0
-    raise DomainError("FD3 series did not converge")
+    raise DomainError(f"{name} series did not converge within {_MAX_SHELLS} shells")
 
 
 def lauricella_fd3(a: float, b: Sequence[float], c: float, x: Sequence[float],
@@ -391,7 +369,7 @@ def lauricella_fd3(a: float, b: Sequence[float], c: float, x: Sequence[float],
     if not series_ok:
         raise DomainError(f"FD3 series needs all |x_i| < 1, got {x}")
     _check_lower((c,), "FD3")
-    return _fd3_series(a, b, c, x, rtol)
+    return _fd_series("FD3", a, b, c, x, rtol)
 
 
 def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,

@@ -248,6 +248,19 @@ def test_eval_gauss_summation(capsys):
     assert json.loads(out)["value"] == pytest.approx(4.0 / math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["2f1", "-1", "2", "1", "0.5"],
+    ["3f2", "-1", "2", "1", "1", "1", "0.5"],
+    ["gauss-sum", "2", "-1", "2"],
+], ids=["2f1", "3f2", "gauss-sum"])
+def test_eval_exact_zero(capsys, argv):
+    # 1 + 2*(-1)*0.5 and 1 + 2*(-1)/2 = 0: once exit 3, after 10^6 terms
+    # for the series and at a denominator Gamma pole for gauss-sum
+    code, out, _ = run(capsys, "eval", *argv)
+    assert code == 0
+    assert json.loads(out)["value"] == 0.0
+
+
 def test_eval_wrong_arity_exits_1(capsys):
     code, _, err = run(capsys, "eval", "2f1", "1", "1", "2")
     assert code == 1

@@ -30,7 +30,7 @@ from rodbend.special_functions import (
     reduce_fd3_unit_arg,
 )
 
-from scipy.special import gammaln
+from scipy.special import gammaln, hyp2f1
 
 
 def rel_err(got, want):
@@ -160,6 +160,23 @@ def test_gauss_summation_negative_gamma_arguments(a, b, c):
     assert rel_err(gauss_summation(a, b, c), want) < 1e-13
 
 
+@pytest.mark.parametrize("a, b, c", [
+    (2.0, -1.0, 2.0),    # c - a = 0: the terminating series 1 + 2*(-1)/2
+    (2.5, -1.5, 1.5),    # c - a = -1, and the series does not terminate
+    (-1.5, 2.5, 1.5),    # the same with a and b swapped: c - b = -1
+])
+def test_gauss_summation_denominator_pole_is_zero(a, b, c):
+    assert gauss_summation(a, b, c) == 0.0
+    assert gauss_2f1(a, b, c, 1.0) == 0.0
+    assert hyp2f1(a, b, c, 1.0) == 0.0
+
+
+def test_gauss_summation_refuses_a_pole_of_c():
+    # c = -2 is refused even though c - a = -1 would make the value 0
+    with pytest.raises(DomainError, match="gamma argument -2.0"):
+        gauss_summation(-1.0, -1.5, -2.0)
+
+
 def test_gauss_summation_rejects_divergent_parameters():
     with pytest.raises(DomainError):
         gauss_summation(1.0, 1.0, 2.0)
@@ -173,6 +190,16 @@ def test_2f1_at_one_delegates_to_summation():
 
 
 # ------------------------------------------------------------------- hyp_3f2
+
+@pytest.mark.parametrize("fn, args", [
+    (gauss_2f1, (-1.0, 2.0, 1.0, 0.5)),            # 1 - 2*0.5
+    (hyp_3f2, (-1.0, 2.0, 1.0, 1.0, 1.0, 0.5)),    # the same sum
+])
+def test_terminating_series_with_zero_sum_stops(fn, args):
+    # the sum ends after two terms; at 0 = 0 a strict stop test never held
+    # and the loop ran to its 10^6-term cap, then raised DomainError
+    assert fn(*args) == 0.0
+
 
 def test_3f2_at_zero():
     assert hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, 0.0) == 1.0
@@ -227,14 +254,41 @@ def test_f1_symmetry_under_argument_swap():
 
 def test_f1_series_equals_integral_route():
     rng = np.random.default_rng(7)
+    cases = []
     for _ in range(60):
         a = rng.uniform(0.2, 2.5)
         c = a + rng.uniform(0.2, 2.0)
         b1, b2 = rng.uniform(0.1, 1.5, size=2)
         x1, x2 = rng.uniform(-0.5, 0.5, size=2)
-        via_series = appell_f1(a, b1, b2, c, x1, x2, method="series")
-        via_integral = appell_f1(a, b1, b2, c, x1, x2, method="integral")
-        assert rel_err(via_series, via_integral) < 1e-10
+        cases.append((a, b1, b2, c, x1, x2))
+    # one-sided and opposite-sign arguments near the unit circle, where a
+    # row-by-row sum and a total-degree shell sum need the most terms
+    for x1, x2 in [(0.01, 0.9), (0.9, 0.01), (0.9, -0.9), (0.99, -0.99)]:
+        cases.append((1.5, 0.6, 0.9, 2.8, x1, x2))
+    for args in cases:
+        via_series = appell_f1(*args, method="series")
+        via_integral = appell_f1(*args, method="integral")
+        assert rel_err(via_series, via_integral) < 1e-10, args
+
+
+def test_f1_series_is_fd3_series_with_an_empty_slot():
+    # F1 and FD3 share one shell sum; an empty third slot adds exact zeros
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        a, c = rng.uniform(0.2, 2.5, size=2)
+        b1, b2 = rng.uniform(-1.0, 1.5, size=2)
+        x1, x2 = rng.uniform(-0.9, 0.9, size=2)
+        f1 = appell_f1(a, b1, b2, c, x1, x2, method="series")
+        fd3 = lauricella_fd3(a, (b1, b2, 0.0), c, (x1, x2, 0.0), method="series")
+        assert f1.hex() == fd3.hex()
+
+
+def test_shell_series_cap_error_names_the_function(monkeypatch):
+    monkeypatch.setattr(special_functions, "_MAX_SHELLS", 5)
+    with pytest.raises(DomainError, match="F1 series did not converge within 5 shells"):
+        appell_f1(1.5, 0.6, 0.9, 2.8, 0.9, -0.9, method="series")
+    with pytest.raises(DomainError, match="FD3 series did not converge within 5 shells"):
+        lauricella_fd3(1.5, (0.6, 0.9, 0.5), 2.8, (0.9, -0.9, 0.5), method="series")
 
 
 def test_f1_identity_antisymmetric_arguments():
