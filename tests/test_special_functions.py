@@ -261,8 +261,8 @@ def test_f1_series_equals_integral_route():
         b1, b2 = rng.uniform(0.1, 1.5, size=2)
         x1, x2 = rng.uniform(-0.5, 0.5, size=2)
         cases.append((a, b1, b2, c, x1, x2))
-    # one-sided and opposite-sign arguments near the unit circle, where a
-    # row-by-row sum and a total-degree shell sum need the most terms
+    # one-sided and opposite-sign arguments near the unit circle, where
+    # the shell sum needs the most shells
     for x1, x2 in [(0.01, 0.9), (0.9, 0.01), (0.9, -0.9), (0.99, -0.99)]:
         cases.append((1.5, 0.6, 0.9, 2.8, x1, x2))
     for args in cases:
