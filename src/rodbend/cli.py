@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -66,9 +65,8 @@ def _add_rod_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rtol", type=float, default=None,
-                   help="relative tolerance for numeric evaluation "
-                        "(default 1e-13, or ELASTICA_HYP_RTOL)")
+    p.add_argument("--rtol", type=float, default=1e-13,
+                   help="relative tolerance for numeric evaluation (default 1e-13)")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     p.add_argument("--out", default=None, help="output file (default standard output)")
 
@@ -112,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_rtol(args) -> float:
     rtol = args.rtol
-    if rtol is None:
-        raw = os.environ.get("ELASTICA_HYP_RTOL", "1e-13")
-        try:
-            rtol = float(raw)
-        except ValueError:
-            raise UsageError(f"ELASTICA_HYP_RTOL={raw!r} is not a number")
     if not (math.isfinite(rtol) and rtol > 0):
         raise UsageError(f"tolerance must be finite and positive, got {rtol}")
     return rtol

@@ -56,6 +56,8 @@ class RodProperties:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be finite and positive, got {v}")
+        if not (math.isfinite(self.EJ) and self.EJ > 0):
+            raise UsageError(f"EJ = E*J must be finite and positive, got {self.EJ}")
 
     @property
     def EJ(self) -> float:

@@ -2,12 +2,12 @@
 
 Series evaluation uses term-ratio recurrences with a three-strikes stop
 rule, in two loops. 2F1 and 3F2 share one, which multiplies each term
-by a term ratio read from a table: a ratio depends on the parameters and
-the index only, so each parameter tuple's ratios are evaluated once and
-kept, in a few tables of bounded length. Appell F1 is Lauricella's FD in
-two variables, so F1 and FD3 share the other, a sum over total-degree
-shells that takes any number of variables. Integral evaluation goes
-through the one-dimensional Euler-type representation
+by a term ratio read in fixed blocks: a ratio depends on the parameters
+and the index only, so the blocks used last are kept in one bounded
+memo. Appell F1 is Lauricella's FD in two variables, so F1 and FD3 share
+the other, a sum over total-degree shells that takes any number of
+variables. Integral evaluation goes through the one-dimensional
+Euler-type representation
 
     G(c) / (G(a) G(c-a)) * int_0^1 u^(a-1) (1-u)^(c-a-1) prod (1-x_i u)^(-b_i) du,
 
@@ -22,8 +22,8 @@ opposite arguments into a 3F2 value.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from typing import Sequence
 
 from .errors import DomainError, UsageError
@@ -50,18 +50,13 @@ _CONSECUTIVE = 3
 _MAX_TERMS = 10 ** 6
 _MAX_SHELLS = 10 ** 5
 
-# Term-ratio tables. The ratio r_k = t_(k+1) / (t_k x) of a 2F1 or 3F2
-# series depends on the parameters and k only, so _sum_series reads it
-# from a tuple kept per parameter tuple and grown on demand. At most
-# _RATIO_TUPLES tuples are kept, the oldest dropped first, each holding at
-# most _RATIO_CAP ratios; past the cap the same expression is evaluated
-# without being stored. Either way r_k is the same float, so no value
-# depends on what the tables hold. Only all-float parameter tuples are
-# kept, because equal int or Fraction parameters can round differently.
-_RATIO_TUPLES = 8
-_RATIO_CAP = 4096
-_ratio_tables: dict[tuple, tuple[float, ...]] = {}
-_ratio_lock = threading.Lock()
+# Term-ratio blocks. The ratio r_k = t_(k+1) / (t_k x) of a 2F1 or 3F2
+# series depends on the parameters and k only, so _sum_series reads it in
+# blocks of _BLOCK from _ratio_block, which keeps the 1024 blocks used
+# last (32 768 ratios). A kept ratio is the same float as a new one, so no
+# value depends on what is kept. Only all-float parameter tuples are kept,
+# because equal int or Fraction parameters can round differently.
+_BLOCK = 32
 
 # quadrature tolerances for the integral representations
 _IRT_RTOL = 1e-12
@@ -99,44 +94,26 @@ def pochhammer(lam, n: int):
     return result
 
 
-def _ratios_2f1(p, k0: int, fresh: list):
-    """2F1 term ratios r_k for k = k0, k0 + 1, ..., below _MAX_TERMS.
-
-    Those below the table cap are also appended to ``fresh``.
-    """
-    a, b, c = p
-    for k in range(k0, _MAX_TERMS):
-        r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
-        if k < _RATIO_CAP:
-            fresh.append(r)
-        yield r
-
-
-def _ratios_3f2(p, k0: int, fresh: list):
-    """3F2 term ratios, as _ratios_2f1."""
-    a1, a2, a3, b1, b2 = p
-    for k in range(k0, _MAX_TERMS):
-        r = (a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (1.0 + k))
-        if k < _RATIO_CAP:
-            fresh.append(r)
-        yield r
+@functools.lru_cache(maxsize=1024)
+def _ratio_block(params: tuple, start: int) -> tuple[float, ...]:
+    """Term ratios r_start, ..., r_(start + _BLOCK - 1) of the 2F1 series
+    for three parameters (a, b, c), of the 3F2 series for five."""
+    ks = range(start, start + _BLOCK)
+    if len(params) == 3:
+        a, b, c = params
+        return tuple([(a + k) * (b + k) / ((c + k) * (1.0 + k)) for k in ks])
+    a1, a2, a3, b1, b2 = params
+    return tuple([(a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (1.0 + k))
+                  for k in ks])
 
 
-def _sum_series(ratios, params: tuple, x: float, rtol: float) -> float:
-    """1 + sum of t_k with t_0 = 1 and t_(k+1) = t_k r_k x, under the stop policy.
-
-    The ratios come from the stored table for ``params``, then from
-    ``ratios``; the new ones below the cap extend the table when the sum
-    ends. Tables are immutable tuples, so a sum never sees another
-    thread's growth, and the lock only orders the stores.
-    """
-    key = (ratios, params) if all(type(v) is float for v in params) else None
-    table = _ratio_tables.get(key, ()) if key else ()
-    fresh = []
+def _sum_series(params: tuple, x: float, rtol: float) -> float:
+    """1 + sum of t_k with t_0 = 1 and t_(k+1) = t_k r_k x, under the stop policy."""
+    block = _ratio_block if all(type(v) is float for v in params) else _ratio_block.__wrapped__
     partial = term = 1.0
     quiet = 0
-    for run in (table, ratios(params, len(table), fresh)):
-        for r in run:
+    for start in range(0, _MAX_TERMS, _BLOCK):
+        for r in block(params, start):
             # rounds r * x, then the product; term = term * r * x would
             # round term * r first and change the last bits
             term *= r * x
@@ -145,21 +122,10 @@ def _sum_series(ratios, params: tuple, x: float, rtol: float) -> float:
             if abs(term) <= rtol * abs(partial):
                 quiet += 1
                 if quiet >= _CONSECUTIVE:
-                    if key and fresh:
-                        _store_ratios(key, table + tuple(fresh))
                     return partial
             else:
                 quiet = 0
     raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
-
-
-def _store_ratios(key: tuple, table: tuple) -> None:
-    """Keep ``table`` unless a longer one is kept; past _RATIO_TUPLES drop the oldest."""
-    with _ratio_lock:
-        if len(table) > len(_ratio_tables.get(key, ())):
-            _ratio_tables[key] = table
-            if len(_ratio_tables) > _RATIO_TUPLES:
-                del _ratio_tables[next(iter(_ratio_tables))]
 
 
 def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL) -> float:
@@ -178,7 +144,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
         raise DomainError(f"2F1 diverges at x=1 unless c > a + b (c={c}, a+b={a + b})")
     if abs(x) >= 1:
         raise DomainError(f"2F1 series needs |x| < 1, got x={x}")
-    return _sum_series(_ratios_2f1, (a, b, c), x, rtol)
+    return _sum_series((a, b, c), x, rtol)
 
 
 def gauss_summation(a: float, b: float, c: float) -> float:
@@ -210,7 +176,7 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
         return 1.0
     if abs(x) >= 1:
         raise DomainError(f"3F2 series needs |x| < 1, got x={x}")
-    return _sum_series(_ratios_3f2, (a1, a2, a3, b1, b2), x, rtol)
+    return _sum_series((a1, a2, a3, b1, b2), x, rtol)
 
 
 def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
@@ -319,7 +285,7 @@ def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[fl
             right = fold
         shell = ratio_sc * right[-1]
         total += shell
-        if abs(shell) < rtol * max(abs(total), 1e-300):
+        if abs(shell) <= rtol * abs(total):
             quiet += 1
             if quiet >= _CONSECUTIVE:
                 return total

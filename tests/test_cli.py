@@ -90,6 +90,19 @@ def test_solve_nan_load_exits_1(capsys):
     assert "q must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "builtin", "--E", "1e200", "--J", "1e200", "--q", "1000", "--method", "closed"],
+    ["solve", "roller", "--E", "1e200", "--J", "1e200", "--q", "1000", "--method", "root-find"],
+    ["deflect", "--E", "1e200", "--J", "1e200", "--q", "1000"],
+    ["solve", "roller", "--E", "1e-200", "--J", "1e-200", "--q", "0", "--method", "linearized"],
+], ids=["builtin-overflow", "roller-overflow", "deflect-overflow", "roller-underflow"])
+def test_stiffness_product_out_of_range_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--L", "1")
+    assert code == 1
+    assert out == ""
+    assert "EJ = E*J must be finite and positive" in err
+
+
 def test_solve_series_requires_n(capsys):
     code, _, err = run(capsys, "solve", "roller", *ROD_ARGS,
                        "--q", "1000", "--method", "series")
@@ -318,22 +331,6 @@ def test_out_file_writing(tmp_path, capsys):
     assert obj["X"] == 375.0
 
 
-def test_rtol_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("ELASTICA_HYP_RTOL", "1e-10")
-    code, out, _ = run(capsys, "solve", "roller", *ROD_ARGS,
-                       "--q", "1000", "--method", "root-find")
-    assert code == 0
-    assert json.loads(out)["X"] == pytest.approx(347.6368432063617, rel=1e-8)
-
-
-def test_rtol_env_invalid_exits_1(monkeypatch, capsys):
-    monkeypatch.setenv("ELASTICA_HYP_RTOL", "abc")
-    code, _, err = run(capsys, "solve", "roller", *ROD_ARGS,
-                       "--q", "1000", "--method", "linearized")
-    assert code == 1
-    assert "ELASTICA_HYP_RTOL" in err
-
-
 def test_rtol_flag_must_be_positive(capsys):
     code, _, err = run(capsys, "solve", "roller", *ROD_ARGS,
                        "--q", "1000", "--method", "linearized", "--rtol", "0")
@@ -341,18 +338,13 @@ def test_rtol_flag_must_be_positive(capsys):
     assert "positive" in err
 
 
-@pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("argv", [
     ["eval", "2f1", "0.5", "0.5", "1.5", "0.36"],
     ["solve", "builtin", *ROD_ARGS, "--q", "1000", "--method", "closed"],
-], ids=["eval", "solve"])
-def test_infinite_rtol_exits_1(monkeypatch, capsys, via, argv):
+], ids=["eval-flag", "solve-flag"])
+def test_infinite_rtol_exits_1(capsys, argv):
     # an infinite tolerance would stop every series and quadrature at once
-    if via == "flag":
-        argv = [*argv, "--rtol", "inf"]
-    else:
-        monkeypatch.setenv("ELASTICA_HYP_RTOL", "inf")
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--rtol", "inf")
     assert code == 1
     assert out == ""
     assert "finite" in err

@@ -66,6 +66,14 @@ def test_nonpositive_dimensions_rejected():
         RodProperties.from_stiffness(1.0, -5.0)
 
 
+@pytest.mark.parametrize("E, J", [(1e200, 1e200), (1e-200, 1e-200)],
+                         ids=["overflow", "underflow"])
+def test_stiffness_product_must_be_finite_and_positive(E, J):
+    # each factor is valid, but E*J rounds to inf or to 0
+    with pytest.raises(UsageError, match="EJ = E\\*J must be finite and positive"):
+        RodProperties(L=1.0, E=E, J=J)
+
+
 # ------------------------------------------------------- moments and shapes
 
 def test_uniform_load_moment_shape():

@@ -5,7 +5,6 @@ paths (double series vs one-dimensional integral, series vs log-gamma
 formula) so a shared bug cannot cancel out.
 """
 
-import itertools
 import math
 import os
 import subprocess
@@ -382,9 +381,9 @@ def test_fd3_series_bits_unchanged(args, bits):
 
 
 # 3F2 and 2F1 series values of the loops that computed each term ratio
-# inline, as float.hex, for the library's kernels; z = 0.999 runs past the
-# ratio-table cap (about 14 000 to 19 000 terms), and the last two rows
-# terminate on a nonpositive-integer upper parameter
+# inline, as float.hex, for the library's kernels; z = 0.999 needs about
+# 14 000 to 19 000 terms, and the last two rows terminate on a
+# nonpositive-integer upper parameter
 _UNIFORM = (0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0)
 _SHEAR = (0.5, 1.0, 1.5, 1.25, 1.75)
 _BUILTIN = (0.5, 2.0 / 3.0, 5.0 / 3.0)
@@ -417,20 +416,22 @@ _HYP_SERIES_BITS = [
 
 @pytest.mark.parametrize("fn, params, z, bits", _HYP_SERIES_BITS)
 def test_hyp_series_bits_unchanged(fn, params, z, bits):
-    # twice: the first call may fill the ratio table, the second reads it
+    # twice: the first call may fill the ratio memo, the second reads it
     assert fn(*params, z).hex() == bits
     assert fn(*params, z).hex() == bits
 
 
 def test_ratio_tables_stay_bounded():
-    # more parameter tuples than are kept, then two sums past the length cap
-    calls = [("hyp_3f2", (0.25 + i / 8, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, 0.5))
-             for i in range(2 * special_functions._RATIO_TUPLES)]
+    # many parameter tuples, then two long sums: more blocks than are kept
+    calls = [("hyp_3f2", (0.25 + i / 8, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, 0.5)) for i in range(16)]
     calls += [("gauss_2f1", (*_BUILTIN, 0.999)), ("hyp_3f2", (*_UNIFORM, 0.999))]
+    special_functions._ratio_block.cache_clear()
     got = [getattr(special_functions, fn)(*args).hex() for fn, args in calls]
-    tables = special_functions._ratio_tables
-    assert len(tables) <= special_functions._RATIO_TUPLES
-    assert max(map(len, tables.values())) == special_functions._RATIO_CAP
+    info = special_functions._ratio_block.cache_info()
+    assert info.misses > info.maxsize >= info.currsize
+    # a parameter tuple that is not all floats is summed without being kept
+    gauss_2f1(1, 1, 2, 0.5)
+    assert special_functions._ratio_block.cache_info().currsize == info.currsize
     # a fresh process, summing in reverse order, returns the same values
     probe = ("import ast, sys; from rodbend import special_functions as sf\n"
              "calls = ast.literal_eval(sys.argv[1])\n"
@@ -441,9 +442,9 @@ def test_ratio_tables_stay_bounded():
 
 
 def test_ratio_tables_shared_by_threads():
-    # more threads than cores, switching often, all growing the same tables
+    # more threads than cores, switching often, all filling the same memo
     cases = [case for case in _HYP_SERIES_BITS if case[2] != 0.999]
-    special_functions._ratio_tables.clear()
+    special_functions._ratio_block.cache_clear()
     wrong = []
 
     def work(offset):
@@ -464,9 +465,10 @@ def test_ratio_tables_shared_by_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    # every stored table is a prefix of its ratio sequence
-    for (ratios, params), table in special_functions._ratio_tables.items():
-        assert list(table) == list(itertools.islice(ratios(params, 0, []), len(table)))
+    # every kept block equals the same block computed afresh
+    block = special_functions._ratio_block
+    for _, params, _, _ in cases:
+        assert block(params, 0) == block.__wrapped__(params, 0)
 
 
 def _fd3_partial_sum_exact(a, b, c, x, order):
