@@ -27,11 +27,8 @@ from .elastica import (
     bending_moment,
     cumulative_moment,
     deflection_profile,
-    feasibility_bound,
     feasibility_check,
-    first_example_profile,
     linearized_deflection,
-    linearized_tip_deflection,
     tip_deflection_moment,
     tip_deflection_shear,
     tip_deflection_uniform,
@@ -94,9 +91,7 @@ __all__ = [
     "compose",
     "cumulative_moment",
     "deflection_profile",
-    "feasibility_bound",
     "feasibility_check",
-    "first_example_profile",
     "gauss_2f1",
     "gauss_summation",
     "hyp3f2_taylor",
@@ -107,7 +102,6 @@ __all__ = [
     "lagrange_revert",
     "lauricella_fd3",
     "linearized_deflection",
-    "linearized_tip_deflection",
     "max_bending_stress_report",
     "pochhammer",
     "reduce_f1_to_3f2",

@@ -27,7 +27,7 @@ from .elastica import (
     linearized_deflection,
 )
 from .errors import BracketError, DomainError, InfeasibleLoadError, UsageError
-from .redundancy import solve_builtin, solve_roller
+from .redundancy import _check_n_terms, solve_builtin, solve_roller
 from .special_functions import (
     appell_f1,
     gauss_2f1,
@@ -191,7 +191,7 @@ def _deflect_load(args):
 def cmd_deflect(args) -> str:
     rod, rtol = _resolve_rod(args), _resolve_rtol(args)
     load = _deflect_load(args)
-    exact = deflection_profile(load, rod, method="quadrature", rtol=rtol)
+    exact = deflection_profile(load, rod, rtol=rtol)
     y_lin = [linearized_deflection(load, rod, x) for x, _ in exact.samples]
 
     if args.format == "json":
@@ -208,8 +208,7 @@ def cmd_deflect(args) -> str:
 
 def cmd_table(args) -> str:
     rod, rtol = _resolve_rod(args), _resolve_rtol(args)
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
+    _check_n_terms(args.n)  # a bad --n is a usage error, whatever the reference says
     if args.problem == "roller":
         reference = solve_roller(rod, args.q, method="root_find", rtol=rtol)
         series = solve_roller(rod, args.q, method="series", n_terms=args.n)

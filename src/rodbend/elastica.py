@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import InfeasibleLoadError, UsageError
 from .quadrature import integrate_deflection
@@ -32,13 +31,10 @@ __all__ = [
     "bending_moment",
     "cumulative_moment",
     "feasibility_check",
-    "feasibility_bound",
     "tip_deflection_uniform",
     "tip_deflection_shear",
     "tip_deflection_moment",
     "linearized_deflection",
-    "linearized_tip_deflection",
-    "first_example_profile",
     "deflection_profile",
 ]
 
@@ -133,7 +129,7 @@ class TipMoment(LoadCase):
     bound = ("|M0| < EJ/L", 1.0, 1, "N m")
 
     def moment(self, x, L):
-        return self.M0 * x ** 0  # constant, in the shape of x
+        return float(self.M0)
 
     def H(self, x, L):
         return self.M0 * (L - x)
@@ -163,23 +159,22 @@ class BuiltInCombined(LoadCase):
         return self.q * (L - x) ** 3 * (L + x) / (24.0 * EJ)
 
 
-def _at(method, x, *args):
-    """Apply a load method to a float x, or to array positions as a float array."""
-    if isinstance(x, (int, float)):
-        return method(float(x), *args)
-    import numpy as np
-
-    return method(np.asarray(x, dtype=float), *args)
-
-
-def bending_moment(load: LoadCase, x, rod: RodProperties):
-    """Bending moment M(x) [N m]; accepts scalar or array positions."""
-    return _at(load.moment, x, rod.L)
+def _position(x, rod: RodProperties) -> float:
+    """A position on the rod as a float; NaN and points off [0, L] are refused."""
+    x = float(x)
+    if not 0.0 <= x <= rod.L:
+        raise UsageError(f"position x={x} outside the rod [0, {rod.L}]")
+    return x
 
 
-def cumulative_moment(load: LoadCase, x, rod: RodProperties):
+def bending_moment(load: LoadCase, x: float, rod: RodProperties) -> float:
+    """Bending moment M(x) [N m]."""
+    return load.moment(_position(x, rod), rod.L)
+
+
+def cumulative_moment(load: LoadCase, x: float, rod: RodProperties) -> float:
     """Running moment integral H(x) [N m^2], integrating M from x to L."""
-    return _at(load.H, x, rod.L)
+    return load.H(_position(x, rod), rod.L)
 
 
 def feasibility_check(load: LoadCase, rod: RodProperties) -> float:
@@ -191,12 +186,6 @@ def feasibility_check(load: LoadCase, rod: RodProperties) -> float:
     return abs(load.H(0.0, rod.L)) / rod.EJ
 
 
-def feasibility_bound(load: LoadCase, rod: RodProperties) -> str:
-    """Human-readable feasibility bound for the given load shape."""
-    text, k, p, unit = load.bound
-    return f"{text} = {k * rod.EJ / rod.L ** p:.6g} {unit}"
-
-
 def _require_feasible(load: LoadCase, rod: RodProperties) -> None:
     """The one feasibility gate: refuse |H(0)| >= EJ.
 
@@ -206,8 +195,9 @@ def _require_feasible(load: LoadCase, rod: RodProperties) -> None:
     """
     if abs(load.H(0.0, rod.L)) >= rod.EJ:
         (name, magnitude), = load.__dict__.items()
+        text, k, p, unit = load.bound
         raise InfeasibleLoadError(
-            f"{name} = {magnitude:.6g} violates {feasibility_bound(load, rod)}"
+            f"{name} = {magnitude:.6g} violates {text} = {k * rod.EJ / rod.L ** p:.6g} {unit}"
         )
 
 
@@ -243,81 +233,32 @@ def tip_deflection_moment(rod: RodProperties, X: float) -> float:
     return (math.sqrt(EJ ** 2 - X ** 2 * L ** 2) - EJ) / X
 
 
-def linearized_deflection(load: LoadCase, rod: RodProperties, x):
+def linearized_deflection(load: LoadCase, rod: RodProperties, x: float) -> float:
     """Small-deflection profile y_lin(x) = -(1/EJ) int_x^L H, per load shape."""
-    return _at(load.linearized, x, rod.L, rod.EJ)
-
-
-def linearized_tip_deflection(load: LoadCase, rod: RodProperties) -> float:
-    """Leading-order tip deflection: qL^4/8EJ, PL^3/3EJ, -M0 L^2/2EJ, qL^4/24EJ."""
-    return linearized_deflection(load, rod, 0.0)
-
-
-class FirstExampleResult(NamedTuple):
-    eta_exact: float
-    eta_approx: float
-
-
-def first_example_profile(rod: RodProperties, P: float, xi: float) -> FirstExampleResult:
-    """Dimensionless tip-shear deflection eta(xi) = y(xi L)/L, both routes.
-
-    Returns the exact value by quadrature and the first-order
-    approximation (mu/3)(2 - 3 xi + xi^3), mu = P L^2/(2 EJ); their gap
-    is O(mu^2).
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise UsageError(f"xi must lie in [0, 1], got {xi}")
-    load = TipShear(P)
-    _require_feasible(load, rod)
-    mu = P * rod.L ** 2 / (2.0 * rod.EJ)
-    eta_exact = integrate_deflection(load, rod, xi * rod.L) / rod.L
-    eta_approx = (mu / 3.0) * (2.0 - 3.0 * xi + xi ** 3)
-    return FirstExampleResult(eta_exact, eta_approx)
-
-
-_PROFILE_METHODS = ("quadrature", "linearized")
+    return load.linearized(_position(x, rod), rod.L, rod.EJ)
 
 
 @dataclass(frozen=True)
 class DeflectionProfile:
-    """Sampled deflection curve with the method that produced it."""
+    """Exact deflection curve sampled by quadrature."""
 
     samples: tuple[tuple[float, float], ...]
-    method: str
 
     def __post_init__(self):
-        if self.method not in _PROFILE_METHODS:
-            raise UsageError(f"method must be one of {_PROFILE_METHODS}, got {self.method!r}")
         xs = [s[0] for s in self.samples]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise UsageError("sample positions must be strictly increasing")
         if self.samples and abs(self.samples[-1][1]) > 1e-9:
             raise UsageError(f"wall deflection must vanish, got y(L) = {self.samples[-1][1]}")
 
-    def csv_rows(self):
-        yield ("x_m", "y_m", "method")
-        for x, y in self.samples:
-            yield (format(x, ".17g"), format(y, ".17g"), self.method)
 
-    def json_obj(self):
-        return {
-            "method": self.method,
-            "samples": [{"x_m": x, "y_m": y} for x, y in self.samples],
-        }
-
-
-def deflection_profile(load: LoadCase, rod: RodProperties, method: str = "quadrature",
-                       n_points: int = 201, rtol: float = 1e-10) -> DeflectionProfile:
-    """Sample the deflection curve on a uniform grid (default 201 points)."""
+def deflection_profile(load: LoadCase, rod: RodProperties, n_points: int = 201,
+                       rtol: float = 1e-10) -> DeflectionProfile:
+    """Sample the exact deflection curve on a uniform grid (default 201 points)."""
     if n_points < 2:
         raise UsageError("need at least 2 grid points")
     L = float(rod.L)
     step = L / (n_points - 1)
     xs = [i * step for i in range(n_points - 1)] + [L]  # numpy.linspace's grid, bit for bit
-    if method == "quadrature":
-        ys = [integrate_deflection(load, rod, x, rtol=rtol) for x in xs]
-    elif method == "linearized":
-        ys = [linearized_deflection(load, rod, x) for x in xs]
-    else:
-        raise UsageError(f"profiles support methods 'quadrature' and 'linearized', got {method!r}")
-    return DeflectionProfile(samples=tuple(zip(xs, ys)), method=method)
+    ys = [integrate_deflection(load, rod, x, rtol=rtol) for x in xs]
+    return DeflectionProfile(samples=tuple(zip(xs, ys)))

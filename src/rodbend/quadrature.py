@@ -2,9 +2,8 @@
 
 A 7-point Gauss rule nested in a 15-point Kronrod rule (QUADPACK's GK15)
 drives adaptive interval bisection; the difference between the two rules
-is the panel error estimate. A panel is pure Python: it calls the
-integrand once per node with a float and sums the weighted values left
-to right, so no route through this module loads numpy. Integrable
+is the panel error estimate. A panel calls the integrand once per node
+with a float and sums the weighted values left to right. Integrable
 algebraic endpoint singularities are absorbed by a power substitution
 before any panel is evaluated, so the adaptive stage only ever sees a
 smooth integrand.
@@ -198,7 +197,7 @@ def integrate(spec: IntegrandSpec) -> tuple[float, float]:
 _CRITICAL_MARGIN = 1e-6
 
 
-def integrate_deflection(load, rod, x: float, rtol: float = 1e-10, atol: float = 1e-14) -> float:
+def integrate_deflection(load, rod, x: float, rtol: float = 1e-10) -> float:
     """Deflection y(x) of the rod tip side, by direct quadrature.
 
     Integrates H(xi)/sqrt(EJ^2 - H^2(xi)) over [x, L] with the exact
@@ -231,7 +230,7 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10, atol: float =
         return h / math.sqrt((EJ - h) * (EJ + h))
 
     try:
-        value, _ = integrate(IntegrandSpec(f=integrand, lo=x, hi=L, rtol=rtol, atol=atol))
+        value, _ = integrate(IntegrandSpec(f=integrand, lo=x, hi=L, rtol=rtol))
     except _NotConverged as exc:
         raise NearCriticalLoadError(
             f"load within {margin:.3e} of the curvature bound: the deflection quadrature "

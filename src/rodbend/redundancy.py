@@ -52,6 +52,10 @@ _KERNEL_FRACTIONS = {
 }
 _KERNELS = {name: (float(p1), float(p2)) for name, (p1, p2) in _KERNEL_FRACTIONS.items()}
 
+# highest order of a reaction series, n_terms <= 50: the cold cost of a
+# build grows about as order^4, to 3.6 s for the roller series at 101
+_MAX_ORDER = 101
+
 
 @dataclass(frozen=True)
 class ConsistencyEquation:
@@ -103,6 +107,16 @@ class RedundancySolution:
 def _check_kernel(kernel: str) -> None:
     if kernel not in _KERNELS:
         raise UsageError(f"kernel must be one of {sorted(_KERNELS)}, got {kernel!r}")
+
+
+def _check_order(order: int) -> None:
+    if not 1 <= order <= _MAX_ORDER:
+        raise UsageError(f"series order must lie in [1, {_MAX_ORDER}], got {order}")
+
+
+def _check_n_terms(n_terms: int) -> None:
+    if not 0 <= n_terms <= _MAX_ORDER // 2:
+        raise UsageError(f"n_terms must lie in [0, {_MAX_ORDER // 2}], got {n_terms}")
 
 
 def _check_load(load: UniformLoad | BuiltInCombined, rod: RodProperties) -> None:
@@ -168,8 +182,7 @@ def roller_reaction_series(order: int = 19, kernel: str = "expansion") -> PowerS
     Built by reverting the scaled consistency equation and composing
     with the load-side series.
     """
-    if order < 1:
-        raise UsageError("order must be at least 1")
+    _check_order(order)
     _check_kernel(kernel)
     return _roller_series_cached(order, kernel)
 
@@ -182,8 +195,7 @@ def builtin_reaction_series(order: int = 19) -> PowerSeries:
     of w^(2k+1) is the exact rational b_k, b_0 = 1/12. Composes the
     closed map 2 phi/(1 + phi^2) with the tip-integral series phi(w).
     """
-    if order < 1:
-        raise UsageError("order must be at least 1")
+    _check_order(order)
     # phi(w) = (w/24) 2F1(1/2, 2/3; 5/3; w^2/36) = (1/4) u(w/6)
     u = hyp3f2_taylor((Fraction(1, 2), Fraction(2, 3), Fraction(1),
                        Fraction(1), Fraction(5, 3)), order)
@@ -275,8 +287,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
     if method == "linearized":
         X, trace, label = linearized, (), "linearized"
     elif method == "series":
-        if n_terms < 0:
-            raise UsageError("n_terms must be nonnegative")
+        _check_n_terms(n_terms)
         series = roller_reaction_series(2 * n_terms + 1, kernel=kernel)
         trace = tuple(_series_trace(series, L ** 3 * q / EJ, EJ / L ** 2, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
@@ -345,8 +356,7 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     if method == "linearized":
         X, trace, label = linearized, (), "linearized"
     elif method == "series":
-        if n_terms < 0:
-            raise UsageError("n_terms must be nonnegative")
+        _check_n_terms(n_terms)
         w = L ** 3 * q / EJ
         if w >= 6.0:
             raise NearCriticalLoadError(

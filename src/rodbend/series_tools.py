@@ -54,11 +54,6 @@ class PowerSeries:
             raise UsageError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coefficients[n] if n < len(self.coefficients) else Fraction(0)
 
-    def truncated(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise UsageError(f"cannot extend truncation order {self.order} to {order}")
-        return PowerSeries(self.coefficients[: order + 1], order, self.parity)
-
     def evaluate(self, x: float, n_terms: int | None = None) -> float:
         """Horner evaluation in float; ``n_terms`` caps the powers used."""
         coeffs = self.coefficients

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -238,6 +240,28 @@ def test_table_rejects_negative_n(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n", ["-1", "51"])
+def test_table_checks_n_before_the_reference(capsys, n):
+    # near critical the reference solve would fail with exit 2 first
+    code, _, err = run(capsys, "table", "roller", *ROD_ARGS, "--q", "1199", "--n", n)
+    assert code == 1
+    assert f"[0, 50], got {n}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "roller", *ROD_ARGS, "--q", "100", "--n", "51"],
+    ["solve", "builtin", *ROD_ARGS, "--q", "100", "--method", "series", "--n", "51"],
+], ids=["table-roller", "solve-builtin-series"])
+def test_series_index_past_the_limit_exits_1_at_once(capsys, argv):
+    # an order-103 series would take seconds to build; the refusal comes first
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "[0, 50], got 51" in err
+
+
 # ------------------------------------------------------------------------ eval
 
 def test_eval_gauss_2f1(capsys):
@@ -369,17 +393,31 @@ def _src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _packages_loaded(argv=None):
-    """Top-level packages in sys.modules of a fresh process after
-    ``import rodbend.cli`` and, when ``argv`` is given, one ``main(argv)``."""
-    probe = ("import contextlib, io, sys; import rodbend.cli\n"
-             "if sys.argv[1:]:\n"
-             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-             "        assert rodbend.cli.main(sys.argv[1:]) == 0\n"
-             "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))")
-    result = subprocess.run([sys.executable, "-c", probe, *(argv or [])], env=_src_env(),
+def _packages_after(code, argv=()):
+    """Top-level packages in sys.modules of a fresh process after ``code``."""
+    probe = f"import sys\n{code}\nprint(' '.join(sorted({{m.split('.')[0] for m in sys.modules}})))"
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=_src_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     return set(result.stdout.split())
+
+
+def _packages_loaded(argv=None):
+    """Top-level packages of a fresh process after ``import rodbend.cli``
+    and, when ``argv`` is given, one ``main(argv)``."""
+    return _packages_after("import contextlib, io; import rodbend.cli\n"
+                           "if sys.argv[1:]:\n"
+                           "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "        assert rodbend.cli.main(sys.argv[1:]) == 0", argv or ())
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_packages():
+    # what the interpreter loads before any code runs (site hooks included)
+    return frozenset(_packages_after("pass"))
+
+
+def _third_party(packages):
+    return packages - {"rodbend"} - set(sys.stdlib_module_names) - _bare_packages()
 
 
 def test_cli_import_loads_no_scipy():
@@ -400,18 +438,26 @@ def test_cli_import_loads_no_scipy():
 ], ids=["import", "solve-roller", "solve-builtin-closed", "deflect", "table-roller",
         "table-builtin", "eval-3f2", "eval-f1", "eval-fd3"])
 def test_cli_loads_numpy_only_for_arrays(argv):
-    # numpy costs a cold process tens of milliseconds; the quadrature,
-    # profiles and special functions are pure Python and no command passes
-    # array positions, so no command needs it
-    assert "numpy" not in _packages_loaded(argv)
+    # rodbend has no runtime dependency: every command runs on the standard
+    # library alone, so it loads no third-party package, numpy included
+    assert _third_party(_packages_loaded(argv)) == set()
 
 
-def test_array_positions_load_numpy():
-    # positive control for the probe above: array positions do need numpy
-    probe = ("import sys; import rodbend\n"
+def test_probe_sees_an_explicit_numpy_import():
+    # positive control for the probe above
+    assert _third_party(_packages_after("import numpy")) == {"numpy"}
+
+
+def test_list_position_raises_without_loading_numpy():
+    probe = ("import rodbend\n"
              "rod = rodbend.RodProperties.from_stiffness(1.0, 200.0)\n"
-             "rodbend.bending_moment(rodbend.UniformLoad(1000.0), [0.0, 0.5, 1.0], rod)\n"
-             "print('numpy' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
-                            capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.split() == ["True"]
+             "load = rodbend.UniformLoad(1000.0)\n"
+             "for call in (lambda x: rodbend.bending_moment(load, x, rod),\n"
+             "             lambda x: rodbend.cumulative_moment(load, x, rod),\n"
+             "             lambda x: rodbend.linearized_deflection(load, rod, x)):\n"
+             "    try:\n"
+             "        call([0.0, 0.5, 1.0])\n"
+             "    except TypeError:\n"
+             "        continue\n"
+             "    raise SystemExit('a list position was accepted')")
+    assert "numpy" not in _packages_after(probe)

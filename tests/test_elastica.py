@@ -22,11 +22,8 @@ from rodbend.elastica import (
     bending_moment,
     cumulative_moment,
     deflection_profile,
-    feasibility_bound,
     feasibility_check,
-    first_example_profile,
     linearized_deflection,
-    linearized_tip_deflection,
     tip_deflection_moment,
     tip_deflection_shear,
     tip_deflection_uniform,
@@ -93,6 +90,7 @@ def test_tip_shear_moment_shape():
 def test_tip_moment_shape():
     m0 = 50.0
     assert bending_moment(TipMoment(m0), 0.3, ROD) == m0
+    assert type(bending_moment(TipMoment(50), 0, ROD)) is float
     assert cumulative_moment(TipMoment(m0), 0.0, ROD) == m0 * ROD.L
 
 
@@ -122,21 +120,38 @@ def test_cumulative_moment_derivative_is_minus_moment():
                           - linearized_deflection(load, rod, x - h)) / (2.0 * h)
                     assert abs(dy - cumulative_moment(load, x, rod) / EJ) < 1e-8
                 assert cumulative_moment(load, L, rod) == 0.0
-                tip = linearized_tip_deflection(load, rod)
+                tip = linearized_deflection(load, rod, 0.0)
                 assert abs(linearized_deflection(load, rod, L)) < 1e-14 * abs(tip)
                 # the feasibility gate and integrate_deflection read |H| at x only
-                habs = np.abs(cumulative_moment(load, np.linspace(0.0, L, 1001), rod))
-                assert np.all(np.diff(habs) <= 0.0)
+                habs = [abs(cumulative_moment(load, x, rod))
+                        for x in np.linspace(0.0, L, 1001).tolist()]
+                assert all(b <= a for a, b in zip(habs, habs[1:]))
                 _, k, p, _ = shape.bound
                 at_bound = shape(sign * k * EJ / L ** p)
                 assert abs(feasibility_check(at_bound, rod) - 1.0) < 1e-15
 
 
-def test_moment_accepts_arrays():
-    xs = np.linspace(0.0, 1.0, 7)
-    m = bending_moment(UniformLoad(1000.0), xs, ROD)
-    assert m.shape == xs.shape
-    assert m[0] == 0.0
+POSITION_FUNCTIONS = {
+    "bending_moment": lambda load, x: bending_moment(load, x, ROD),
+    "cumulative_moment": lambda load, x: cumulative_moment(load, x, ROD),
+    "linearized_deflection": lambda load, x: linearized_deflection(load, ROD, x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, -5.0, 7.0, -1e-300, math.nextafter(1.0, 2.0), math.inf],
+                         ids=["nan", "-5", "7", "below-0", "above-L", "inf"])
+@pytest.mark.parametrize("name", sorted(POSITION_FUNCTIONS))
+def test_positions_off_the_rod_refused(name, x):
+    for load in (UniformLoad(1000.0), TipShear(10.0)):
+        with pytest.raises(UsageError, match="outside the rod"):
+            POSITION_FUNCTIONS[name](load, x)
+
+
+@pytest.mark.parametrize("name", sorted(POSITION_FUNCTIONS))
+def test_rod_ends_are_positions(name):
+    # both ends are on the rod, also when given as ints
+    for x in (0, 0.0, 1, ROD.L):
+        assert math.isfinite(POSITION_FUNCTIONS[name](UniformLoad(1000.0), x))
 
 
 # ---------------------------------------------------------------- feasibility
@@ -156,10 +171,16 @@ def test_feasibility_tip_moment_ratio():
 
 def test_feasibility_bound_messages_name_the_load():
     rod = RodProperties.from_stiffness(2.0, 200.0)
-    assert feasibility_bound(UniformLoad(1.0), rod) == "q < 6*EJ/L^3 = 150 N/m"
-    assert feasibility_bound(TipShear(-1.0), rod) == "|P| < 2*EJ/L^2 = 100 N"
-    assert feasibility_bound(TipMoment(1.0), rod) == "|M0| < EJ/L = 100 N m"
-    assert feasibility_bound(BuiltInCombined(1.0), rod) == "q < 12*EJ/L^3 = 300 N/m"
+    messages = {
+        UniformLoad(151.0): "q = 151 violates q < 6*EJ/L^3 = 150 N/m",
+        TipShear(-101.0): "P = -101 violates |P| < 2*EJ/L^2 = 100 N",
+        TipMoment(101.0): "M0 = 101 violates |M0| < EJ/L = 100 N m",
+        BuiltInCombined(301.0): "q = 301 violates q < 12*EJ/L^3 = 300 N/m",
+    }
+    for load, message in messages.items():
+        with pytest.raises(InfeasibleLoadError) as excinfo:
+            elastica._require_feasible(load, rod)
+        assert str(excinfo.value) == message
 
 
 NEAR_BOUND_RODS = [RodProperties.from_stiffness(0.3, 17.0), RodProperties.from_stiffness(1.7, 350.0)]
@@ -306,29 +327,29 @@ def test_infeasible_loads_raise():
 # ------------------------------------------------------------- linearization
 
 def test_linearized_tip_samples():
-    assert abs(linearized_tip_deflection(TipShear(1000.0), ROD) - 5.0 / 3.0) < 1e-15
-    assert linearized_tip_deflection(UniformLoad(1000.0), ROD) == 0.625
+    assert abs(linearized_deflection(TipShear(1000.0), ROD, 0.0) - 5.0 / 3.0) < 1e-15
+    assert linearized_deflection(UniformLoad(1000.0), ROD, 0.0) == 0.625
 
 
 def test_linearized_profile_shapes():
-    xs = np.linspace(0.0, ROD.L, 11)
-    y_q = linearized_deflection(UniformLoad(1000.0), ROD, xs)
-    y_p = linearized_deflection(TipShear(1000.0), ROD, xs)
-    y_m = linearized_deflection(TipMoment(50.0), ROD, xs)
+    xs = np.linspace(0.0, ROD.L, 11).tolist()
+    y_q = [linearized_deflection(UniformLoad(1000.0), ROD, x) for x in xs]
+    y_p = [linearized_deflection(TipShear(1000.0), ROD, x) for x in xs]
+    y_m = [linearized_deflection(TipMoment(50.0), ROD, x) for x in xs]
     for y in (y_q, y_p, y_m):
-        assert abs(float(np.asarray(y)[-1])) < 1e-15
-    assert float(np.asarray(y_m)[0]) < 0.0
+        assert abs(y[-1]) < 1e-15
+    assert y_m[0] < 0.0
 
 
 def test_linearized_builtin_profile_shape():
     q = 1000.0
-    xs = np.linspace(0.0, ROD.L, 5)
-    y = np.asarray(linearized_deflection(BuiltInCombined(q), ROD, xs))
+    xs = np.linspace(0.0, ROD.L, 5).tolist()
+    y = [linearized_deflection(BuiltInCombined(q), ROD, x) for x in xs]
     assert abs(y[-1]) < 1e-15
     assert abs(y[0] - q * ROD.L ** 4 / (24.0 * ROD.EJ)) < 1e-15
     # tip slope of q (L-x)^3 (L+x) / 24EJ equals H(0)/EJ = -q L^3 / 12EJ
     h = 1e-6
-    y0 = linearized_deflection(BuiltInCombined(q), ROD, [0.0, h])
+    y0 = [linearized_deflection(BuiltInCombined(q), ROD, x) for x in (0.0, h)]
     slope = (y0[1] - y0[0]) / h
     assert abs(slope + q * ROD.L ** 3 / (12.0 * ROD.EJ)) < 1e-3
 
@@ -339,7 +360,7 @@ def test_exact_minus_linearized_scales_quadratically():
     defects = []
     for q in (240.0, 120.0):
         exact = tip_deflection_uniform(ROD, q)
-        lin = linearized_tip_deflection(UniformLoad(q), ROD)
+        lin = linearized_deflection(UniformLoad(q), ROD, 0.0)
         defects.append((exact - lin) / lin)
     ratio = defects[0] / defects[1]
     assert 3.8 < ratio < 4.3
@@ -350,7 +371,6 @@ def test_exact_minus_linearized_scales_quadratically():
 def test_profile_default_grid_and_wall_condition():
     prof = deflection_profile(UniformLoad(1000.0), ROD)
     assert len(prof.samples) == 201
-    assert prof.method == "quadrature"
     xs = [x for x, _ in prof.samples]
     assert all(b > a for a, b in zip(xs, xs[1:]))
     assert prof.samples[-1][1] == 0.0
@@ -361,7 +381,7 @@ def test_profile_default_grid_and_wall_condition():
 def test_profile_grid_is_numpy_linspace(L, n):
     # the grid is built without numpy, bit for bit as numpy.linspace builds it
     rod = RodProperties.from_stiffness(L, 200.0)
-    prof = deflection_profile(UniformLoad(100.0), rod, method="linearized", n_points=n)
+    prof = deflection_profile(UniformLoad(100.0), rod, n_points=n)
     assert [x for x, _ in prof.samples] == np.linspace(0.0, L, n).tolist()
 
 
@@ -372,56 +392,32 @@ def test_profile_wall_slope_vanishes():
         assert abs(y_near / h) < 5e-5
 
 
-def test_profile_linearized_method():
-    prof = deflection_profile(UniformLoad(1000.0), ROD, method="linearized", n_points=21)
-    assert prof.method == "linearized"
-    assert abs(prof.samples[0][1] - 0.625) < 1e-15
-
-
-def test_profile_rejects_unknown_method():
-    with pytest.raises(UsageError):
-        deflection_profile(UniformLoad(10.0), ROD, method="spline")
-    with pytest.raises(UsageError):
-        DeflectionProfile(samples=((0.0, 0.1), (1.0, 0.0)), method="closed-form")
-
-
 def test_profile_validates_wall_deflection():
     with pytest.raises(UsageError):
-        DeflectionProfile(samples=((0.0, 1.0), (1.0, 0.5)), method="quadrature")
+        DeflectionProfile(samples=((0.0, 1.0), (1.0, 0.5)))
 
 
 def test_profile_validates_ordering():
     with pytest.raises(UsageError):
-        DeflectionProfile(samples=((0.5, 0.1), (0.2, 0.0)), method="quadrature")
-
-
-def test_profile_csv_rows_are_seventeen_digit():
-    prof = deflection_profile(UniformLoad(1000.0), ROD, n_points=3)
-    rows = list(prof.csv_rows())
-    assert rows[0] == ("x_m", "y_m", "method")
-    assert rows[1][0] == "0"
-    assert float(rows[1][1]) == prof.samples[0][1]
+        DeflectionProfile(samples=((0.5, 0.1), (0.2, 0.0)))
 
 
 # --------------------------------------------------- first worked example
 
+def _first_example_tip(mu):
+    """Dimensionless tip deflection eta(0) = y(0)/L under P = 2 mu EJ/L^2."""
+    p = mu * 2.0 * ROD.EJ / ROD.L ** 2
+    return integrate_deflection(TipShear(p), ROD, 0.0) / ROD.L
+
+
 def test_first_example_gap_is_second_order():
-    # eta_exact - eta_approx <= C mu^2 with C at most 1 on the sampled range
+    # eta_exact - eta_approx <= C mu^2 with C at most 1 on the sampled range,
+    # eta_approx = (mu/3)(2 - 3 xi + xi^3) = 2 mu/3 at the tip xi = 0
     for mu in (0.05, 0.1, 0.2):
-        p = mu * 2.0 * ROD.EJ / ROD.L ** 2
-        res = first_example_profile(ROD, p, 0.0)
-        assert abs(res.eta_exact - res.eta_approx) <= 1.0 * mu * mu
+        assert abs(_first_example_tip(mu) - 2.0 * mu / 3.0) <= 1.0 * mu * mu
 
 
 def test_first_example_tip_values():
     expected = {0.05: 0.03336195, 0.1: 0.06689663, 0.2: 0.13520755}
     for mu, eta in expected.items():
-        p = mu * 2.0 * ROD.EJ / ROD.L ** 2
-        res = first_example_profile(ROD, p, 0.0)
-        assert abs(res.eta_exact - eta) < 1e-7
-        assert abs(res.eta_approx - 2.0 * mu / 3.0) < 1e-15
-
-
-def test_first_example_rejects_xi_outside_unit_interval():
-    with pytest.raises(UsageError):
-        first_example_profile(ROD, 10.0, 1.5)
+        assert abs(_first_example_tip(mu) - eta) < 1e-7

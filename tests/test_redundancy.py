@@ -412,6 +412,21 @@ def test_series_order_validation():
         solve_roller(ROD, Q, method="series", n_terms=-1)
 
 
+def test_series_order_is_bounded(monkeypatch):
+    # a cold build grows about as order^4, seconds past order 101
+    # (n_terms 50); the refusal comes before any coefficient is built
+    def no_build(*args):
+        raise AssertionError("a coefficient was built")
+
+    monkeypatch.setattr(redundancy, "hyp3f2_taylor", no_build)
+    for build in (roller_reaction_series, builtin_reaction_series):
+        with pytest.raises(UsageError, match=re.escape("[1, 101], got 103")):
+            build(103)
+    for solve in (solve_roller, solve_builtin):
+        with pytest.raises(UsageError, match=re.escape("[0, 50], got 51")):
+            solve(ROD, Q, method="series", n_terms=51)
+
+
 # -------------------------------------------------------------------- reports
 
 def test_roller_stress_report():

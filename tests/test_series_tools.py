@@ -57,13 +57,6 @@ def test_from_coefficients_slices_to_requested_order():
     assert s.coefficients == (F(0), F(1), F(0))
 
 
-def test_truncated_drops_high_terms():
-    s = odd_series(1, 2, 3)  # order 5
-    t = s.truncated(3)
-    assert t.order == 3
-    assert t.coefficient(3) == 2
-
-
 def test_evaluate_horner_matches_direct_sum():
     s = odd_series(1, -1, 3)
     w = 0.37
