@@ -18,23 +18,7 @@ import math
 import sys
 
 from . import __version__
-from .elastica import (
-    RodProperties,
-    TipMoment,
-    TipShear,
-    UniformLoad,
-    deflection_profile,
-    linearized_deflection,
-)
 from .errors import BracketError, DomainError, InfeasibleLoadError, UsageError
-from .redundancy import _check_n_terms, solve_builtin, solve_roller
-from .special_functions import (
-    appell_f1,
-    gauss_2f1,
-    gauss_summation,
-    hyp_3f2,
-    lauricella_fd3,
-)
 
 _HEADER = f"# rodbend {__version__}"
 
@@ -115,7 +99,8 @@ def _resolve_rtol(args) -> float:
     return rtol
 
 
-def _resolve_rod(args) -> RodProperties:
+def _resolve_rod(args):
+    from .elastica import RodProperties
     has_ej = args.EJ is not None
     has_pair = args.E is not None or args.J is not None
     if args.L is None:
@@ -147,6 +132,7 @@ def _json_text(obj) -> str:
 
 
 def cmd_solve(args) -> str:
+    from .redundancy import solve_builtin, solve_roller
     rod, rtol = _resolve_rod(args), _resolve_rtol(args)
     method = args.method.replace("-", "_")
     if method == "series" and args.n is None:
@@ -177,6 +163,7 @@ def cmd_solve(args) -> str:
 
 
 def _deflect_load(args):
+    from .elastica import TipMoment, TipShear, UniformLoad
     given = [name for name, v in (("--q", args.q), ("--P", args.P), ("--M0", args.M0))
              if v is not None]
     if len(given) != 1:
@@ -189,6 +176,7 @@ def _deflect_load(args):
 
 
 def cmd_deflect(args) -> str:
+    from .elastica import deflection_profile, linearized_deflection
     rod, rtol = _resolve_rod(args), _resolve_rtol(args)
     load = _deflect_load(args)
     exact = deflection_profile(load, rod, rtol=rtol)
@@ -207,6 +195,7 @@ def cmd_deflect(args) -> str:
 
 
 def cmd_table(args) -> str:
+    from .redundancy import _check_n_terms, solve_builtin, solve_roller
     rod, rtol = _resolve_rod(args), _resolve_rtol(args)
     _check_n_terms(args.n)  # a bad --n is a usage error, whatever the reference says
     if args.problem == "roller":
@@ -243,6 +232,7 @@ def cmd_table(args) -> str:
 
 
 def cmd_eval(args) -> str:
+    from .special_functions import appell_f1, gauss_2f1, gauss_summation, hyp_3f2, lauricella_fd3
     rtol = _resolve_rtol(args)
     name = args.function
     p = args.params

@@ -14,8 +14,8 @@ hypergeometric closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Frozen, set_field
 from .errors import InfeasibleLoadError, UsageError
 from .quadrature import integrate_deflection
 from .special_functions import hyp_3f2
@@ -39,21 +39,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RodProperties:
+class _NotANumber(UsageError, TypeError):
+    """A bool or a value without ``__float__`` given as a number; a TypeError too, like float's."""
+
+
+def _real(name, v):
+    """Refuse ``v`` unless it converts to float as a number does (bools excluded)."""
+    if type(v) is not float and (isinstance(v, bool) or not hasattr(type(v), "__float__")):
+        raise _NotANumber(f"{name} must be a real number, got {v!r}")
+
+
+class RodProperties(Frozen):
     """Uniform rod: length L [m], Young modulus E [N/m^2], second moment J [m^4]."""
 
-    L: float
-    E: float
-    J: float
+    __slots__ = ("L", "E", "J")
 
-    def __post_init__(self):
-        for name in ("L", "E", "J"):
-            v = getattr(self, name)
+    def __init__(self, L: float, E: float, J: float):
+        for name, v in (("L", L), ("E", E), ("J", J)):
+            _real(name, v)
             if not (math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be finite and positive, got {v}")
-        if not (math.isfinite(self.EJ) and self.EJ > 0):
-            raise UsageError(f"EJ = E*J must be finite and positive, got {self.EJ}")
+        if not (math.isfinite(E * J) and E * J > 0):
+            raise UsageError(f"EJ = E*J must be finite and positive, got {E * J}")
+        set_field(self, "L", L)
+        set_field(self, "E", E)
+        set_field(self, "J", J)
 
     @property
     def EJ(self) -> float:
@@ -66,8 +76,8 @@ class RodProperties:
         return cls(L=L, E=EJ, J=1.0)
 
 
-class LoadCase:
-    """Base of the load shapes: frozen dataclasses with one magnitude field.
+class LoadCase(Frozen):
+    """Base of the load shapes: immutable values with one magnitude field.
 
     Each shape defines its bending moment ``moment(x, L)``, the running
     moment integral ``H(x, L)`` (M integrated from x to L), the
@@ -79,20 +89,24 @@ class LoadCase:
     deflection quadrature rely on.
     """
 
+    __slots__ = ()
     bound: tuple[str, float, int, str]
 
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not math.isfinite(value):
-                raise UsageError(f"{name} must be finite, got {value}")
+    def _set_magnitude(self, name, value):
+        _real(name, value)
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")
+        set_field(self, name, value)
 
 
-@dataclass(frozen=True)
 class UniformLoad(LoadCase):
     """Distributed load q [N/m], positive downward."""
 
-    q: float
+    __slots__ = ("q",)
     bound = ("q < 6*EJ/L^3", 6.0, 3, "N/m")
+
+    def __init__(self, q: float):
+        self._set_magnitude("q", q)
 
     def moment(self, x, L):
         return -self.q * x ** 2 / 2.0
@@ -104,12 +118,14 @@ class UniformLoad(LoadCase):
         return self.q * (3.0 * L ** 4 - 4.0 * L ** 3 * x + x ** 4) / (24.0 * EJ)
 
 
-@dataclass(frozen=True)
 class TipShear(LoadCase):
     """Concentrated tip force P [N], positive downward."""
 
-    P: float
+    __slots__ = ("P",)
     bound = ("|P| < 2*EJ/L^2", 2.0, 2, "N")
+
+    def __init__(self, P: float):
+        self._set_magnitude("P", P)
 
     def moment(self, x, L):
         return -self.P * x
@@ -121,12 +137,14 @@ class TipShear(LoadCase):
         return self.P * (2.0 * L ** 3 - 3.0 * L ** 2 * x + x ** 3) / (6.0 * EJ)
 
 
-@dataclass(frozen=True)
 class TipMoment(LoadCase):
     """Concentrated tip couple M0 [N m]."""
 
-    M0: float
+    __slots__ = ("M0",)
     bound = ("|M0| < EJ/L", 1.0, 1, "N m")
+
+    def __init__(self, M0: float):
+        self._set_magnitude("M0", M0)
 
     def moment(self, x, L):
         return float(self.M0)
@@ -138,7 +156,6 @@ class TipMoment(LoadCase):
         return -self.M0 * (L - x) ** 2 / (2.0 * EJ)
 
 
-@dataclass(frozen=True)
 class BuiltInCombined(LoadCase):
     """Distributed load q with half of it equilibrated at the far support.
 
@@ -146,8 +163,11 @@ class BuiltInCombined(LoadCase):
     rod before its redundant end moment is applied.
     """
 
-    q: float
+    __slots__ = ("q",)
     bound = ("q < 12*EJ/L^3", 12.0, 3, "N/m")
+
+    def __init__(self, q: float):
+        self._set_magnitude("q", q)
 
     def moment(self, x, L):
         return -self.q * (L * x - x ** 2) / 2.0
@@ -160,7 +180,8 @@ class BuiltInCombined(LoadCase):
 
 
 def _position(x, rod: RodProperties) -> float:
-    """A position on the rod as a float; NaN and points off [0, L] are refused."""
+    """A position on the rod as a float; non-numbers, NaN and points off [0, L] are refused."""
+    _real("position x", x)
     x = float(x)
     if not 0.0 <= x <= rod.L:
         raise UsageError(f"position x={x} outside the rod [0, {rod.L}]")
@@ -194,8 +215,8 @@ def _require_feasible(load: LoadCase, rod: RodProperties) -> None:
     ulp; ``bound`` only words the message.
     """
     if abs(load.H(0.0, rod.L)) >= rod.EJ:
-        (name, magnitude), = load.__dict__.items()
-        text, k, p, unit = load.bound
+        name, = load.__slots__
+        magnitude, (text, k, p, unit) = getattr(load, name), load.bound
         raise InfeasibleLoadError(
             f"{name} = {magnitude:.6g} violates {text} = {k * rod.EJ / rod.L ** p:.6g} {unit}"
         )
@@ -238,18 +259,18 @@ def linearized_deflection(load: LoadCase, rod: RodProperties, x: float) -> float
     return load.linearized(_position(x, rod), rod.L, rod.EJ)
 
 
-@dataclass(frozen=True)
-class DeflectionProfile:
+class DeflectionProfile(Frozen):
     """Exact deflection curve sampled by quadrature."""
 
-    samples: tuple[tuple[float, float], ...]
+    __slots__ = ("samples",)
 
-    def __post_init__(self):
-        xs = [s[0] for s in self.samples]
+    def __init__(self, samples: tuple[tuple[float, float], ...]):
+        xs = [s[0] for s in samples]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise UsageError("sample positions must be strictly increasing")
-        if self.samples and abs(self.samples[-1][1]) > 1e-9:
-            raise UsageError(f"wall deflection must vanish, got y(L) = {self.samples[-1][1]}")
+        if samples and abs(samples[-1][1]) > 1e-9:
+            raise UsageError(f"wall deflection must vanish, got y(L) = {samples[-1][1]}")
+        set_field(self, "samples", samples)
 
 
 def deflection_profile(load: LoadCase, rod: RodProperties, n_points: int = 201,

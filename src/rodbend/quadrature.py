@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+from ._value import Frozen, set_field
 from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
 
 __all__ = ["IntegrandSpec", "integrate", "integrate_deflection"]
@@ -60,8 +60,7 @@ _KW = _WK[:0:-1] + _WK
 _GW = (0.0,) + tuple(v for w in _WG[:0:-1] + _WG for v in (w, 0.0))
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(Frozen):
     """One definite integral with tolerances and singularity hints.
 
     ``lo_exponent``/``hi_exponent`` declare that the integrand behaves like
@@ -71,23 +70,33 @@ class IntegrandSpec:
     ufuncs work too, since they accept and return scalars.
     """
 
-    f: Callable[[float], float]
-    lo: float
-    hi: float
-    lo_exponent: float | None = None
-    hi_exponent: float | None = None
-    rtol: float = 1e-10
-    atol: float = 1e-14
-    max_subdivisions: int = 4096
+    __slots__ = ("f", "lo", "hi", "lo_exponent", "hi_exponent", "rtol", "atol",
+                 "max_subdivisions")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise UsageError(f"empty or reversed interval [{self.lo}, {self.hi}]")
-        if not self.rtol > 0:
+    def __init__(self, f: Callable[[float], float], lo: float, hi: float,
+                 lo_exponent: float | None = None, hi_exponent: float | None = None,
+                 rtol: float = 1e-10, atol: float = 1e-14, max_subdivisions: int = 4096):
+        if not lo < hi:
+            raise UsageError(f"empty or reversed interval [{lo}, {hi}]")
+        if not rtol > 0:
             raise UsageError("rtol must be positive")
-        for name, p in (("lo_exponent", self.lo_exponent), ("hi_exponent", self.hi_exponent)):
+        if not math.isfinite(rtol):
+            raise UsageError(f"rtol must be finite, got {rtol}")
+        if not (math.isfinite(atol) and atol >= 0):
+            raise UsageError(f"atol must be finite and nonnegative, got {atol}")
+        if not max_subdivisions >= 1:
+            raise UsageError(f"max_subdivisions must be at least 1, got {max_subdivisions}")
+        for name, p in (("lo_exponent", lo_exponent), ("hi_exponent", hi_exponent)):
             if p is not None and not p > -1:
                 raise UsageError(f"{name}={p} is not integrable (need > -1)")
+        set_field(self, "f", f)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "lo_exponent", lo_exponent)
+        set_field(self, "hi_exponent", hi_exponent)
+        set_field(self, "rtol", rtol)
+        set_field(self, "atol", atol)
+        set_field(self, "max_subdivisions", max_subdivisions)
 
 
 def _panel(f, lo, hi):

@@ -18,10 +18,10 @@ tabulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Frozen, set_field
 from .elastica import BuiltInCombined, RodProperties, TipShear, UniformLoad, _require_feasible
 from .errors import BracketError, NearCriticalLoadError, UsageError
 from .quadrature import integrate_deflection
@@ -57,8 +57,7 @@ _KERNELS = {name: (float(p1), float(p2)) for name, (p1, p2) in _KERNEL_FRACTIONS
 _MAX_ORDER = 101
 
 
-@dataclass(frozen=True)
-class ConsistencyEquation:
+class ConsistencyEquation(Frozen):
     """Scaled form f(Y) = Z of a consistency condition.
 
     Y = X L^2/(2 EJ) is the scaled unknown; f is odd, strictly
@@ -66,9 +65,12 @@ class ConsistencyEquation:
     exactly one root for any admissible Z >= 0.
     """
 
-    kernel: str
-    rod: RodProperties
-    q: float
+    __slots__ = ("kernel", "rod", "q")
+
+    def __init__(self, kernel: str, rod: RodProperties, q: float):
+        set_field(self, "kernel", kernel)
+        set_field(self, "rod", rod)
+        set_field(self, "q", q)
 
     def lhs(self, Y: float, rtol: float = 1e-13) -> float:
         p1, p2 = _KERNELS[self.kernel]
@@ -80,17 +82,21 @@ class ConsistencyEquation:
         return (3.0 / 16.0) * w * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, w * w / 36.0, rtol=rtol)
 
 
-@dataclass(frozen=True)
-class RedundancySolution:
+class RedundancySolution(Frozen):
     """Redundant unknown with how it was obtained and how it converged."""
 
-    problem: str  # "roller" | "builtin"
-    method: str  # "linearized" | "series(n)" | "root_find" | "closed(...)"
-    X: float
-    units: str
-    residual: float | None
-    deviation_pct: float
-    trace: tuple[tuple[int, float], ...] = field(default_factory=tuple)
+    __slots__ = ("problem", "method", "X", "units", "residual", "deviation_pct", "trace")
+
+    def __init__(self, problem: str, method: str, X: float, units: str,
+                 residual: float | None, deviation_pct: float,
+                 trace: tuple[tuple[int, float], ...] = ()):
+        set_field(self, "problem", problem)  # "roller" | "builtin"
+        set_field(self, "method", method)  # linearized | series(n) | root_find | closed(...)
+        set_field(self, "X", X)
+        set_field(self, "units", units)
+        set_field(self, "residual", residual)
+        set_field(self, "deviation_pct", deviation_pct)
+        set_field(self, "trace", trace)
 
     def json_obj(self):
         return {

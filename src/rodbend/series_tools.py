@@ -15,31 +15,30 @@ reaction series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._value import Frozen, set_field
 from .errors import UsageError
 
 __all__ = ["PowerSeries", "identity_series", "compose", "lagrange_revert", "hyp3f2_taylor"]
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Frozen):
     """Coefficients indexed by power, valid through ``order`` inclusive."""
 
-    coefficients: tuple[Fraction, ...]
-    order: int
-    parity: str = "general"  # "odd" | "general"
+    __slots__ = ("coefficients", "order", "parity")
 
-    def __post_init__(self):
-        if self.parity not in ("odd", "general"):
-            raise UsageError(f"parity must be 'odd' or 'general', got {self.parity!r}")
-        if self.order < len(self.coefficients) - 1:
+    def __init__(self, coefficients: Sequence, order: int, parity: str = "general"):
+        if parity not in ("odd", "general"):
+            raise UsageError(f"parity must be 'odd' or 'general', got {parity!r}")
+        if order < len(coefficients) - 1:
             raise UsageError("truncation order below the highest stored power")
-        if self.parity == "odd" and any(c != 0 for c in self.coefficients[0::2]):
+        if parity == "odd" and any(c != 0 for c in coefficients[0::2]):
             raise UsageError("odd series has a nonzero even coefficient")
-        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in self.coefficients))
+        set_field(self, "coefficients", tuple(Fraction(c) for c in coefficients))
+        set_field(self, "order", order)
+        set_field(self, "parity", parity)  # "odd" | "general"
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence, order: int | None = None,

@@ -393,27 +393,41 @@ def _src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _packages_after(code, argv=()):
-    """Top-level packages in sys.modules of a fresh process after ``code``."""
-    probe = f"import sys\n{code}\nprint(' '.join(sorted({{m.split('.')[0] for m in sys.modules}})))"
+def _modules_after(code, argv=()):
+    """Full names of the modules in sys.modules of a fresh process after ``code``."""
+    probe = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe, *argv], env=_src_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     return set(result.stdout.split())
 
 
+def _packages_after(code, argv=()):
+    """Top-level packages in sys.modules of a fresh process after ``code``."""
+    return {m.split(".")[0] for m in _modules_after(code, argv)}
+
+
+def _modules_loaded(argv=None):
+    """Modules of a fresh process after ``import rodbend.cli`` and, when
+    ``argv`` is given, one ``main(argv)``."""
+    return _modules_after("import contextlib, io; import rodbend.cli\n"
+                          "if sys.argv[1:]:\n"
+                          "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                          "        assert rodbend.cli.main(sys.argv[1:]) == 0", argv or ())
+
+
 def _packages_loaded(argv=None):
-    """Top-level packages of a fresh process after ``import rodbend.cli``
-    and, when ``argv`` is given, one ``main(argv)``."""
-    return _packages_after("import contextlib, io; import rodbend.cli\n"
-                           "if sys.argv[1:]:\n"
-                           "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                           "        assert rodbend.cli.main(sys.argv[1:]) == 0", argv or ())
+    """Top-level packages of the same process as ``_modules_loaded``."""
+    return {m.split(".")[0] for m in _modules_loaded(argv)}
 
 
 @functools.lru_cache(maxsize=None)
-def _bare_packages():
+def _bare_modules():
     # what the interpreter loads before any code runs (site hooks included)
-    return frozenset(_packages_after("pass"))
+    return frozenset(_modules_after("pass"))
+
+
+def _bare_packages():
+    return frozenset(m.split(".")[0] for m in _bare_modules())
 
 
 def _third_party(packages):
@@ -461,3 +475,51 @@ def test_list_position_raises_without_loading_numpy():
              "        continue\n"
              "    raise SystemExit('a list position was accepted')")
     assert "numpy" not in _packages_after(probe)
+
+
+COMMANDS = {
+    "solve-roller": ["solve", "roller", *ROD_ARGS, "--q", "1000", "--method", "root-find"],
+    "solve-builtin-closed": ["solve", "builtin", *ROD_ARGS, "--q", "1000", "--method", "closed"],
+    "deflect-q": ["deflect", *ROD_ARGS, "--q", "1000"],
+    "deflect-P": ["deflect", *ROD_ARGS, "--P", "100", "--format", "csv"],
+    "deflect-M0": ["deflect", *ROD_ARGS, "--M0", "50"],
+    "table-roller": ["table", "roller", *ROD_ARGS, "--q", "1000", "--n", "5"],
+    "table-builtin": ["table", "builtin", *ROD_ARGS, "--q", "1000", "--n", "5"],
+    "eval-2f1": ["eval", "2f1", "0.5", "0.5", "1.5", "0.36"],
+    "eval-3f2": ["eval", "3f2", "0.5", "1", "1.5", "1.25", "1.75", "0.81"],
+    "eval-f1": ["eval", "f1", "0.5", "0.3", "0.7", "1.7", "0.4", "-0.6"],
+    "eval-fd3": ["eval", "fd3", "0.5", "0.3", "0.7", "0.2", "1.7", "0.4", "-0.6", "0.9"],
+    "eval-gauss-sum": ["eval", "gauss-sum", "0.5", "0.5", "2"],
+}
+
+
+def _rodbend_loads(argv):
+    """Modules that importing rodbend.cli and running ``argv`` add to a bare interpreter."""
+    return _modules_loaded(argv) - _bare_modules()
+
+
+def test_import_rodbend_loads_no_module_of_its_own():
+    loaded = _modules_after("import rodbend") - _bare_modules()
+    assert {m for m in loaded if m.startswith("rodbend")} == {"rodbend"}
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+@pytest.mark.parametrize("name", [None, *COMMANDS], ids=["import-cli", *COMMANDS])
+def test_no_command_loads_dataclasses_or_inspect(name):
+    # each costs about 10 ms of a cold start; the value classes need neither
+    assert not {"dataclasses", "inspect"} & _rodbend_loads(COMMANDS.get(name))
+
+
+@pytest.mark.parametrize("name", [n for n in COMMANDS if n.startswith("eval")])
+def test_eval_loads_only_the_special_functions(name):
+    loaded = _rodbend_loads(COMMANDS[name])
+    assert "rodbend.special_functions" in loaded
+    assert not {"rodbend.elastica", "rodbend.redundancy", "rodbend.series_tools",
+                "fractions"} & loaded
+
+
+@pytest.mark.parametrize("name", [n for n in COMMANDS if n.startswith("deflect")])
+def test_deflect_loads_no_series_code(name):
+    loaded = _rodbend_loads(COMMANDS[name])
+    assert "rodbend.elastica" in loaded
+    assert not {"rodbend.redundancy", "rodbend.series_tools"} & loaded

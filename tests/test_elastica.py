@@ -6,6 +6,7 @@ curvature integral; the two routes share no hypergeometric code.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +153,40 @@ def test_rod_ends_are_positions(name):
     # both ends are on the rod, also when given as ints
     for x in (0, 0.0, 1, ROD.L):
         assert math.isfinite(POSITION_FUNCTIONS[name](UniformLoad(1000.0), x))
+
+
+NOT_NUMBERS = ["0.5", b"0.5", True, False, None, 0.5j]
+NOT_NUMBER_IDS = ["str", "bytes", "True", "False", "None", "complex"]
+
+
+@pytest.mark.parametrize("x", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+@pytest.mark.parametrize("name", sorted(POSITION_FUNCTIONS))
+def test_positions_that_are_not_numbers_refused(name, x):
+    with pytest.raises(UsageError, match="position x must be a real number"):
+        POSITION_FUNCTIONS[name](UniformLoad(1000.0), x)
+
+
+@pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+@pytest.mark.parametrize("shape", sorted(BOUNDS, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_magnitudes_that_are_not_numbers_refused(shape, v):
+    with pytest.raises(UsageError, match="must be a real number"):
+        shape(v)
+
+
+@pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+@pytest.mark.parametrize("field", ["L", "E", "J"])
+def test_rod_dimensions_that_are_not_numbers_refused(field, v):
+    with pytest.raises(UsageError, match=f"{field} must be a real number"):
+        RodProperties(**{"L": 1.0, "E": 200.0, "J": 1.0, field: v})
+
+
+@pytest.mark.parametrize("v", [0.5, 1, np.float64(0.5), np.float32(0.5), Fraction(1, 2)],
+                         ids=["float", "int", "float64", "float32", "Fraction"])
+def test_real_number_types_pass(v):
+    # bending moment of q = 1000 N/m at x: -q x^2 / 2
+    assert bending_moment(UniformLoad(1000.0), v, ROD) == -1000.0 * float(v) ** 2 / 2.0
+    assert bending_moment(UniformLoad(v), 1.0, ROD) == -float(v) / 2.0
+    assert RodProperties(L=v, E=200.0, J=1.0).L == v
 
 
 # ---------------------------------------------------------------- feasibility

@@ -81,6 +81,27 @@ def test_nonpositive_rtol_rejected():
         IntegrandSpec(f=lambda x: x, lo=0.0, hi=1.0, rtol=0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(atol=math.nan), "atol must be finite and nonnegative"),
+    (dict(atol=math.inf), "atol must be finite and nonnegative"),
+    (dict(atol=-1.0), "atol must be finite and nonnegative"),
+    (dict(rtol=math.inf), "rtol must be finite"),
+    (dict(max_subdivisions=0), "max_subdivisions must be at least 1"),
+    (dict(max_subdivisions=-5), "max_subdivisions must be at least 1"),
+], ids=["atol-nan", "atol-inf", "atol-negative", "rtol-inf", "subdivisions-0",
+        "subdivisions-negative"])
+def test_nonsense_tolerances_rejected(kwargs, message):
+    # each of these used to integrate u^2 over [0, 1] as if nothing were wrong
+    with pytest.raises(UsageError, match=message):
+        IntegrandSpec(f=lambda u: u * u, lo=0.0, hi=1.0, **kwargs)
+
+
+def test_zero_atol_and_one_subdivision_accepted():
+    val, _ = integrate(IntegrandSpec(f=lambda u: u * u, lo=0.0, hi=1.0, atol=0.0,
+                                     max_subdivisions=1))
+    assert abs(val - 1.0 / 3.0) < 1e-15
+
+
 def test_undeclared_nonintegrable_singularity_raises():
     # 1/x on (0, 1] with no hint: either the endpoint panel sees inf or
     # the subdivision budget runs out; both are usage errors, not NaN
