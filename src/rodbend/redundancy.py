@@ -26,7 +26,7 @@ from .elastica import BuiltInCombined, RodProperties, TipShear, UniformLoad, _re
 from .errors import BracketError, NearCriticalLoadError, UsageError
 from .quadrature import integrate_deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import gauss_2f1, hyp_3f2
+from .special_functions import _ratio_block, _sum_ratios, gauss_2f1, hyp_3f2
 
 __all__ = [
     "RedundancySolution",
@@ -68,6 +68,8 @@ class ConsistencyEquation(Frozen):
     __slots__ = ("kernel", "rod", "q")
 
     def __init__(self, kernel: str, rod: RodProperties, q: float):
+        _check_kernel(kernel)
+        _check_load(UniformLoad(q), rod)
         set_field(self, "kernel", kernel)
         set_field(self, "rod", rod)
         set_field(self, "q", q)
@@ -142,24 +144,36 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     which makes the zero of the residual agree with the quadrature
     zero-displacement closure exactly. ``solve_roller`` calls it once,
     for the reported residual; its root finder evaluates the same
-    residual without the gates and with the load side summed once.
+    residual through ``_roller_residual``.
     """
     _check_kernel(kernel)
     _check_load(UniformLoad(q), rod)
     _require_feasible(TipShear(X), rod)
-    return _roller_residual(rod, q, kernel, rtol)[1](X)
-
-
-def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float = 1e-13):
-    """The load side 3Lq*F_load, summed once, and X -> load side - 8X*F_reaction."""
     L, EJ = rod.L, rod.EJ
     p1, p2 = _KERNELS[kernel]
     load_side = 3.0 * L * q * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0,
                                       L ** 6 * q ** 2 / (36.0 * EJ ** 2), rtol=rtol)
+    return load_side - 8.0 * X * hyp_3f2(0.5, 1.0, 1.5, p1, p2,
+                                         L ** 4 * X ** 2 / (4.0 * EJ ** 2), rtol=rtol)
+
+
+def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float = 1e-13):
+    """The load side 3Lq*F_load, summed once, and X -> load side - 8X*F_reaction.
+
+    The same sums as ``roller_consistency``, bit for bit, without its
+    gates and without hyp_3f2's checks: the caller has checked the load,
+    every X it probes lies inside the tip-shear bound, and the 3F2
+    parameters are fixed floats, so each sum goes straight to the loop.
+    """
+    L, EJ = rod.L, rod.EJ
+    p1, p2 = _KERNELS[kernel]
+    load_side = 3.0 * L * q * _sum_ratios(_ratio_block, (0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0),
+                                          L ** 6 * q ** 2 / (36.0 * EJ ** 2), rtol)
+    params = (0.5, 1.0, 1.5, p1, p2)
+    L4, den = L ** 4, 4.0 * EJ ** 2
 
     def residual(X):
-        return load_side - 8.0 * X * hyp_3f2(0.5, 1.0, 1.5, p1, p2,
-                                             L ** 4 * X ** 2 / (4.0 * EJ ** 2), rtol=rtol)
+        return load_side - 8.0 * X * _sum_ratios(_ratio_block, params, L4 * X ** 2 / den, rtol)
 
     return load_side, residual
 

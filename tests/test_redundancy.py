@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from rodbend import redundancy
+from rodbend import redundancy, special_functions
 from rodbend.elastica import RodProperties, tip_deflection_shear, tip_deflection_uniform
 from rodbend.errors import BracketError, InfeasibleLoadError, NearCriticalLoadError, UsageError
 from rodbend.redundancy import (
@@ -20,7 +20,6 @@ from rodbend.redundancy import (
     solve_roller,
     stabilized_from,
 )
-from rodbend.special_functions import hyp_3f2
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
 Q = 1000.0
@@ -60,6 +59,20 @@ def test_root_satisfies_scaled_equation():
     assert eq.lhs(y_root) == pytest.approx(eq.target(), rel=1e-11)
 
 
+def test_consistency_equation_refuses_an_unknown_kernel():
+    with pytest.raises(UsageError, match="kernel must be one of"):
+        ConsistencyEquation("nope", ROD, Q)
+
+
+def test_consistency_equation_refuses_a_load_the_rod_cannot_carry():
+    with pytest.raises(InfeasibleLoadError) as excinfo:
+        ConsistencyEquation("expansion", ROD, 1e9)
+    assert excinfo.type is InfeasibleLoadError
+    assert str(excinfo.value) == "q = 1e+09 violates q < 6*EJ/L^3 = 1200 N/m"
+    with pytest.raises(UsageError, match="q must be nonnegative"):
+        ConsistencyEquation("expansion", ROD, -1.0)
+
+
 # ------------------------------------------------------------- roller solver
 
 def test_roller_linearized_reaction():
@@ -86,14 +99,17 @@ def test_roller_root_displacement_kernel():
 
 def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     # at q = 1000 the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the
-    # solve sums goes through redundancy.hyp_3f2
+    # solve sums goes through the summation loop, which the root finder
+    # calls directly and roller_consistency through hyp_3f2
     args = []
+    loop = special_functions._sum_ratios
 
-    def counting(*a, **kw):
-        args.append(a[5])
-        return hyp_3f2(*a, **kw)
+    def counting(block, params, x, rtol):
+        args.append(x)
+        return loop(block, params, x, rtol)
 
-    monkeypatch.setattr(redundancy, "hyp_3f2", counting)
+    monkeypatch.setattr(special_functions, "_sum_ratios", counting)
+    monkeypatch.setattr(redundancy, "_sum_ratios", counting)
     solve_roller(ROD, Q, method="root_find")
     load_arg = ROD.L ** 6 * Q ** 2 / (36.0 * ROD.EJ ** 2)
     y_cap = 2.0 * ROD.EJ / ROD.L ** 2 * 0.999

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodbend import special_functions
 from rodbend.errors import DomainError, UsageError
@@ -592,3 +594,127 @@ def test_non_finite_input_rejected_before_summing(name, bad):
     for i in range(len(args)):
         with pytest.raises(UsageError, match="must be finite"):
             fn(*args[:i], bad, *args[i + 1:])
+
+
+# ------------------------------------------------------------- bad tolerance
+
+# one call per function that takes rtol; each ends at once whatever rtol is
+# (reduce_fd3_unit_arg has |x| > 1, so its F1 factor takes the integral)
+_RTOL_CALLS = {
+    "gauss_2f1": lambda rtol: gauss_2f1(0.5, 0.5, 1.5, 0.36, rtol=rtol),
+    "hyp_3f2": lambda rtol: hyp_3f2(0.5, 1.0, 1.5, 1.25, 1.75, 0.81, rtol=rtol),
+    "appell_f1": lambda rtol: appell_f1(2.0, 0.5, 0.5, 3.0, 0.1, 0.2, rtol=rtol),
+    "lauricella_fd3": lambda rtol: lauricella_fd3(0.5, (0.5, 0.5, 0.5), 2.0, (0.1, 0.2, 0.3),
+                                                  rtol=rtol),
+    "reduce_fd3_unit_arg": lambda rtol: reduce_fd3_unit_arg(0.5, 0.3, 0.3, 0.3, 1.5, -1.5, 0.1,
+                                                            rtol=rtol),
+    "reduce_f1_to_3f2": lambda rtol: reduce_f1_to_3f2(0.5, 0.3, 1.5, 0.4, rtol=rtol),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-13, math.inf, -math.inf],
+                         ids=["nan", "zero", "negative", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_RTOL_CALLS))
+def test_bad_tolerance_rejected_before_summing(name, bad):
+    call = _RTOL_CALLS[name]
+    call(1e-13)
+    with pytest.raises(UsageError) as excinfo:
+        call(bad)
+    assert str(excinfo.value) == f"tolerance must be finite and positive, got {bad}"
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf], ids=["zero", "inf"])
+@pytest.mark.parametrize("method", ["series", "integral"])
+def test_bad_tolerance_rejected_on_every_fd_route(method, bad):
+    # (a NaN or negative rtol kept the shell sum going to its cap of 10^5 shells)
+    with pytest.raises(UsageError, match="tolerance must be finite and positive"):
+        appell_f1(1.0, 0.5, 0.5, 2.0, 0.3, -0.2, method=method, rtol=bad)
+    with pytest.raises(UsageError, match="tolerance must be finite and positive"):
+        lauricella_fd3(1.0, (0.5, 0.5, 0.5), 2.0, (0.3, -0.2, 0.1), method=method, rtol=bad)
+
+
+# ------------------------------------------------------------- auto route
+
+# the Euler integral agrees with mpmath here (0.0134412754929980755...); the
+# shell series sums mixed-sign terms that grow before they fall, and ends
+# 2.6e-12 off although every shell passed the rtol test
+_CANCELLING_F1 = (3.626693539595829, 19.813230262329455, 11.539534347785853,
+                  4.346561089754035, -0.291118913172465, -0.0630040792495487)
+
+_AUTO_ROUTES = {
+    "F1 max|x| 0.3": (lambda: appell_f1(1.0, 0.5, 0.8, 2.0, 0.3, -0.2), "series"),
+    "F1 max|x| 0.6": (lambda: appell_f1(1.0, 0.5, 0.8, 2.0, 0.6, -0.2), "integral"),
+    "F1 max|x| 0.3 at rtol 1e-30": (
+        lambda: appell_f1(1.0, 0.5, 0.8, 2.0, 0.3, -0.2, rtol=1e-30), "integral"),
+    "F1 sum |b x| > 1": (lambda: appell_f1(1.0, 25.0, 0.5, 2.0, 0.05, 0.01), "integral"),
+    "F1 cancelling": (lambda: appell_f1(*_CANCELLING_F1), "integral"),
+    "F1 c <= a": (lambda: appell_f1(2.0, 0.5, 0.5, 1.5, 0.3, -0.2), "series"),
+    "F1 at the origin": (lambda: appell_f1(1.0, 0.5, 0.8, 2.0, 0.0, 0.0), "series"),
+    "FD3 max|x| 0.3": (lambda: lauricella_fd3(1.0, (0.5, 0.8, 0.3), 2.0, (0.3, -0.2, 0.1)),
+                       "series"),
+    "FD3 max|x| 0.6": (lambda: lauricella_fd3(1.0, (0.5, 0.8, 0.3), 2.0, (0.6, -0.2, 0.1)),
+                       "integral"),
+    "FD3 unit argument": (lambda: lauricella_fd3(0.5, (0.3, 0.3, 0.3), 1.5, (0.2, 0.1, 1.0)),
+                          "integral"),
+    "FD3 c <= a": (lambda: lauricella_fd3(2.0, (0.5, 0.8, 0.3), 1.5, (0.3, -0.2, 0.1)),
+                   "series"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AUTO_ROUTES))
+def test_auto_takes_the_cheaper_valid_route(monkeypatch, case):
+    taken = []
+    fd_series, irt_integral = special_functions._fd_series, special_functions._irt_integral
+
+    def series(*args, **kwargs):
+        taken.append("series")
+        return fd_series(*args, **kwargs)
+
+    def integral(*args, **kwargs):
+        taken.append("integral")
+        return irt_integral(*args, **kwargs)
+
+    monkeypatch.setattr(special_functions, "_fd_series", series)
+    monkeypatch.setattr(special_functions, "_irt_integral", integral)
+    call, route = _AUTO_ROUTES[case]
+    call()
+    assert taken == [route]
+
+
+def test_auto_refuses_the_cancelling_series():
+    via_series = appell_f1(*_CANCELLING_F1, method="series")
+    via_integral = appell_f1(*_CANCELLING_F1, method="integral")
+    assert rel_err(via_series, 0.0134412754929980755) > 1e-12
+    assert rel_err(via_integral, 0.0134412754929980755) < 1e-15
+    assert appell_f1(*_CANCELLING_F1).hex() == via_integral.hex()
+
+
+@st.composite
+def _fd_args(draw, n):
+    """a, b, c, x in the box a in [0.02, 5], c - a in [0.005, 5], b_i in
+    [-25, 25], |x_i| <= 0.45; half the draws scale b down so that
+    sum |b_i x_i| <= 1, where auto may take the series."""
+    a = draw(st.floats(0.02, 5.0))
+    c = a + draw(st.floats(0.005, 5.0))
+    b = draw(st.lists(st.floats(-25.0, 25.0), min_size=n, max_size=n))
+    x = draw(st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n))
+    weight = sum(abs(bi * xi) for bi, xi in zip(b, x))
+    if draw(st.booleans()) and weight > 1.0:
+        b = [bi * draw(st.floats(0.0, 1.0)) / weight for bi in b]
+    return a, b, c, x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fd_args(2))
+def test_f1_auto_stays_within_rtol_of_the_integral(args):
+    a, (b1, b2), c, (x1, x2) = args
+    via_integral = appell_f1(a, b1, b2, c, x1, x2, method="integral")
+    assert rel_err(appell_f1(a, b1, b2, c, x1, x2), via_integral) <= 1e-13
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fd_args(3))
+def test_fd3_auto_stays_within_rtol_of_the_integral(args):
+    a, b, c, x = args
+    via_integral = lauricella_fd3(a, b, c, x, method="integral")
+    assert rel_err(lauricella_fd3(a, b, c, x), via_integral) <= 1e-13
