@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -93,10 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_rtol(args) -> float:
-    rtol = args.rtol
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise UsageError(f"tolerance must be finite and positive, got {rtol}")
-    return rtol
+    from .special_functions import _check_rtol
+    _check_rtol(args.rtol)
+    return args.rtol
 
 
 def _resolve_rod(args):

@@ -26,7 +26,7 @@ from .elastica import BuiltInCombined, RodProperties, TipShear, UniformLoad, _re
 from .errors import BracketError, NearCriticalLoadError, UsageError
 from .quadrature import integrate_deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import _ratio_block, _sum_ratios, gauss_2f1, hyp_3f2
+from .special_functions import _check_rtol, _ratio_block, _sum_ratios, gauss_2f1, hyp_3f2
 
 __all__ = [
     "RedundancySolution",
@@ -41,16 +41,19 @@ __all__ = [
     "stabilized_from",
 ]
 
-# X-side 3F2 parameter pairs for the roller consistency equation.
-# "expansion" pairs the reaction side with the load-side parameters; the
-# reaction series and its published convergence behavior belong to this
-# kernel. "displacement" uses the tip-shear closed-form parameters, which
-# makes the equation the exact zero-displacement closure.
+# X-side 3F2 parameters (1/2, 1, 3/2; b1, b2) of the roller consistency
+# equation. "expansion" pairs the reaction side with the load-side
+# parameters, so its tuple is also the load side's; the reaction series
+# and its published convergence behavior belong to this kernel.
+# "displacement" uses the tip-shear closed-form parameters, which makes
+# the equation the exact zero-displacement closure.
+_UPPER = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 _KERNEL_FRACTIONS = {
-    "expansion": (Fraction(7, 6), Fraction(5, 3)),
-    "displacement": (Fraction(5, 4), Fraction(7, 4)),
+    "expansion": _UPPER + (Fraction(7, 6), Fraction(5, 3)),
+    "displacement": _UPPER + (Fraction(5, 4), Fraction(7, 4)),
 }
-_KERNELS = {name: (float(p1), float(p2)) for name, (p1, p2) in _KERNEL_FRACTIONS.items()}
+# the same tuples as floats, the parameters of every float 3F2 sum here
+_KERNELS = {name: tuple(float(p) for p in params) for name, params in _KERNEL_FRACTIONS.items()}
 
 # highest order of a reaction series, n_terms <= 50: the cold cost of a
 # build grows about as order^4, to 3.6 s for the roller series at 101
@@ -75,13 +78,12 @@ class ConsistencyEquation(Frozen):
         set_field(self, "q", q)
 
     def lhs(self, Y: float, rtol: float = 1e-13) -> float:
-        p1, p2 = _KERNELS[self.kernel]
-        return Y * hyp_3f2(0.5, 1.0, 1.5, p1, p2, Y * Y, rtol=rtol)
+        return Y * hyp_3f2(*_KERNELS[self.kernel], Y * Y, rtol=rtol)
 
     def target(self, rtol: float = 1e-13) -> float:
         L, EJ = self.rod.L, self.rod.EJ
         w = L ** 3 * self.q / EJ
-        return (3.0 / 16.0) * w * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, w * w / 36.0, rtol=rtol)
+        return (3.0 / 16.0) * w * hyp_3f2(*_KERNELS["expansion"], w * w / 36.0, rtol=rtol)
 
 
 class RedundancySolution(Frozen):
@@ -142,34 +144,29 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     kernel evaluates the reaction factor with the load-side parameter
     pair (7/6, 5/3); "displacement" uses the tip-shear pair (5/4, 7/4),
     which makes the zero of the residual agree with the quadrature
-    zero-displacement closure exactly. ``solve_roller`` calls it once,
-    for the reported residual; its root finder evaluates the same
-    residual through ``_roller_residual``.
+    zero-displacement closure exactly. It is the gates plus one call of
+    ``_roller_residual``, whose residual the root finder of
+    ``solve_roller`` evaluates too; ``solve_roller`` calls this function
+    once, for the reported residual.
     """
     _check_kernel(kernel)
     _check_load(UniformLoad(q), rod)
     _require_feasible(TipShear(X), rod)
-    L, EJ = rod.L, rod.EJ
-    p1, p2 = _KERNELS[kernel]
-    load_side = 3.0 * L * q * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0,
-                                      L ** 6 * q ** 2 / (36.0 * EJ ** 2), rtol=rtol)
-    return load_side - 8.0 * X * hyp_3f2(0.5, 1.0, 1.5, p1, p2,
-                                         L ** 4 * X ** 2 / (4.0 * EJ ** 2), rtol=rtol)
+    return _roller_residual(rod, q, kernel, rtol)[1](X)
 
 
 def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float = 1e-13):
     """The load side 3Lq*F_load, summed once, and X -> load side - 8X*F_reaction.
 
-    The same sums as ``roller_consistency``, bit for bit, without its
-    gates and without hyp_3f2's checks: the caller has checked the load,
-    every X it probes lies inside the tip-shear bound, and the 3F2
-    parameters are fixed floats, so each sum goes straight to the loop.
+    Checks rtol, but not the kernel, the load or X: the caller gates them.
+    The 3F2 parameters are fixed floats, so each sum goes straight to the
+    summation loop, which refuses an argument that rounds to 1 at once.
     """
+    _check_rtol(rtol)
     L, EJ = rod.L, rod.EJ
-    p1, p2 = _KERNELS[kernel]
-    load_side = 3.0 * L * q * _sum_ratios(_ratio_block, (0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0),
+    load_side = 3.0 * L * q * _sum_ratios(_ratio_block, _KERNELS["expansion"],
                                           L ** 6 * q ** 2 / (36.0 * EJ ** 2), rtol)
-    params = (0.5, 1.0, 1.5, p1, p2)
+    params = _KERNELS[kernel]
     L4, den = L ** 4, 4.0 * EJ ** 2
 
     def residual(X):
@@ -180,10 +177,8 @@ def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float = 1e
 
 @lru_cache(maxsize=32)
 def _roller_series_cached(order: int, kernel: str) -> PowerSeries:
-    p1, p2 = _KERNEL_FRACTIONS[kernel]
-    f = hyp3f2_taylor((Fraction(1, 2), Fraction(1), Fraction(3, 2), p1, p2), order)
-    z_raw = hyp3f2_taylor((Fraction(1, 2), Fraction(1), Fraction(3, 2),
-                           Fraction(7, 6), Fraction(5, 3)), order)
+    f = hyp3f2_taylor(_KERNEL_FRACTIONS[kernel], order)
+    z_raw = hyp3f2_taylor(_KERNEL_FRACTIONS["expansion"], order)
     # Z(w) = (3/16) w * F(w^2/36) = (9/8) * z_raw(w/6)
     z = PowerSeries(
         tuple(Fraction(9, 8) * c * Fraction(1, 6) ** k
@@ -247,8 +242,7 @@ def _series_trace(series: PowerSeries, w: float, scale: float, n_terms: int):
 
 def _find_roller_root(rod: RodProperties, q: float, kernel: str, rtol: float) -> float:
     # Solves roller_consistency = 0 on [0, min(1.1 * 3qL/8, 0.999 * 2EJ/L^2)]
-    # through the same residual, built once: the load side does not depend
-    # on X, so it is summed once, and the gates are skipped because
+    # through _roller_residual, built once, so the load side is summed once;
     # solve_roller has checked the load and every probe lies inside the
     # tip-shear bound. ``rtol`` is the secant stop; the 3F2 sums keep the
     # residual's default tolerance.
@@ -300,6 +294,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
     n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
     """
     _check_kernel(kernel)
+    _check_rtol(rtol)
     _check_load(UniformLoad(q), rod)
     L, EJ = rod.L, rod.EJ
     linearized = 3.0 * q * L / 8.0
@@ -431,6 +426,9 @@ def max_bending_stress_report(problem: str, solution: RedundancySolution,
     of either baseline. Built-in rod: the end sections carry the largest
     moment; end and midspan values are reported for both routes.
     """
+    if problem != solution.problem:
+        raise UsageError(f"problem {problem!r} does not match the solution's "
+                         f"problem {solution.problem!r}")
     L = rod.L
     X = solution.X
     if problem == "roller":

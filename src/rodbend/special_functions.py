@@ -131,9 +131,12 @@ def _sum_series(params: tuple, x: float, rtol: float) -> float:
 def _sum_ratios(block, params: tuple, x: float, rtol: float) -> float:
     """The loop of _sum_series, with the ratios read from ``block(params, start)``.
 
-    Callers that sum one all-float tuple many times, with x and rtol
-    already checked, pass _ratio_block and skip the checks.
+    Refuses |x| >= 1 before the first term. Callers that sum one all-float
+    tuple many times, with rtol already checked, pass _ratio_block and
+    skip the other checks.
     """
+    if not abs(x) < 1.0:
+        raise DomainError(f"{'2F1' if len(params) == 3 else '3F2'} series needs |x| < 1, got x={x}")
     partial = term = 1.0
     quiet = 0
     for start in range(0, _MAX_TERMS, _BLOCK):
@@ -167,8 +170,6 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
         if c > a + b:
             return gauss_summation(a, b, c)
         raise DomainError(f"2F1 diverges at x=1 unless c > a + b (c={c}, a+b={a + b})")
-    if abs(x) >= 1:
-        raise DomainError(f"2F1 series needs |x| < 1, got x={x}")
     return _sum_series((a, b, c), x, rtol)
 
 
@@ -200,8 +201,6 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
     _check_lower((b1, b2), "3F2")
     if x == 0.0:
         return 1.0
-    if abs(x) >= 1:
-        raise DomainError(f"3F2 series needs |x| < 1, got x={x}")
     return _sum_series((a1, a2, a3, b1, b2), x, rtol)
 
 
@@ -254,34 +253,60 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
               method: str = "auto", rtol: float = DEFAULT_RTOL) -> float:
-    """Appell F1(a; b1, b2; c; x1, x2).
+    """Appell F1(a; b1, b2; c; x1, x2), Lauricella's FD in two variables.
 
-    method "integral" uses the one-dimensional representation (needs
-    c > a > 0 and both arguments < 1); "series" sums the double series
-    by total-degree shells, as FD3 in two variables (needs |x1|, |x2| < 1);
-    "auto" takes the integral when it is valid and the series would cost
-    more than ``_SHELL_BUDGET`` shells or has |b1 x1| + |b2 x2| > 1, and
-    the series otherwise.
+    Routes as ``lauricella_fd3`` does and refuses a unit argument:
+    "integral" needs c > a > 0 and both arguments < 1, "series" (the
+    shell sum) needs |x1|, |x2| < 1, and "auto" takes the integral when it
+    is valid and the series would cost more than ``_SHELL_BUDGET`` shells
+    or has |b1 x1| + |b2 x2| > 1, the series otherwise.
     """
+    _check_fd_call("F1", method, rtol, a, b1, b2, c, x1, x2)
+    if x1 == 1.0 or x2 == 1.0:
+        raise DomainError(f"F1 is singular at a unit argument, got ({x1}, {x2})")
+    return _fd_route("F1", method, a, (b1, b2), c, (x1, x2), rtol)
+
+
+def _check_fd_call(name: str, method: str, rtol: float, *values: float) -> None:
+    """The usage checks of F1 and FD3: method, finite input, rtol."""
     if method not in ("auto", "integral", "series"):
         raise UsageError(f"unknown method {method!r}")
-    _check_finite("F1", a, b1, b2, c, x1, x2)
+    _check_finite(name, *values)
     _check_rtol(rtol)
-    integral_ok = c > a > 0 and x1 < 1 and x2 < 1
-    series_ok = abs(x1) < 1 and abs(x2) < 1
+
+
+def _fd_route(name: str, method: str, a: float, b: Sequence[float], c: float,
+              x: Sequence[float], rtol: float) -> float:
+    """An FD value in len(x) variables on the route ``method`` names, by the
+    rules ``lauricella_fd3`` states; ``name`` labels the domain errors."""
+    series_ok = all(abs(xi) < 1 for xi in x)
     if method == "auto":
-        cheap = series_ok and _series_is_cheaper((b1, b2), (x1, x2), rtol)
+        integral_ok = c > a > 0 and all(xi <= 1 for xi in x)
+        cheap = series_ok and _series_is_cheaper(b, x, rtol)
         method = "integral" if integral_ok and not cheap else "series"
+
     if method == "integral":
         if not c > a > 0:
-            raise DomainError(f"F1 integral path needs c > a > 0, got a={a}, c={c}")
-        if not (x1 < 1 and x2 < 1):
-            raise DomainError(f"F1 integrand singular: arguments ({x1}, {x2}) must be < 1")
-        return _irt_integral(a, c, [(b1, x1), (b2, x2)], rtol=min(rtol, _IRT_RTOL))
+            raise DomainError(f"{name} integral path needs c > a > 0, got a={a}, c={c}")
+        unit_b = 0.0
+        factors = []
+        for bi, xi in zip(b, x):
+            if xi > 1:
+                raise DomainError(f"{name} argument {xi} > 1 is outside the real domain")
+            if xi == 1.0:
+                unit_b += bi
+            else:
+                factors.append((bi, xi))
+        if unit_b and not c > a + unit_b:
+            raise DomainError(
+                f"unit argument needs c > a + b_i at the unit slots (c={c}, a+b={a + unit_b})"
+            )
+        return _irt_integral(a, c, factors, rtol=min(rtol, _IRT_RTOL), unit_b=unit_b)
+
     if not series_ok:
-        raise DomainError(f"F1 series needs |x1|, |x2| < 1, got ({x1}, {x2})")
-    _check_lower((c,), "F1")
-    return _fd_series("F1", a, (b1, b2), c, (x1, x2), rtol)
+        raise DomainError(f"{name} series needs all |x_i| < 1, got {x}")
+    _check_lower((c,), name)
+    return _fd_series(name, a, b, c, x, rtol)
 
 
 def _series_is_cheaper(b: Sequence[float], x: Sequence[float], rtol: float) -> bool:
@@ -353,39 +378,8 @@ def lauricella_fd3(a: float, b: Sequence[float], c: float, x: Sequence[float],
     x = tuple(float(v) for v in x)
     if len(b) != 3 or len(x) != 3:
         raise UsageError("FD3 takes exactly three b parameters and three arguments")
-    _check_finite("FD3", a, *b, c, *x)
-    _check_rtol(rtol)
-    if method not in ("auto", "integral", "series"):
-        raise UsageError(f"unknown method {method!r}")
-
-    series_ok = all(abs(xi) < 1 for xi in x)
-    if method == "auto":
-        integral_ok = c > a > 0 and all(xi <= 1 for xi in x)
-        cheap = series_ok and _series_is_cheaper(b, x, rtol)
-        method = "integral" if integral_ok and not cheap else "series"
-
-    if method == "integral":
-        if not c > a > 0:
-            raise DomainError(f"FD3 integral path needs c > a > 0, got a={a}, c={c}")
-        unit_b = 0.0
-        factors = []
-        for bi, xi in zip(b, x):
-            if xi > 1:
-                raise DomainError(f"FD3 argument {xi} > 1 is outside the real domain")
-            if xi == 1.0:
-                unit_b += bi
-            else:
-                factors.append((bi, xi))
-        if unit_b and not c > a + unit_b:
-            raise DomainError(
-                f"unit argument needs c > a + b_i at the unit slots (c={c}, a+b={a + unit_b})"
-            )
-        return _irt_integral(a, c, factors, rtol=min(rtol, _IRT_RTOL), unit_b=unit_b)
-
-    if not series_ok:
-        raise DomainError(f"FD3 series needs all |x_i| < 1, got {x}")
-    _check_lower((c,), "FD3")
-    return _fd_series("FD3", a, b, c, x, rtol)
+    _check_fd_call("FD3", method, rtol, a, *b, c, *x)
+    return _fd_route("FD3", method, a, b, c, x, rtol)
 
 
 def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,

@@ -2,13 +2,20 @@
 
 import math
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from rodbend import redundancy, special_functions
 from rodbend.elastica import RodProperties, tip_deflection_shear, tip_deflection_uniform
-from rodbend.errors import BracketError, InfeasibleLoadError, NearCriticalLoadError, UsageError
+from rodbend.errors import (
+    BracketError,
+    DomainError,
+    InfeasibleLoadError,
+    NearCriticalLoadError,
+    UsageError,
+)
 from rodbend.redundancy import (
     ConsistencyEquation,
     builtin_reaction_series,
@@ -99,8 +106,8 @@ def test_roller_root_displacement_kernel():
 
 def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     # at q = 1000 the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the
-    # solve sums goes through the summation loop, which the root finder
-    # calls directly and roller_consistency through hyp_3f2
+    # solve sums goes through the summation loop, which the root finder and
+    # roller_consistency both call through _roller_residual
     args = []
     loop = special_functions._sum_ratios
 
@@ -194,6 +201,18 @@ def test_builtin_series_coefficients_exact():
     assert s.coefficient(3) == F(11, 34560)
     assert s.coefficient(5) == F(77, 19906560)
     assert s.coefficient(7) == F(39877, 630639820800)
+
+
+@pytest.mark.parametrize("build", [roller_reaction_series, builtin_reaction_series])
+def test_reaction_series_radius_is_six(build):
+    # Domb-Sykes: the ratios r_k = a_k / a_(k-1) of the coefficients a_k of
+    # w^(2k+1) approach 1/R^2 linearly in 1/k, so 30 r_30 - 29 r_29 removes
+    # the 1/k term; w = 6 is the roller's critical load
+    s = build(61)
+    a = [s.coefficient(2 * k + 1) for k in range(31)]
+    r29, r30 = a[29] / a[28], a[30] / a[29]
+    radius = float(30 * r30 - 29 * r29) ** -0.5
+    assert abs(radius - 6.0) < 0.01
 
 
 def test_kernel_changes_cubic_coefficient_but_not_linear():
@@ -401,6 +420,33 @@ def test_near_critical_roller_load_fails_to_bracket():
         solve_roller(ROD, 1199.0, method="root_find")
 
 
+# loads the gate accepts whose 3F2 argument rounds to 1: the load side of
+# the first, the reaction side at the tip-shear bound of the second
+_EDGE_OF_THE_3F2_DOMAIN = {
+    "root_find, load side": lambda: solve_roller(
+        RodProperties.from_stiffness(1.3, 350.0), 955.8488848429675, "root_find"),
+    "roller_consistency, reaction side": lambda: roller_consistency(
+        RodProperties.from_stiffness(0.7, 50.0), 0.0, 204.08163265306123),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_OF_THE_3F2_DOMAIN))
+def test_edge_of_the_3f2_domain_refused_at_once(case):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=re.escape("3F2 series needs |x| < 1, got x=1.0")):
+        _EDGE_OF_THE_3F2_DOMAIN[case]()
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf],
+                         ids=["nan", "zero", "negative", "inf"])
+@pytest.mark.parametrize("method", ["linearized", "series", "root_find"])
+def test_solve_roller_refuses_a_bad_tolerance(method, bad):
+    with pytest.raises(UsageError) as excinfo:
+        solve_roller(ROD, Q, method=method, rtol=bad)
+    assert str(excinfo.value) == f"tolerance must be finite and positive, got {bad}"
+
+
 def test_unknown_method_and_kernel_rejected():
     with pytest.raises(UsageError):
         solve_roller(ROD, Q, method="newton")
@@ -478,6 +524,16 @@ def test_stress_report_rejects_unknown_problem():
     sol = solve_roller(ROD, Q, method="linearized")
     with pytest.raises(UsageError):
         max_bending_stress_report("arch", sol, ROD, Q)
+
+
+@pytest.mark.parametrize("problem, solve", [
+    ("roller", lambda: solve_builtin(ROD, Q, method="closed")),
+    ("builtin", lambda: solve_roller(ROD, Q, method="root_find")),
+], ids=["roller-report-of-builtin", "builtin-report-of-roller"])
+def test_stress_report_refuses_another_problems_solution(problem, solve):
+    sol = solve()
+    with pytest.raises(UsageError, match=f"does not match the solution's problem '{sol.problem}'"):
+        max_bending_stress_report(problem, sol, ROD, Q)
 
 
 def test_solution_json_schema():

@@ -681,6 +681,56 @@ def test_auto_takes_the_cheaper_valid_route(monkeypatch, case):
     assert taken == [route]
 
 
+# F1 and FD3 values on each route, as float.hex: the route choice, the
+# unit-slot folding and the domain checks that F1 and FD3 share must not
+# move a bit
+_FD_ROUTE_BITS = {
+    "F1 auto, series": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.2, -0.12),
+                        "0x1.0954d5f53eacbp+0"),
+    "F1 auto, integral": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, -0.4),
+                          "0x1.3631aa1ad0c4ep+0"),
+    "F1 series": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, -0.4, method="series"),
+                  "0x1.3631aa1ad0a99p+0"),
+    "F1 cancelling, auto": (lambda: appell_f1(*_CANCELLING_F1), "0x1.b871975458929p-7"),
+    "FD3 auto, unit argument": (
+        lambda: lauricella_fd3(0.5, (0.3, 0.3, 0.3), 1.5, (0.2, 0.1, 1.0)),
+        "0x1.4df62b7f2ddc4p+0"),
+    "FD3 auto, integral": (
+        lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.7, -0.4, 0.3)),
+        "0x1.5039245447ac8p+0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FD_ROUTE_BITS))
+def test_fd_route_bits_unchanged(case):
+    call, bits = _FD_ROUTE_BITS[case]
+    assert call().hex() == bits
+
+
+# F1 input -> error class; a usage error wins over a domain error
+_F1_ERRORS = {
+    "unit x1 on auto": ({"x1": 1.0}, DomainError),
+    "unit x1 on integral": ({"x1": 1.0, "method": "integral"}, DomainError),
+    "unit x1 on series": ({"x1": 1.0, "method": "series"}, DomainError),
+    "x1 = 1.5 on auto": ({"x1": 1.5}, DomainError),
+    "x1 = 1.5 on integral": ({"x1": 1.5, "method": "integral"}, DomainError),
+    "NaN with a unit x1": ({"x1": 1.0, "x2": math.nan}, UsageError),
+    "NaN with a unit x1 on integral": ({"x1": 1.0, "x2": math.nan, "method": "integral"},
+                                       UsageError),
+    "unknown method": ({"method": "quadrature"}, UsageError),
+    "unknown method with a unit x1": ({"x1": 1.0, "method": "quadrature"}, UsageError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_F1_ERRORS))
+def test_f1_error_classes(case):
+    kwargs, error = _F1_ERRORS[case]
+    args = {"x1": 0.3, "x2": -0.2, **kwargs}
+    with pytest.raises(error) as excinfo:
+        appell_f1(1.0, 0.5, 0.5, 2.0, **args)
+    assert type(excinfo.value) is error
+
+
 def test_auto_refuses_the_cancelling_series():
     via_series = appell_f1(*_CANCELLING_F1, method="series")
     via_integral = appell_f1(*_CANCELLING_F1, method="integral")
