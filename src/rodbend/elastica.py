@@ -7,8 +7,8 @@ magnitude; within that bound the exact deflection is
 
     y(x) = -int_x^L H(xi) / sqrt(EJ^2 - H^2(xi)) dxi,
 
-evaluated either by adaptive quadrature or, for the tip, by 3F2
-hypergeometric closed forms.
+evaluated either by adaptive quadrature or, for the tip, by the
+hypergeometric closed forms of the load shapes' ``tip`` kernels.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 
 from ._value import Frozen, set_field
-from .errors import InfeasibleLoadError, UsageError
+from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
 from .quadrature import integrate_deflection
-from .special_functions import hyp_3f2
+from .special_functions import gauss_2f1, hyp_3f2
 
 __all__ = [
     "RodProperties",
@@ -40,13 +40,19 @@ __all__ = [
 
 
 class _NotANumber(UsageError, TypeError):
-    """A bool or a value without ``__float__`` given as a number; a TypeError too, like float's."""
+    """A bool or a value of the wrong type given as a number; a TypeError too, like float's."""
 
 
 def _real(name, v):
     """Refuse ``v`` unless it converts to float as a number does (bools excluded)."""
     if type(v) is not float and (isinstance(v, bool) or not hasattr(type(v), "__float__")):
         raise _NotANumber(f"{name} must be a real number, got {v!r}")
+
+
+def _integer(name, v):
+    """Refuse ``v`` unless it is an integer (bools and integral floats excluded)."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise _NotANumber(f"{name} must be an integer, got {v!r}")
 
 
 class RodProperties(Frozen):
@@ -87,6 +93,11 @@ class LoadCase(Frozen):
     gate itself tests |H(0)|. That covers the whole rod only because |H|
     must not increase toward the wall, which the feasibility gate and the
     deflection quadrature rely on.
+
+    A shape with a hypergeometric tip closed form writes its kernel once,
+    as ``tip = (d, r, params)``: at magnitude m the tip deflection is
+    L^(p+1) m/(d EJ) * pFq(params; (m L^p/(r EJ))^2), p from ``bound``, with
+    the upper then lower parameters as (numerator, denominator) pairs.
     """
 
     __slots__ = ()
@@ -104,6 +115,7 @@ class UniformLoad(LoadCase):
 
     __slots__ = ("q",)
     bound = ("q < 6*EJ/L^3", 6.0, 3, "N/m")
+    tip = (8, 6, ((1, 2), (1, 1), (3, 2), (7, 6), (5, 3)))
 
     def __init__(self, q: float):
         self._set_magnitude("q", q)
@@ -123,6 +135,7 @@ class TipShear(LoadCase):
 
     __slots__ = ("P",)
     bound = ("|P| < 2*EJ/L^2", 2.0, 2, "N")
+    tip = (-3, 2, ((1, 2), (1, 1), (3, 2), (5, 4), (7, 4)))  # d < 0: X acts upward
 
     def __init__(self, P: float):
         self._set_magnitude("P", P)
@@ -165,6 +178,7 @@ class BuiltInCombined(LoadCase):
 
     __slots__ = ("q",)
     bound = ("q < 12*EJ/L^3", 12.0, 3, "N/m")
+    tip = (24, 6, ((1, 2), (2, 3), (5, 3)))  # the paper's 2F1 approximation; radius 6
 
     def __init__(self, q: float):
         self._set_magnitude("q", q)
@@ -177,6 +191,22 @@ class BuiltInCombined(LoadCase):
 
     def linearized(self, x, L, EJ):
         return self.q * (L - x) ** 3 * (L + x) / (24.0 * EJ)
+
+
+# each tip kernel in floats, built once: shape -> (d, r^2, p + 1, 2p, params)
+_TIP = {s: (float(s.tip[0]), float(s.tip[1] ** 2), s.bound[2] + 1, 2 * s.bound[2],
+            tuple(n / m for n, m in s.tip[2])) for s in (UniformLoad, TipShear, BuiltInCombined)}
+
+
+def _tip_closed_form(shape, m: float, rod: RodProperties, rtol: float, past_one=None) -> float:
+    """``shape``'s tip closed form at a gated magnitude m. Given ``past_one``, an
+    argument past 1 raises NearCriticalLoadError with the message ``past_one()``."""
+    (d, r2, p1, p2, params), L, EJ = _TIP[shape], rod.L, rod.EJ
+    x = L ** p2 * m ** 2 / (r2 * EJ ** 2)
+    if x > 1.0 and past_one is not None:
+        raise NearCriticalLoadError(past_one())
+    pfq = gauss_2f1 if len(params) == 3 else hyp_3f2
+    return (L ** p1 * m / (d * EJ)) * pfq(*params, x, rtol)
 
 
 def _position(x, rod: RodProperties) -> float:
@@ -225,9 +255,7 @@ def _require_feasible(load: LoadCase, rod: RodProperties) -> None:
 def tip_deflection_uniform(rod: RodProperties, q: float, rtol: float = 1e-13) -> float:
     """Exact tip deflection under a uniform load, by closed form."""
     _require_feasible(UniformLoad(q), rod)
-    L, EJ = rod.L, rod.EJ
-    arg = L ** 6 * q ** 2 / (36.0 * EJ ** 2)
-    return (L ** 4 * q / (8.0 * EJ)) * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, arg, rtol=rtol)
+    return _tip_closed_form(UniformLoad, q, rod, rtol)
 
 
 def tip_deflection_shear(rod: RodProperties, X: float, rtol: float = 1e-13) -> float:
@@ -237,9 +265,7 @@ def tip_deflection_shear(rod: RodProperties, X: float, rtol: float = 1e-13) -> f
     the tip, so the returned value is negative (upward).
     """
     _require_feasible(TipShear(X), rod)
-    L, EJ = rod.L, rod.EJ
-    arg = L ** 4 * X ** 2 / (4.0 * EJ ** 2)
-    return -(L ** 3 * X / (3.0 * EJ)) * hyp_3f2(0.5, 1.0, 1.5, 1.25, 1.75, arg, rtol=rtol)
+    return _tip_closed_form(TipShear, X, rod, rtol)
 
 
 def tip_deflection_moment(rod: RodProperties, X: float) -> float:
@@ -276,6 +302,7 @@ class DeflectionProfile(Frozen):
 def deflection_profile(load: LoadCase, rod: RodProperties, n_points: int = 201,
                        rtol: float = 1e-10) -> DeflectionProfile:
     """Sample the exact deflection curve on a uniform grid (default 201 points)."""
+    _integer("n_points", n_points)
     if n_points < 2:
         raise UsageError("need at least 2 grid points")
     L = float(rod.L)

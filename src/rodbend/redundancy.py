@@ -22,11 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Frozen, set_field
-from .elastica import BuiltInCombined, RodProperties, TipShear, UniformLoad, _require_feasible
+from .elastica import (_TIP, BuiltInCombined, RodProperties, TipShear, UniformLoad, _integer,
+                       _require_feasible, _tip_closed_form)
 from .errors import BracketError, NearCriticalLoadError, UsageError
 from .quadrature import integrate_deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import _check_rtol, _ratio_block, _sum_ratios, gauss_2f1, hyp_3f2
+from .special_functions import _check_rtol, _ratio_block, _sum_ratios, hyp_3f2
 
 __all__ = [
     "RedundancySolution",
@@ -41,19 +42,14 @@ __all__ = [
     "stabilized_from",
 ]
 
-# X-side 3F2 parameters (1/2, 1, 3/2; b1, b2) of the roller consistency
-# equation. "expansion" pairs the reaction side with the load-side
-# parameters, so its tuple is also the load side's; the reaction series
-# and its published convergence behavior belong to this kernel.
-# "displacement" uses the tip-shear closed-form parameters, which makes
-# the equation the exact zero-displacement closure.
-_UPPER = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
-_KERNEL_FRACTIONS = {
-    "expansion": _UPPER + (Fraction(7, 6), Fraction(5, 3)),
-    "displacement": _UPPER + (Fraction(5, 4), Fraction(7, 4)),
-}
+# The kernels of the roller consistency equation, by the load shape whose tip
+# parameters (1/2, 1, 3/2; b1, b2) its X side takes. "expansion" takes the load
+# side's, so one tuple serves both sides; the reaction series and its published
+# convergence behavior belong to it. "displacement" takes the tip shear's,
+# which makes the equation the exact zero-displacement closure.
+_KERNEL_SHAPES = {"expansion": UniformLoad, "displacement": TipShear}
 # the same tuples as floats, the parameters of every float 3F2 sum here
-_KERNELS = {name: tuple(float(p) for p in params) for name, params in _KERNEL_FRACTIONS.items()}
+_KERNELS = {name: _TIP[shape][4] for name, shape in _KERNEL_SHAPES.items()}
 
 # highest order of a reaction series, n_terms <= 50: the cold cost of a
 # build grows about as order^4, to 3.6 s for the roller series at 101
@@ -81,9 +77,9 @@ class ConsistencyEquation(Frozen):
         return Y * hyp_3f2(*_KERNELS[self.kernel], Y * Y, rtol=rtol)
 
     def target(self, rtol: float = 1e-13) -> float:
-        L, EJ = self.rod.L, self.rod.EJ
-        w = L ** 3 * self.q / EJ
-        return (3.0 / 16.0) * w * hyp_3f2(*_KERNELS["expansion"], w * w / 36.0, rtol=rtol)
+        w = self.rod.L ** 3 * self.q / self.rod.EJ
+        return (3.0 / 16.0) * w * hyp_3f2(*_KERNELS["expansion"], w * w / _TIP[UniformLoad][1],
+                                          rtol=rtol)
 
 
 class RedundancySolution(Frozen):
@@ -120,11 +116,13 @@ def _check_kernel(kernel: str) -> None:
 
 
 def _check_order(order: int) -> None:
+    _integer("series order", order)
     if not 1 <= order <= _MAX_ORDER:
         raise UsageError(f"series order must lie in [1, {_MAX_ORDER}], got {order}")
 
 
 def _check_n_terms(n_terms: int) -> None:
+    _integer("n_terms", n_terms)
     if not 0 <= n_terms <= _MAX_ORDER // 2:
         raise UsageError(f"n_terms must lie in [0, {_MAX_ORDER // 2}], got {n_terms}")
 
@@ -164,29 +162,32 @@ def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float = 1e
     """
     _check_rtol(rtol)
     L, EJ = rod.L, rod.EJ
-    load_side = 3.0 * L * q * _sum_ratios(_ratio_block, _KERNELS["expansion"],
-                                          L ** 6 * q ** 2 / (36.0 * EJ ** 2), rtol)
-    params = _KERNELS[kernel]
-    L4, den = L ** 4, 4.0 * EJ ** 2
+    (_, load_r2, _, load_p2, load_params), (_, r2, _, p2, _) = _TIP[UniformLoad], _TIP[TipShear]
+    load_side = 3.0 * L * q * _sum_ratios(_ratio_block, load_params,
+                                          L ** load_p2 * q ** 2 / (load_r2 * EJ ** 2), rtol)
+    params, Lp, den = _KERNELS[kernel], L ** p2, r2 * EJ ** 2
 
     def residual(X):
-        return load_side - 8.0 * X * _sum_ratios(_ratio_block, params, L4 * X ** 2 / den, rtol)
+        return load_side - 8.0 * X * _sum_ratios(_ratio_block, params, Lp * X ** 2 / den, rtol)
 
     return load_side, residual
 
 
+def _tip_series(d: int, r: int, params, order: int) -> PowerSeries:
+    """(w/d) pFq(params; (w/r)^2) exactly, a tip closed form over L in w = m L^p/EJ;
+    a 2F1 is padded to a 3F2 with a 1 above and below, which is exact in rationals only."""
+    a = [Fraction(n, m) for n, m in params]
+    u = hyp3f2_taylor(a[:2] + [1, 1] + a[2:] if len(a) == 3 else a, order).coefficients
+    return PowerSeries(tuple(Fraction(r, d) * c / r ** k for k, c in enumerate(u)), order, "odd")
+
+
 @lru_cache(maxsize=32)
 def _roller_series_cached(order: int, kernel: str) -> PowerSeries:
-    f = hyp3f2_taylor(_KERNEL_FRACTIONS[kernel], order)
-    z_raw = hyp3f2_taylor(_KERNEL_FRACTIONS["expansion"], order)
-    # Z(w) = (3/16) w * F(w^2/36) = (9/8) * z_raw(w/6)
-    z = PowerSeries(
-        tuple(Fraction(9, 8) * c * Fraction(1, 6) ** k
-              for k, c in enumerate(z_raw.coefficients)),
-        z_raw.order, "odd",
-    )
-    y_of_w = compose(lagrange_revert(f), z)
-    return PowerSeries(tuple(2 * c for c in y_of_w.coefficients), y_of_w.order, "odd")
+    # zero tip displacement: the reaction's tip series at v = X L^2/EJ, with the
+    # parameters of ``kernel``, equals the load's at w, so v(w) is its reversion at it
+    d, r, _ = TipShear.tip
+    reaction = _tip_series(-d, r, _KERNEL_SHAPES[kernel].tip[2], order)
+    return compose(lagrange_revert(reaction), _tip_series(*UniformLoad.tip, order))
 
 
 def roller_reaction_series(order: int = 19, kernel: str = "expansion") -> PowerSeries:
@@ -211,20 +212,10 @@ def builtin_reaction_series(order: int = 19) -> PowerSeries:
     closed map 2 phi/(1 + phi^2) with the tip-integral series phi(w).
     """
     _check_order(order)
-    # phi(w) = (w/24) 2F1(1/2, 2/3; 5/3; w^2/36) = (1/4) u(w/6)
-    u = hyp3f2_taylor((Fraction(1, 2), Fraction(2, 3), Fraction(1),
-                       Fraction(1), Fraction(5, 3)), order)
-    phi = PowerSeries(
-        tuple(Fraction(1, 4) * c * Fraction(1, 6) ** k
-              for k, c in enumerate(u.coefficients)),
-        u.order, "odd",
-    )
+    # phi(w) = I/L, the 2F1 approximation of the tip integral over L
+    phi = _tip_series(*BuiltInCombined.tip, order)
     # 2 t / (1 + t^2) = 2 sum (-1)^m t^(2m+1)
-    outer = PowerSeries(
-        tuple(Fraction(0) if k % 2 == 0 else Fraction(2 * (-1) ** ((k - 1) // 2))
-              for k in range(order + 1)),
-        order, "odd",
-    )
+    outer = PowerSeries(tuple(k % 2 * 2 * (-1) ** (k // 2) for k in range(order + 1)), order, "odd")
     return compose(outer, phi)
 
 
@@ -318,9 +309,15 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
 
 
 def _radius(rod: RodProperties, q: float, relation: str) -> str:
-    """Where the built-in 2F1-approximation routes stop: w = qL^3/EJ = 6."""
-    return (f"w = qL^3/EJ = 6 (q {relation} 6*EJ/L^3 = {6.0 * rod.EJ / rod.L ** 3:.6g} N/m), "
+    """Where the built-in 2F1-approximation routes stop: w = qL^3/EJ = r of its tip kernel, 6."""
+    r = BuiltInCombined.tip[1]
+    return (f"w = qL^3/EJ = {r} (q {relation} {r}*EJ/L^3 = {r * rod.EJ / rod.L ** 3:.6g} N/m), "
             f"got w = {rod.L ** 3 * q / rod.EJ:.6g}")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("quadrature", "hyp_approx"):
+        raise UsageError(f"mode must be 'quadrature' or 'hyp_approx', got {mode!r}")
 
 
 def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
@@ -333,22 +330,17 @@ def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
     NearCriticalLoadError past w = qL^3/EJ = 6, where its argument w^2/36
     passes 1.
     """
+    _check_mode(mode)
+    _check_rtol(rtol)
     _check_load(BuiltInCombined(q), rod)
     if q == 0.0:
         return 0.0
-    L, EJ = rod.L, rod.EJ
     if mode == "quadrature":
         return integrate_deflection(BuiltInCombined(q), rod, 0.0, rtol=rtol)
-    if mode == "hyp_approx":
-        arg = L ** 6 * q ** 2 / (36.0 * EJ ** 2)
-        if arg > 1.0:
-            raise NearCriticalLoadError(
-                f"the 2F1 approximation of the tip integral diverges past "
-                f"{_radius(rod, q, '>')}; use --method closed, whose tip integral "
-                f"is the exact quadrature"
-            )
-        return (L ** 4 * q / (24.0 * EJ)) * gauss_2f1(0.5, 2.0 / 3.0, 5.0 / 3.0, arg, rtol=rtol)
-    raise UsageError(f"mode must be 'quadrature' or 'hyp_approx', got {mode!r}")
+    return _tip_closed_form(BuiltInCombined, q, rod, rtol, lambda: (
+        f"the 2F1 approximation of the tip integral diverges past "
+        f"{_radius(rod, q, '>')}; use --method closed, whose tip integral "
+        f"is the exact quadrature"))
 
 
 def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
@@ -364,6 +356,8 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     ``n_terms`` is the largest series index k, so the series sums the
     n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
     """
+    _check_mode(integral_mode)
+    _check_rtol(rtol)
     _check_load(BuiltInCombined(q), rod)
     L, EJ = rod.L, rod.EJ
     linearized = q * L ** 2 / 12.0
@@ -373,7 +367,7 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     elif method == "series":
         _check_n_terms(n_terms)
         w = L ** 3 * q / EJ
-        if w >= 6.0:
+        if w >= BuiltInCombined.tip[1]:
             raise NearCriticalLoadError(
                 f"the built-in reaction series diverges at and past its radius "
                 f"{_radius(rod, q, '>=')}; use --method closed"

@@ -522,4 +522,5 @@ def test_eval_loads_only_the_special_functions(name):
 def test_deflect_loads_no_series_code(name):
     loaded = _rodbend_loads(COMMANDS[name])
     assert "rodbend.elastica" in loaded
-    assert not {"rodbend.redundancy", "rodbend.series_tools"} & loaded
+    # a cold ``import fractions`` costs milliseconds; only solve and table need it
+    assert not {"rodbend.redundancy", "rodbend.series_tools", "fractions"} & loaded

@@ -420,6 +420,14 @@ def test_profile_grid_is_numpy_linspace(L, n):
     assert [x for x, _ in prof.samples] == np.linspace(0.0, L, n).tolist()
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_profile_refuses_a_non_integer_point_count(n):
+    with pytest.raises(UsageError, match=re.escape(f"n_points must be an integer, got {n!r}")) \
+            as excinfo:
+        deflection_profile(UniformLoad(10.0), ROD, n_points=n)
+    assert isinstance(excinfo.value, TypeError)
+
+
 def test_profile_wall_slope_vanishes():
     h = 1e-5
     for load in (UniformLoad(1000.0), TipShear(300.0), TipMoment(80.0)):

@@ -80,6 +80,39 @@ def test_consistency_equation_refuses_a_load_the_rod_cannot_carry():
         ConsistencyEquation("expansion", ROD, -1.0)
 
 
+# ------------------------------------------------------------ tip-kernel bits
+
+# float.hex of the tip closed forms at (L, EJ) and a fraction f of each
+# bound: q = f * (6 EJ/L^3), the uniform bound and the radius of the 2F1
+# approximation, and X = f * (2 EJ/L^2), the tip-shear bound. Columns:
+# tip_deflection_uniform(q), tip_deflection_shear(X),
+# builtin_tip_integral(q, "hyp_approx"), ConsistencyEquation target(q).
+_TIP_KERNEL_BITS = {
+    (1.0, 200.0, 0.1): ("0x1.3464859463f0ap-4", "-0x1.1202344aae258p-4",
+                        "0x1.9a6c4de29cd4cp-6", "0x1.ce96c85e95e8ep-4"),
+    (1.0, 200.0, 0.6): ("0x1.10c00e6ac5e5ep-1", "-0x1.db2e188c4440ap-2",
+                        "0x1.4e2455a151c43p-3", "0x1.992015a028d8ep-1"),
+    (1.0, 200.0, 0.95): ("0x1.9812f9679adc3p+0", "-0x1.3ed8242b4afc8p+0",
+                         "0x1.5381573cc23c4p-2", "0x1.320e3b0db4254p+1"),
+    (1.3, 350.0, 0.1): ("0x1.90e9140db51f5p-4", "-0x1.643610c77bfdbp-4",
+                        "0x1.0ac665d34c572p-5", "0x1.ce96c85e95e8ep-4"),
+    (1.3, 350.0, 0.6): ("0x1.629345f13477ap-1", "-0x1.34ddf65b2c5d2p-1",
+                        "0x1.b2626f51b718ap-3", "0x1.992015a028d8ap-1"),
+    (1.3, 350.0, 0.95): ("0x1.093f888357dbfp+1", "-0x1.9e7f623847e19p+0",
+                         "0x1.b95b57cefc819p-2", "0x1.320e3b0db4251p+1"),
+}
+
+
+@pytest.mark.parametrize("L, EJ, f", sorted(_TIP_KERNEL_BITS), ids=str)
+def test_tip_kernel_bits_are_pinned(L, EJ, f):
+    rod = RodProperties.from_stiffness(L, EJ)
+    q, X = f * (6.0 * EJ / L ** 3), f * (2.0 * EJ / L ** 2)
+    got = (tip_deflection_uniform(rod, q).hex(), tip_deflection_shear(rod, X).hex(),
+           builtin_tip_integral(rod, q, mode="hyp_approx").hex(),
+           ConsistencyEquation("expansion", rod, q).target().hex())
+    assert got == _TIP_KERNEL_BITS[L, EJ, f]
+
+
 # ------------------------------------------------------------- roller solver
 
 def test_roller_linearized_reaction():
@@ -447,6 +480,38 @@ def test_solve_roller_refuses_a_bad_tolerance(method, bad):
     assert str(excinfo.value) == f"tolerance must be finite and positive, got {bad}"
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf],
+                         ids=["nan", "zero", "negative", "inf"])
+@pytest.mark.parametrize("q", [Q, 0.0], ids=["loaded", "unloaded"])
+@pytest.mark.parametrize("call", [
+    lambda q, rtol: solve_builtin(ROD, q, "linearized", rtol=rtol),
+    lambda q, rtol: solve_builtin(ROD, q, "series", rtol=rtol),
+    lambda q, rtol: solve_builtin(ROD, q, "closed", rtol=rtol),
+    lambda q, rtol: solve_builtin(ROD, q, "closed", integral_mode="hyp_approx", rtol=rtol),
+    lambda q, rtol: builtin_tip_integral(ROD, q, rtol=rtol),
+    lambda q, rtol: builtin_tip_integral(ROD, q, mode="hyp_approx", rtol=rtol),
+], ids=["linearized", "series", "closed", "closed-hyp_approx", "integral-quadrature",
+        "integral-hyp_approx"])
+def test_builtin_refuses_a_bad_tolerance(call, q, bad):
+    with pytest.raises(UsageError) as excinfo:
+        call(q, bad)
+    assert str(excinfo.value) == f"tolerance must be finite and positive, got {bad}"
+
+
+@pytest.mark.parametrize("q", [Q, 0.0], ids=["loaded", "unloaded"])
+@pytest.mark.parametrize("call", [
+    lambda q: solve_builtin(ROD, q, "linearized", integral_mode="bogus"),
+    lambda q: solve_builtin(ROD, q, "series", integral_mode="bogus"),
+    lambda q: solve_builtin(ROD, q, "closed", integral_mode="bogus"),
+    lambda q: builtin_tip_integral(ROD, q, mode="bogus"),
+    lambda q: builtin_tip_integral(ROD, q, mode="bogus", rtol=-1.0),
+], ids=["linearized", "series", "closed", "integral", "integral-bad-rtol"])
+def test_builtin_refuses_an_unknown_integral_mode(call, q):
+    with pytest.raises(UsageError, match=re.escape(
+            "mode must be 'quadrature' or 'hyp_approx', got 'bogus'")):
+        call(q)
+
+
 def test_unknown_method_and_kernel_rejected():
     with pytest.raises(UsageError):
         solve_roller(ROD, Q, method="newton")
@@ -472,6 +537,8 @@ def test_series_order_validation():
         builtin_reaction_series(order=0)
     with pytest.raises(UsageError):
         solve_roller(ROD, Q, method="series", n_terms=-1)
+    with pytest.raises(UsageError):
+        solve_builtin(ROD, Q, method="series", n_terms=-1)
 
 
 def test_series_order_is_bounded(monkeypatch):
@@ -487,6 +554,20 @@ def test_series_order_is_bounded(monkeypatch):
     for solve in (solve_roller, solve_builtin):
         with pytest.raises(UsageError, match=re.escape("[0, 50], got 51")):
             solve(ROD, Q, method="series", n_terms=51)
+    # a bool or a non-integer is refused as a usage error that is also a
+    # TypeError, before any coefficient is built
+    for build in (roller_reaction_series, builtin_reaction_series):
+        for bad in (3.5, 3.0, True):
+            with pytest.raises(UsageError, match=re.escape(
+                    f"series order must be an integer, got {bad!r}")) as excinfo:
+                build(bad)
+            assert isinstance(excinfo.value, TypeError)
+    for solve in (solve_roller, solve_builtin):
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(UsageError, match=re.escape(
+                    f"n_terms must be an integer, got {bad!r}")) as excinfo:
+                solve(ROD, 500.0, method="series", n_terms=bad)
+            assert isinstance(excinfo.value, TypeError)
 
 
 # -------------------------------------------------------------------- reports
