@@ -19,7 +19,7 @@ q = 1000.0
 
 print("=== propped cantilever (roller) ===")
 sol = solve_roller(rod, q, method="root_find")
-rep = max_bending_stress_report("roller", sol, rod, q)
+rep = max_bending_stress_report(sol)
 print(f"linearized: peak {rep['M_max_linearized_Nm']:.4f} N m "
       f"at x = {rep['x_peak_linearized_m']:.4f} m")
 print(f"exact     : peak {rep['M_max_nonlinear_Nm']:.4f} N m "
@@ -29,7 +29,7 @@ print(f"the linearized design overestimates the peak edge stress by "
 
 print("\n=== doubly built-in rod ===")
 sol_b = solve_builtin(rod, q, method="closed", integral_mode="quadrature")
-rep_b = max_bending_stress_report("builtin", sol_b, rod, q)
+rep_b = max_bending_stress_report(sol_b)
 print(f"end moment     : linearized {rep_b['M_end_linearized_Nm']:.4f}, "
       f"exact {rep_b['M_end_nonlinear_Nm']:.4f} N m")
 print(f"midspan moment : linearized {rep_b['M_midspan_linearized_Nm']:.4f}, "

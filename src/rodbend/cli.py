@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import BracketError, DomainError, InfeasibleLoadError, UsageError
+from .errors import BracketError, DomainError, InfeasibleLoadError, UsageError, _check_rtol
 
 _HEADER = f"# rodbend {__version__}"
 
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_rtol(args) -> float:
-    from .special_functions import _check_rtol
     _check_rtol(args.rtol)
     return args.rtol
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from ._value import Frozen, set_field
-from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
+from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _integer, _real
 from .quadrature import integrate_deflection
 from .special_functions import gauss_2f1, hyp_3f2
 
@@ -37,22 +37,6 @@ __all__ = [
     "linearized_deflection",
     "deflection_profile",
 ]
-
-
-class _NotANumber(UsageError, TypeError):
-    """A bool or a value of the wrong type given as a number; a TypeError too, like float's."""
-
-
-def _real(name, v):
-    """Refuse ``v`` unless it converts to float as a number does (bools excluded)."""
-    if type(v) is not float and (isinstance(v, bool) or not hasattr(type(v), "__float__")):
-        raise _NotANumber(f"{name} must be a real number, got {v!r}")
-
-
-def _integer(name, v):
-    """Refuse ``v`` unless it is an integer (bools and integral floats excluded)."""
-    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-        raise _NotANumber(f"{name} must be an integer, got {v!r}")
 
 
 class RodProperties(Frozen):

@@ -19,7 +19,7 @@ import math
 from typing import Callable
 
 from ._value import Frozen, set_field
-from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
+from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _check_rtol, _real
 
 __all__ = ["IntegrandSpec", "integrate", "integrate_deflection"]
 
@@ -78,10 +78,7 @@ class IntegrandSpec(Frozen):
                  rtol: float = 1e-10, atol: float = 1e-14, max_subdivisions: int = 4096):
         if not lo < hi:
             raise UsageError(f"empty or reversed interval [{lo}, {hi}]")
-        if not rtol > 0:
-            raise UsageError("rtol must be positive")
-        if not math.isfinite(rtol):
-            raise UsageError(f"rtol must be finite, got {rtol}")
+        _check_rtol(rtol)
         if not (math.isfinite(atol) and atol >= 0):
             raise UsageError(f"atol must be finite and nonnegative, got {atol}")
         if not max_subdivisions >= 1:
@@ -216,6 +213,7 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10) -> float:
     the integrand is numerically intractable.
     """
     L = rod.L
+    _real("position x", x)
     if not 0.0 <= x <= L:
         raise UsageError(f"position x={x} outside the rod [0, {L}]")
     if x == L:

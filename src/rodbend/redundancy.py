@@ -22,12 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Frozen, set_field
-from .elastica import (_TIP, BuiltInCombined, RodProperties, TipShear, UniformLoad, _integer,
+from .elastica import (_TIP, BuiltInCombined, RodProperties, TipShear, UniformLoad,
                        _require_feasible, _tip_closed_form)
-from .errors import BracketError, NearCriticalLoadError, UsageError
+from .errors import BracketError, NearCriticalLoadError, UsageError, _check_rtol, _integer
 from .quadrature import integrate_deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import _check_rtol, _ratio_block, _sum_ratios, hyp_3f2
+from .special_functions import _ratio_block, _sum_ratios, hyp_3f2
 
 __all__ = [
     "RedundancySolution",
@@ -85,12 +85,15 @@ class ConsistencyEquation(Frozen):
 class RedundancySolution(Frozen):
     """Redundant unknown with how it was obtained and how it converged."""
 
-    __slots__ = ("problem", "method", "X", "units", "residual", "deviation_pct", "trace")
+    __slots__ = ("problem", "rod", "q", "method", "X", "units", "residual", "deviation_pct",
+                 "trace")
 
-    def __init__(self, problem: str, method: str, X: float, units: str,
-                 residual: float | None, deviation_pct: float,
+    def __init__(self, problem: str, rod: RodProperties, q: float, method: str, X: float,
+                 units: str, residual: float | None, deviation_pct: float,
                  trace: tuple[tuple[int, float], ...] = ()):
         set_field(self, "problem", problem)  # "roller" | "builtin"
+        set_field(self, "rod", rod)
+        set_field(self, "q", q)
         set_field(self, "method", method)  # linearized | series(n) | root_find | closed(...)
         set_field(self, "X", X)
         set_field(self, "units", units)
@@ -143,9 +146,9 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     pair (7/6, 5/3); "displacement" uses the tip-shear pair (5/4, 7/4),
     which makes the zero of the residual agree with the quadrature
     zero-displacement closure exactly. It is the gates plus one call of
-    ``_roller_residual``, whose residual the root finder of
-    ``solve_roller`` evaluates too; ``solve_roller`` calls this function
-    once, for the reported residual.
+    ``_roller_residual``, whose residual ``solve_roller`` builds once for
+    its root finder and its reported residual; ``solve_roller`` does not
+    call this function.
     """
     _check_kernel(kernel)
     _check_load(UniformLoad(q), rod)
@@ -231,16 +234,16 @@ def _series_trace(series: PowerSeries, w: float, scale: float, n_terms: int):
     return trace
 
 
-def _find_roller_root(rod: RodProperties, q: float, kernel: str, rtol: float) -> float:
+def _find_roller_root(rod: RodProperties, q: float, load_side: float, residual,
+                      rtol: float) -> float:
     # Solves roller_consistency = 0 on [0, min(1.1 * 3qL/8, 0.999 * 2EJ/L^2)]
-    # through _roller_residual, built once, so the load side is summed once;
+    # through solve_roller's _roller_residual, so the load side is summed once;
     # solve_roller has checked the load and every probe lies inside the
     # tip-shear bound. ``rtol`` is the secant stop; the 3F2 sums keep the
     # residual's default tolerance.
     if q == 0.0:
         return 0.0
     L, EJ = rod.L, rod.EJ
-    load_side, residual = _roller_residual(rod, q, kernel)
     y_cap = 2.0 * EJ / L ** 2 * 0.999
     lo, hi = 0.0, min(1.1 * 3.0 * q * L / 8.0, y_cap)
     # the residual at X = 0 is the load side; the one at the top is summed
@@ -287,25 +290,27 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
     _check_kernel(kernel)
     _check_rtol(rtol)
     _check_load(UniformLoad(q), rod)
+    if method == "series":
+        _check_n_terms(n_terms)
+    elif method not in ("linearized", "root_find"):
+        raise UsageError(f"method must be linearized, series or root_find, got {method!r}")
     L, EJ = rod.L, rod.EJ
     linearized = 3.0 * q * L / 8.0
+    load_side, residual = _roller_residual(rod, q, kernel)
 
     if method == "linearized":
         X, trace, label = linearized, (), "linearized"
     elif method == "series":
-        _check_n_terms(n_terms)
         series = roller_reaction_series(2 * n_terms + 1, kernel=kernel)
         trace = tuple(_series_trace(series, L ** 3 * q / EJ, EJ / L ** 2, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
-    elif method == "root_find":
-        X, trace, label = _find_roller_root(rod, q, kernel, rtol), (), "root_find"
     else:
-        raise UsageError(f"method must be linearized, series or root_find, got {method!r}")
+        X, trace, label = _find_roller_root(rod, q, load_side, residual, rtol), (), "root_find"
 
-    residual = roller_consistency(rod, q, X, kernel=kernel)
+    _require_feasible(TipShear(X), rod)
     deviation = 0.0 if X == 0.0 else (linearized - X) / X * 100.0
-    return RedundancySolution(problem="roller", method=label, X=X, units="N",
-                              residual=residual, deviation_pct=deviation, trace=trace)
+    return RedundancySolution(problem="roller", rod=rod, q=q, method=label, X=X, units="N",
+                              residual=residual(X), deviation_pct=deviation, trace=trace)
 
 
 def _radius(rod: RodProperties, q: float, relation: str) -> str:
@@ -383,7 +388,7 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
         raise UsageError(f"method must be linearized, series or closed, got {method!r}")
 
     deviation = 0.0 if X == 0.0 else (linearized - X) / X * 100.0
-    return RedundancySolution(problem="builtin", method=label, X=X, units="N m",
+    return RedundancySolution(problem="builtin", rod=rod, q=q, method=label, X=X, units="N m",
                               residual=None, deviation_pct=deviation, trace=trace)
 
 
@@ -411,8 +416,7 @@ def stabilized_from(trace, tol: float = 1e-4) -> int | None:
     return stable_from
 
 
-def max_bending_stress_report(problem: str, solution: RedundancySolution,
-                              rod: RodProperties, q: float) -> dict:
+def max_bending_stress_report(solution: RedundancySolution) -> dict:
     """Highest bending moment of the solved configuration vs the linearized one.
 
     Roller: the moment peaks at x = X/q with value X^2/(2q); the report
@@ -420,11 +424,7 @@ def max_bending_stress_report(problem: str, solution: RedundancySolution,
     of either baseline. Built-in rod: the end sections carry the largest
     moment; end and midspan values are reported for both routes.
     """
-    if problem != solution.problem:
-        raise UsageError(f"problem {problem!r} does not match the solution's "
-                         f"problem {solution.problem!r}")
-    L = rod.L
-    X = solution.X
+    problem, L, q, X = solution.problem, solution.rod.L, solution.q, solution.X
     if problem == "roller":
         x_lin = 3.0 * q * L / 8.0
         if q == 0.0:

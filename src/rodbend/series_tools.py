@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._value import Frozen, set_field
-from .errors import UsageError
+from .errors import UsageError, _integer
 
 __all__ = ["PowerSeries", "identity_series", "compose", "lagrange_revert", "hyp3f2_taylor"]
 
@@ -30,6 +30,7 @@ class PowerSeries(Frozen):
     __slots__ = ("coefficients", "order", "parity")
 
     def __init__(self, coefficients: Sequence, order: int, parity: str = "general"):
+        _integer("order", order)
         if parity not in ("odd", "general"):
             raise UsageError(f"parity must be 'odd' or 'general', got {parity!r}")
         if order < len(coefficients) - 1:
@@ -76,6 +77,7 @@ class PowerSeries(Frozen):
 
 
 def identity_series(order: int, parity: str = "odd") -> PowerSeries:
+    _integer("order", order)
     coeffs = [Fraction(0)] * (order + 1)
     if order >= 1:
         coeffs[1] = Fraction(1)
@@ -151,6 +153,7 @@ def hyp3f2_taylor(params: Sequence, order: int) -> PowerSeries:
     ``params`` is (a1, a2, a3, b1, b2); exact rationals are preserved.
     f(Y) = Y * 3F2(a1, a2, a3; b1, b2; Y^2) truncated at ``order``.
     """
+    _integer("order", order)
     if order < 1:
         raise UsageError("order must be at least 1")
     a1, a2, a3, b1, b2 = (Fraction(p) for p in params)

@@ -26,7 +26,7 @@ import functools
 import math
 from typing import Sequence
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _check_rtol, _integer
 from .quadrature import _adaptive
 
 __all__ = [
@@ -84,11 +84,6 @@ def _check_finite(where: str, *values: float) -> None:
             raise UsageError(f"{where}: parameters and arguments must be finite, got {v}")
 
 
-def _check_rtol(rtol: float) -> None:
-    if not 0.0 < rtol < math.inf:
-        raise UsageError(f"tolerance must be finite and positive, got {rtol}")
-
-
 def _check_lower(params: Sequence[float], where: str) -> None:
     for b in params:
         if _is_nonpositive_integer(b):
@@ -101,10 +96,11 @@ def pochhammer(lam, n: int):
     Exact for int/Fraction input, float otherwise; huge n may overflow
     to inf for float input, which is accepted.
     """
-    if n < 0 or n != int(n):
+    _integer("pochhammer order", n)
+    if n < 0:
         raise UsageError(f"pochhammer order must be a nonnegative integer, got {n}")
     result = lam ** 0  # 1 in the arithmetic of lam's type
-    for k in range(int(n)):
+    for k in range(n):
         result = result * (lam + k)
     return result
 

@@ -256,7 +256,7 @@ def test_criterion_8_stiffness_dependence():
 
 def test_criterion_9_max_moment_report():
     sol = solve_roller(ROD, Q, method="root_find")
-    rep = max_bending_stress_report("roller", sol, ROD, Q)
+    rep = max_bending_stress_report(sol)
     m_lin = rep["M_max_linearized_Nm"]
     drop = rep["stress_drop_pct_of_nonlinear"]
     ok = m_lin == 70.3125 and abs(drop - 16.0) <= 2.0

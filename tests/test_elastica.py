@@ -136,6 +136,7 @@ POSITION_FUNCTIONS = {
     "bending_moment": lambda load, x: bending_moment(load, x, ROD),
     "cumulative_moment": lambda load, x: cumulative_moment(load, x, ROD),
     "linearized_deflection": lambda load, x: linearized_deflection(load, ROD, x),
+    "integrate_deflection": lambda load, x: integrate_deflection(load, ROD, x),
 }
 
 
@@ -221,7 +222,7 @@ def test_feasibility_bound_messages_name_the_load():
 NEAR_BOUND_RODS = [RodProperties.from_stiffness(0.3, 17.0), RodProperties.from_stiffness(1.7, 350.0)]
 
 GATES = {
-    "solve_roller": (UniformLoad, lambda rod, q: solve_roller(rod, q, "linearized")),
+    "solve_roller": (UniformLoad, lambda rod, q: solve_roller(rod, q, "root_find")),
     "solve_builtin": (BuiltInCombined, lambda rod, q: solve_builtin(rod, q, "linearized")),
     "roller_consistency": (TipShear, lambda rod, X: roller_consistency(rod, 0.0, X)),
     "tip_deflection_uniform": (UniformLoad, tip_deflection_uniform),
@@ -235,10 +236,11 @@ GATES = {
 def test_gate_verdicts_at_the_bound(monkeypatch, rod, gate):
     # stub the work behind the gates so that the gate alone decides: just
     # below the bound the 3F2 series sums 10^6 terms before it gives up,
-    # and the linearized roller reaction 3qL/8 lies past the |X| bound
+    # and the roller root 0 stays inside the |X| bound, as the linearized
+    # reaction 3qL/8 would not
     monkeypatch.setattr(elastica, "hyp_3f2", lambda *args, **kwargs: 1.0)
     monkeypatch.setattr(redundancy, "_sum_ratios", lambda *args, **kwargs: 1.0)
-    monkeypatch.setattr(redundancy, "roller_consistency", lambda *args, **kwargs: 0.0)
+    monkeypatch.setattr(redundancy, "_find_roller_root", lambda *args, **kwargs: 0.0)
     shape, call = GATES[gate]
     bound = BOUNDS[shape](rod)
     call(rod, bound * (1.0 - 1e-12))

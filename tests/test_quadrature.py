@@ -85,7 +85,7 @@ def test_nonpositive_rtol_rejected():
     (dict(atol=math.nan), "atol must be finite and nonnegative"),
     (dict(atol=math.inf), "atol must be finite and nonnegative"),
     (dict(atol=-1.0), "atol must be finite and nonnegative"),
-    (dict(rtol=math.inf), "rtol must be finite"),
+    (dict(rtol=math.inf), "tolerance must be finite and positive, got inf"),
     (dict(max_subdivisions=0), "max_subdivisions must be at least 1"),
     (dict(max_subdivisions=-5), "max_subdivisions must be at least 1"),
 ], ids=["atol-nan", "atol-inf", "atol-negative", "rtol-inf", "subdivisions-0",

@@ -18,6 +18,7 @@ from rodbend.errors import (
 )
 from rodbend.redundancy import (
     ConsistencyEquation,
+    RedundancySolution,
     builtin_reaction_series,
     builtin_tip_integral,
     max_bending_stress_report,
@@ -139,8 +140,9 @@ def test_roller_root_displacement_kernel():
 
 def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     # at q = 1000 the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the
-    # solve sums goes through the summation loop, which the root finder and
-    # roller_consistency both call through _roller_residual
+    # solve sums goes through the summation loop, which solve_roller calls
+    # through the one _roller_residual that serves the root finder and the
+    # reported residual
     args = []
     loop = special_functions._sum_ratios
 
@@ -155,11 +157,11 @@ def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     y_cap = 2.0 * ROD.EJ / ROD.L ** 2 * 0.999
     cap_arg = ROD.L ** 4 * y_cap ** 2 / (4.0 * ROD.EJ ** 2)
     assert 1.1 * 3.0 * Q * ROD.L / 8.0 > y_cap
-    # once in the root finder, once for the reported residual
-    assert args.count(load_arg) == 2
+    # once for the root finder and the reported residual together
+    assert args.count(load_arg) == 1
     assert max(args) < cap_arg
-    # 1 load side + 22 bisection and secant probes + 2 for the residual
-    assert len(args) == 25
+    # 1 load side + 22 bisection and secant probes + 1 for the residual
+    assert len(args) == 24
 
 
 def test_displacement_kernel_closes_tip_displacement():
@@ -523,6 +525,23 @@ def test_unknown_method_and_kernel_rejected():
         builtin_tip_integral(ROD, Q, mode="series")
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(method="newton"),
+    dict(method="root_find", kernel="fourier"),
+    dict(method="root_find", rtol=0.0),
+    dict(method="series", n_terms=-1),
+    dict(method="series", n_terms=51),
+    dict(method="series", n_terms=2.5),
+], ids=["method", "kernel", "rtol", "n_terms-negative", "n_terms-above", "n_terms-float"])
+def test_solve_roller_refuses_usage_before_any_sum(monkeypatch, kwargs):
+    def no_sum(*args):
+        raise AssertionError("a 3F2 was summed")
+
+    monkeypatch.setattr(redundancy, "_sum_ratios", no_sum)
+    with pytest.raises(UsageError):
+        solve_roller(ROD, Q, **kwargs)
+
+
 def test_consistency_residual_rejects_infeasible_reaction():
     with pytest.raises(InfeasibleLoadError):
         roller_consistency(ROD, Q, 400.0)
@@ -574,7 +593,7 @@ def test_series_order_is_bounded(monkeypatch):
 
 def test_roller_stress_report():
     sol = solve_roller(ROD, Q, method="root_find")
-    rep = max_bending_stress_report("roller", sol, ROD, Q)
+    rep = max_bending_stress_report(sol)
     assert rep["M_max_linearized_Nm"] == 70.3125
     assert rep["M_max_nonlinear_Nm"] == pytest.approx(60.425687377244245, rel=1e-9)
     assert rep["x_peak_linearized_m"] == 0.375
@@ -585,7 +604,7 @@ def test_roller_stress_report():
 
 def test_builtin_stress_report():
     sol = solve_builtin(ROD, Q, method="closed", integral_mode="quadrature")
-    rep = max_bending_stress_report("builtin", sol, ROD, Q)
+    rep = max_bending_stress_report(sol)
     assert rep["M_end_linearized_Nm"] == pytest.approx(83.33333333333333, rel=1e-14)
     assert rep["M_end_nonlinear_Nm"] == pytest.approx(84.18956038383605, rel=1e-9)
     assert rep["M_midspan_linearized_Nm"] == pytest.approx(-41.66666666666667, rel=1e-14)
@@ -596,25 +615,103 @@ def test_builtin_stress_report():
 
 def test_roller_stress_report_zero_load():
     sol = solve_roller(ROD, 0.0, method="linearized")
-    rep = max_bending_stress_report("roller", sol, ROD, 0.0)
+    rep = max_bending_stress_report(sol)
     assert rep["M_max_linearized_Nm"] == 0.0
     assert rep["stress_drop_pct_of_nonlinear"] == 0.0
 
 
+# float.hex of every numeric report field, in the report's order, of the
+# roller root and the built-in closed end moment at q = frac * k * EJ / L^3,
+# k * EJ / L^3 the problem's feasible bound (k = 6 roller, 12 built-in)
+REPORT_FIELDS = {
+    "roller": ("M_max_linearized_Nm", "M_max_nonlinear_Nm", "x_peak_linearized_m",
+               "x_peak_nonlinear_m", "stress_drop_pct_of_linearized",
+               "stress_drop_pct_of_nonlinear"),
+    "builtin": ("M_end_linearized_Nm", "M_end_nonlinear_Nm", "M_midspan_linearized_Nm",
+                "M_midspan_nonlinear_Nm", "M_max_linearized_Nm", "M_max_nonlinear_Nm",
+                "stress_change_pct_of_linearized", "stress_change_pct_of_nonlinear"),
+}
+REPORT_BITS = [
+    ('roller', 1.0, 200.0, 0.0, (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+    )),
+    ('roller', 1.0, 200.0, 0.3, (
+        '0x1.94ffffffffffep+4', '0x1.8d8f49cc7648bp+4', '0x1.8000000000000p-2',
+        '0x1.7c74d7017ab33p-2', '0x1.d64c97c98290cp+0', '0x1.df19cccdf3de4p+0',
+    )),
+    ('roller', 1.0, 200.0, 0.8, (
+        '0x1.0e00000000001p+6', '0x1.d61cbf15938ccp+5', '0x1.8000000000000p-2',
+        '0x1.664a5652ec932p-2', '0x1.9e263e50bb8f2p+3', '0x1.dbb7b1b64f70bp+3',
+    )),
+    ('builtin', 1.0, 200.0, 0.0, (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0',
+    )),
+    ('builtin', 1.0, 200.0, 0.3, (
+        '0x1.dffffffffffffp+5', '0x1.e28397fccb8dcp+5', '-0x1.dfffffffffffep+4',
+        '-0x1.daf8d00668e44p+4', '0x1.dffffffffffffp+5', '0x1.e28397fccb8dcp+5',
+        '0x1.0c29feaa25c16p-1', '0x1.0ac44ef50fa5ap-1',
+    )),
+    ('builtin', 1.0, 200.0, 0.8, (
+        '0x1.4000000000001p+7', '0x1.4ce5b4eacdb0cp+7', '-0x1.4000000000000p+6',
+        '-0x1.2634962a649eap+6', '0x1.4000000000001p+7', '0x1.4ce5b4eacdb0cp+7',
+        '0x1.01f2225811cdbp+2', '0x1.efe79b28a0531p+1',
+    )),
+    ('roller', 1.3, 350.0, 0.0, (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+    )),
+    ('roller', 1.3, 350.0, 0.3, (
+        '0x1.10989d89d89d8p+5', '0x1.0b96990e8ab11p+5', '0x1.f333333333333p-2',
+        '0x1.ee97e44eb91c4p-2', '0x1.d64c97c982880p+0', '0x1.df19cccdf3d52p+0',
+    )),
+    ('roller', 1.3, 350.0, 0.8, (
+        '0x1.6b76276276277p+6', '0x1.3c6bf6c4ad289p+6', '0x1.f333333333333p-2',
+        '0x1.d1c709d2338c2p-2', '0x1.9e263e50bb8f2p+3', '0x1.dbb7b1b64f709p+3',
+    )),
+    ('builtin', 1.3, 350.0, 0.0, (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0',
+    )),
+    ('builtin', 1.3, 350.0, 0.3, (
+        '0x1.4313b13b13b13p+6', '0x1.44c4e1604dee5p+6', '-0x1.4313b13b13b14p+5',
+        '-0x1.3fb150f09f370p+5', '0x1.4313b13b13b13p+6', '0x1.44c4e1604dee5p+6',
+        '0x1.0c29feaa25d6ep-1', '0x1.0ac44ef50fbaep-1',
+    )),
+    ('builtin', 1.3, 350.0, 0.8, (
+        '0x1.aec4ec4ec4ec7p+7', '0x1.c021873c14e41p+7', '-0x1.aec4ec4ec4ec6p+6',
+        '-0x1.8c0bb67424fd2p+6', '0x1.aec4ec4ec4ec7p+7', '0x1.c021873c14e41p+7',
+        '0x1.01f2225811ccap+2', '0x1.efe79b28a0512p+1',
+    )),
+
+]
+
+
+@pytest.mark.parametrize("problem, L, EJ, frac, bits", REPORT_BITS,
+                         ids=[f"{p}-L{L}-EJ{EJ}-{f}" for p, L, EJ, f, _ in REPORT_BITS])
+def test_stress_report_bits(problem, L, EJ, frac, bits):
+    rod = RodProperties.from_stiffness(L, EJ)
+    if problem == "roller":
+        q = frac * 6.0 * EJ / L ** 3
+        sol = solve_roller(rod, q, method="root_find")
+    else:
+        q = frac * 12.0 * EJ / L ** 3
+        sol = solve_builtin(rod, q, method="closed")
+    rep = max_bending_stress_report(sol)
+    assert list(rep) == ["problem", *REPORT_FIELDS[problem]]
+    assert rep["problem"] == problem
+    assert tuple(rep[key].hex() for key in REPORT_FIELDS[problem]) == bits
+
+
 def test_stress_report_rejects_unknown_problem():
-    sol = solve_roller(ROD, Q, method="linearized")
-    with pytest.raises(UsageError):
-        max_bending_stress_report("arch", sol, ROD, Q)
-
-
-@pytest.mark.parametrize("problem, solve", [
-    ("roller", lambda: solve_builtin(ROD, Q, method="closed")),
-    ("builtin", lambda: solve_roller(ROD, Q, method="root_find")),
-], ids=["roller-report-of-builtin", "builtin-report-of-roller"])
-def test_stress_report_refuses_another_problems_solution(problem, solve):
-    sol = solve()
-    with pytest.raises(UsageError, match=f"does not match the solution's problem '{sol.problem}'"):
-        max_bending_stress_report(problem, sol, ROD, Q)
+    # only a record built by hand can name another problem
+    sol = RedundancySolution("arch", ROD, Q, "linearized", 375.0, "N", 0.0, 0.0)
+    with pytest.raises(UsageError, match=re.escape(
+            "problem must be 'roller' or 'builtin', got 'arch'")):
+        max_bending_stress_report(sol)
 
 
 def test_solution_json_schema():

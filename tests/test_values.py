@@ -20,6 +20,10 @@ from rodbend import (
     TipShear,
     UniformLoad,
     UsageError,
+    hyp3f2_taylor,
+    identity_series,
+    lagrange_revert,
+    pochhammer,
 )
 
 ROD = RodProperties(1.0, 200.0, 1.0)
@@ -52,12 +56,15 @@ CASES = {
                             "ConsistencyEquation(kernel='expansion', "
                             "rod=RodProperties(L=1.0, E=200.0, J=1.0), q=1000.0)"),
     "RedundancySolution": (RedundancySolution,
-                           ("builtin", "series(1)", 1.5, "N m", None, -1.25, ((0, 1.0), (1, 1.5))),
-                           dict(problem="builtin", method="series(1)", X=1.5, units="N m",
-                                residual=None, deviation_pct=-1.25, trace=((0, 1.0), (1, 1.5))),
-                           "RedundancySolution(problem='builtin', method='series(1)', X=1.5, "
-                           "units='N m', residual=None, deviation_pct=-1.25, "
-                           "trace=((0, 1.0), (1, 1.5)))"),
+                           ("builtin", ROD, 18.0, "series(1)", 1.5, "N m", None, -1.25,
+                            ((0, 1.0), (1, 1.5))),
+                           dict(problem="builtin", rod=ROD, q=18.0, method="series(1)", X=1.5,
+                                units="N m", residual=None, deviation_pct=-1.25,
+                                trace=((0, 1.0), (1, 1.5))),
+                           "RedundancySolution(problem='builtin', "
+                           "rod=RodProperties(L=1.0, E=200.0, J=1.0), q=18.0, "
+                           "method='series(1)', X=1.5, units='N m', residual=None, "
+                           "deviation_pct=-1.25, trace=((0, 1.0), (1, 1.5)))"),
 }
 
 # a field of each class and a different value for it
@@ -140,7 +147,8 @@ def test_defaults():
     assert (spec.lo_exponent, spec.hi_exponent, spec.rtol, spec.atol, spec.max_subdivisions) \
         == (None, None, 1e-10, 1e-14, 4096)
     assert PowerSeries((0, 1), 1).parity == "general"
-    assert RedundancySolution("roller", "linearized", 375.0, "N", 0.0, 0.0).trace == ()
+    assert RedundancySolution("roller", ROD, 1000.0, "linearized", 375.0, "N", 0.0, 0.0).trace \
+        == ()
 
 
 def test_power_series_stores_fractions():
@@ -163,16 +171,31 @@ def test_power_series_stores_fractions():
     (lambda: DeflectionProfile(((0.0, 0.5), (1.0, 0.1))),
      "wall deflection must vanish, got y(L) = 0.1"),
     (lambda: IntegrandSpec(abs, 1.0, 0.0), "empty or reversed interval [1.0, 0.0]"),
-    (lambda: IntegrandSpec(abs, 0.0, 1.0, rtol=0.0), "rtol must be positive"),
-    (lambda: IntegrandSpec(abs, 0.0, 1.0, rtol=math.nan), "rtol must be positive"),
+    (lambda: IntegrandSpec(abs, 0.0, 1.0, rtol=0.0),
+     "tolerance must be finite and positive, got 0.0"),
+    (lambda: IntegrandSpec(abs, 0.0, 1.0, rtol=math.nan),
+     "tolerance must be finite and positive, got nan"),
     (lambda: IntegrandSpec(abs, 0.0, 1.0, hi_exponent=-1.0),
      "hi_exponent=-1.0 is not integrable (need > -1)"),
     (lambda: PowerSeries((0, 1), 1, "even"), "parity must be 'odd' or 'general', got 'even'"),
     (lambda: PowerSeries((0, 1, 2), 1), "truncation order below the highest stored power"),
     (lambda: PowerSeries((1, 1), 1, "odd"), "odd series has a nonzero even coefficient"),
+    (lambda: PowerSeries((0, 1), 2.5), "order must be an integer, got 2.5"),
+    (lambda: PowerSeries((0, 1), True), "order must be an integer, got True"),
+    (lambda: identity_series(True), "order must be an integer, got True"),
+    (lambda: identity_series(2.5), "order must be an integer, got 2.5"),
+    (lambda: hyp3f2_taylor((1, 1, 1, 2, 2), 2.5), "order must be an integer, got 2.5"),
+    (lambda: lagrange_revert(PowerSeries((0, 1, 0, 1), 3.0)),
+     "order must be an integer, got 3.0"),
+    (lambda: pochhammer(3.0, True), "pochhammer order must be an integer, got True"),
+    (lambda: pochhammer(3.0, 2.5), "pochhammer order must be an integer, got 2.5"),
 ], ids=["L", "E", "J", "EJ", "UniformLoad", "TipShear", "TipMoment", "BuiltInCombined",
         "profile-order", "profile-wall", "interval", "rtol-zero", "rtol-nan", "hint",
-        "parity", "order", "odd"])
+        "parity", "order", "odd", "order-float", "order-bool", "identity-bool",
+        "identity-float", "taylor-float", "revert-float", "pochhammer-bool",
+        "pochhammer-float"])
 def test_validation_messages(build, message):
-    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$") as excinfo:
         build()
+    # a value of the wrong type is a TypeError too, like float's; a bad value is not
+    assert isinstance(excinfo.value, TypeError) is ("must be an integer" in message)
