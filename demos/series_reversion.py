@@ -1,6 +1,6 @@
 """Exact-rational series reversion, from toy examples to reaction series.
 
-All coefficients stay `fractions.Fraction` end to end; nothing here is
+All coefficients stay exact rationals end to end; nothing here is
 floating point until the final evaluation, which is why the reaction
 coefficients can be printed as exact rationals.
 """

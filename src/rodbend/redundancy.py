@@ -52,7 +52,7 @@ _KERNEL_SHAPES = {"expansion": UniformLoad, "displacement": TipShear}
 _KERNELS = {name: _TIP[shape][4] for name, shape in _KERNEL_SHAPES.items()}
 
 # highest order of a reaction series, n_terms <= 50: the cold cost of a
-# build grows about as order^4, to 3.6 s for the roller series at 101
+# build grows about as order^4, to about 0.4 s for the roller series at 101
 _MAX_ORDER = 101
 
 

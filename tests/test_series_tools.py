@@ -57,6 +57,12 @@ def test_from_coefficients_slices_to_requested_order():
     assert s.coefficients == (F(0), F(1), F(0))
 
 
+@pytest.mark.parametrize("order", [2.5, True, "3"])
+def test_from_coefficients_refuses_a_non_integer_order(order):
+    with pytest.raises(UsageError, match="order must be an integer"):
+        PowerSeries.from_coefficients([F(0), F(1), F(0), F(1)], order=order)
+
+
 def test_evaluate_horner_matches_direct_sum():
     s = odd_series(1, -1, 3)
     w = 0.37
@@ -191,6 +197,102 @@ def test_revert_rejects_vanishing_linear_term():
     f = PowerSeries.from_coefficients([F(0), F(0), F(0), F(1)], parity="odd", order=3)
     with pytest.raises(UsageError):
         lagrange_revert(f)
+
+
+# ------------------------------------- the kernels against plain-Fraction arithmetic
+
+def _reference_mul(a, b, order):
+    out = [F(0)] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > order:
+            continue
+        for j in range(min(len(b) - 1, order - i) + 1):
+            if b[j] != 0:
+                out[i + j] += ai * b[j]
+    return out
+
+
+def reference_compose(outer, inner):
+    """Horner over the outer coefficients, one Fraction product at a time."""
+    order = min(outer.order, inner.order)
+    inner_c = list(inner.coefficients[: order + 1])
+    acc = [F(0)] * (order + 1)
+    for c in reversed(outer.coefficients[: order + 1]):
+        acc = _reference_mul(acc, inner_c, order)
+        acc[0] += c
+    return tuple(acc)
+
+
+def reference_revert(f):
+    """Lagrange inversion with each power of h = y/f(y) from Miller's recurrence
+    (Knuth, TAOCP vol. 2, 4.7): p_0 = h_0^n, k h_0 p_k = sum_j ((n+1) j - k) h_j p_(k-j)."""
+    order = f.order
+    step = 2 if f.parity == "odd" else 1
+    f1 = f.coefficient(1)
+    h = [1 / f1] + [F(0)] * (order - 1)
+    for k in range(step, order, step):
+        h[k] = -sum(f.coefficient(j + 1) * h[k - j] for j in range(step, k + 1, step)) / f1
+    g = [F(0)] * (order + 1)
+    for n in range(1, order + 1, step):
+        p = [h[0] ** n] + [F(0)] * (n - 1)
+        for k in range(step, n, step):
+            p[k] = sum(((n + 1) * j - k) * h[j] * p[k - j]
+                       for j in range(step, k + 1, step)) / (k * h[0])
+        g[n] = p[n - 1] / n
+    return tuple(g)
+
+
+@st.composite
+def any_series(draw, parity, head=st.just(())):
+    """A series of ``parity``, order 0 to 15, whose coefficients start with a
+    draw of ``head`` and go on with a stored tail of any length."""
+    head = list(draw(head))
+    order = draw(st.integers(min_value=max(len(head) - 1, 0), max_value=15))
+    coeffs = head + draw(st.lists(_COEFF, max_size=order + 1 - len(head)))
+    if parity == "odd":
+        coeffs = [c if k % 2 else F(0) for k, c in enumerate(coeffs)]
+    return PowerSeries.from_coefficients(coeffs, order=order, parity=parity)
+
+
+_PARITY = st.sampled_from(["odd", "general"])
+_NO_CONSTANT = st.just((F(0),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PARITY.flatmap(any_series),
+       _PARITY.flatmap(lambda p: any_series(p, head=_NO_CONSTANT)))
+def test_compose_equals_fraction_reference(outer, inner):
+    got = compose(outer, inner)
+    assert got.coefficients == reference_compose(outer, inner)
+    assert got.order == min(outer.order, inner.order)
+    assert got.parity == ("odd" if outer.parity == inner.parity == "odd" else "general")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PARITY.flatmap(lambda p: any_series(p, head=st.tuples(st.just(F(0)), _LINEAR))))
+def test_revert_equals_fraction_reference(f):
+    g = lagrange_revert(f)
+    assert g.coefficients == reference_revert(f)
+    assert g.parity == f.parity
+
+
+def test_reaction_series_at_order_61_equal_fraction_reference():
+    from rodbend import redundancy
+    from rodbend.elastica import BuiltInCombined, TipShear, UniformLoad
+
+    order = 61
+    load = redundancy._tip_series(*UniformLoad.tip, order)
+    d, r, _ = TipShear.tip
+    for kernel, shape in redundancy._KERNEL_SHAPES.items():
+        reaction = redundancy._tip_series(-d, r, shape.tip[2], order)
+        inverse = PowerSeries(reference_revert(reaction), order, "odd")
+        assert lagrange_revert(reaction).coefficients == inverse.coefficients
+        expected = reference_compose(inverse, load)
+        assert redundancy.roller_reaction_series(order, kernel).coefficients == expected
+    phi = redundancy._tip_series(*BuiltInCombined.tip, order)
+    outer = PowerSeries.from_coefficients(
+        [k % 2 * 2 * (-1) ** (k // 2) for k in range(order + 1)], parity="odd")
+    assert redundancy.builtin_reaction_series(order).coefficients == reference_compose(outer, phi)
 
 
 # ------------------------------------------------------------- hyp3f2_taylor
