@@ -4,7 +4,11 @@ Four subcommands: ``solve`` (redundant reactions), ``deflect`` (exact
 and linearized deflection profiles side by side), ``table`` (series
 convergence tables) and ``eval`` (direct special-function evaluation).
 Output is JSON by default, CSV on request, and byte-identical for
-identical configurations; the only non-data line is a version header.
+identical configurations. JSON is one object, ``version`` first. CSV
+is the header ``# rodbend <version>``, the comment lines (``solve``:
+``# problem=... method=... units=...`` and ``# X=... deviation_pct=...``;
+``table``: ``# problem=... reference_method=... reference_X=...``; none
+for ``deflect`` and ``eval``), a column line and one line per row.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible load, 3
 special-function domain or convergence error.
@@ -21,12 +25,13 @@ from .errors import BracketError, DomainError, InfeasibleLoadError, UsageError, 
 
 _HEADER = f"# rodbend {__version__}"
 
-_EVAL_ARITY = {
-    "2f1": 4,       # a b c x
-    "3f2": 6,       # a1 a2 a3 b1 b2 x
-    "f1": 6,        # a b1 b2 c x1 x2
-    "fd3": 8,       # a b1 b2 b3 c x1 x2 x3
-    "gauss-sum": 3  # a b c
+# name: (arity, call on the special_functions module, the parameters and rtol)
+_EVAL = {
+    "2f1": (4, lambda sf, p, rtol: sf.gauss_2f1(*p, rtol=rtol)),        # a b c x
+    "3f2": (6, lambda sf, p, rtol: sf.hyp_3f2(*p, rtol=rtol)),          # a1 a2 a3 b1 b2 x
+    "f1": (6, lambda sf, p, rtol: sf.appell_f1(*p, rtol=rtol)),         # a b1 b2 c x1 x2
+    "fd3": (8, lambda sf, p, rtol: sf.lauricella_fd3(p[0], p[1:4], p[4], p[5:8], rtol=rtol)),
+    "gauss-sum": (3, lambda sf, p, rtol: sf.gauss_summation(*p)),       # a b c
 }
 
 
@@ -84,16 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p_tab)
 
     p_eval = sub.add_parser("eval", help="evaluate a special function")
-    p_eval.add_argument("function", choices=sorted(_EVAL_ARITY))
+    p_eval.add_argument("function", choices=sorted(_EVAL))
     p_eval.add_argument("params", type=float, nargs="*", help="function parameters")
     _add_common_args(p_eval)
 
     return parser
-
-
-def _resolve_rtol(args) -> float:
-    _check_rtol(args.rtol)
-    return args.rtol
 
 
 def _resolve_rod(args):
@@ -112,151 +112,109 @@ def _resolve_rod(args):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        try:
+    text += "\n"
+    try:
+        if out_path is None:
             sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
-        except BrokenPipeError:
-            pass
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except BrokenPipeError:
+        pass  # the reader of standard output has gone
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path or 'standard output'}: {exc.strerror}") from None
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2)
+def _render(args, obj: dict, comments: list[str], columns: str, rows) -> str:
+    """JSON of ``obj`` after the version, or CSV: header, comments, columns, rows."""
+    if args.format == "json":
+        return json.dumps({"version": __version__, **obj}, indent=2)
+    lines = [_HEADER, *comments, columns]
+    lines += (",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
+    return "\n".join(lines)
 
 
 def cmd_solve(args) -> str:
     from .redundancy import solve_builtin, solve_roller
-    rod, rtol = _resolve_rod(args), _resolve_rtol(args)
+    rod = _resolve_rod(args)
+    _check_rtol(args.rtol)
     method = args.method.replace("-", "_")
     if method == "series" and args.n is None:
         raise UsageError("--method series requires --n")
-    n = args.n if args.n is not None else 0
     if args.problem == "roller":
         if method == "closed":
             raise UsageError("the roller problem has no closed method; use root-find")
-        solution = solve_roller(rod, args.q, method=method, n_terms=n, rtol=rtol)
+        solution = solve_roller(rod, args.q, method=method, n_terms=args.n or 0, rtol=args.rtol)
     else:
         if method == "root_find":
             raise UsageError("the built-in problem is root-free; use closed")
-        solution = solve_builtin(rod, args.q, method=method, n_terms=n, rtol=rtol)
-
-    if args.format == "json":
-        return _json_text({"version": __version__, **solution.json_obj()})
-    unit_col = "X_N" if solution.problem == "roller" else "X_Nm"
-    lines = [
-        _HEADER,
+        solution = solve_builtin(rod, args.q, method=method, n_terms=args.n or 0, rtol=args.rtol)
+    comments = [
         f"# problem={solution.problem} method={solution.method} units={solution.units}",
         f"# X={_fmt(solution.X)} deviation_pct={_fmt(solution.deviation_pct)}",
-        f"n,{unit_col}",
     ]
-    rows = solution.trace if solution.trace else ((0, solution.X),)
-    for n_k, x_k in rows:
-        lines.append(f"{n_k},{_fmt(x_k)}")
-    return "\n".join(lines)
+    return _render(args, solution.json_obj(), comments, f"n,X_{solution.units.replace(' ', '')}",
+                   solution.trace or ((0, solution.X),))
 
 
 def _deflect_load(args):
     from .elastica import TipMoment, TipShear, UniformLoad
-    given = [name for name, v in (("--q", args.q), ("--P", args.P), ("--M0", args.M0))
-             if v is not None]
+    # each load shape has one field, named as its flag
+    given = [(shape, v) for shape in (UniformLoad, TipShear, TipMoment)
+             if (v := getattr(args, shape.__slots__[0])) is not None]
     if len(given) != 1:
         raise UsageError("give exactly one of --q, --P, --M0")
-    if args.q is not None:
-        return UniformLoad(args.q)
-    if args.P is not None:
-        return TipShear(args.P)
-    return TipMoment(args.M0)
+    (shape, value), = given
+    return shape(value)
 
 
 def cmd_deflect(args) -> str:
     from .elastica import deflection_profile, linearized_deflection
-    rod, rtol = _resolve_rod(args), _resolve_rtol(args)
+    rod = _resolve_rod(args)
+    _check_rtol(args.rtol)
     load = _deflect_load(args)
-    exact = deflection_profile(load, rod, rtol=rtol)
-    y_lin = [linearized_deflection(load, rod, x) for x, _ in exact.samples]
-
-    if args.format == "json":
-        samples = [
-            {"x_m": x, "y_exact_m": y, "y_linearized_m": yl}
-            for (x, y), yl in zip(exact.samples, y_lin)
-        ]
-        return _json_text({"version": __version__, "L_m": rod.L, "samples": samples})
-    lines = [_HEADER, "x_m,y_exact_m,y_linearized_m"]
-    for (x, y), yl in zip(exact.samples, y_lin):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(yl)}")
-    return "\n".join(lines)
+    exact = deflection_profile(load, rod, rtol=args.rtol)
+    rows = [(x, y, linearized_deflection(load, rod, x)) for x, y in exact.samples]
+    samples = [{"x_m": x, "y_exact_m": y, "y_linearized_m": yl} for x, y, yl in rows]
+    return _render(args, {"L_m": rod.L, "samples": samples}, [],
+                   "x_m,y_exact_m,y_linearized_m", rows)
 
 
 def cmd_table(args) -> str:
     from .redundancy import _check_n_terms, solve_builtin, solve_roller
-    rod, rtol = _resolve_rod(args), _resolve_rtol(args)
+    rod = _resolve_rod(args)
+    _check_rtol(args.rtol)
     _check_n_terms(args.n)  # a bad --n is a usage error, whatever the reference says
     if args.problem == "roller":
-        reference = solve_roller(rod, args.q, method="root_find", rtol=rtol)
+        reference = solve_roller(rod, args.q, method="root_find", rtol=args.rtol)
         series = solve_roller(rod, args.q, method="series", n_terms=args.n)
-        unit_col = "X_N"
     else:
         reference = solve_builtin(rod, args.q, method="closed",
-                                  integral_mode="hyp_approx", rtol=rtol)
+                                  integral_mode="hyp_approx", rtol=args.rtol)
         series = solve_builtin(rod, args.q, method="series", n_terms=args.n)
-        unit_col = "X_Nm"
     x_ref = reference.X
-    rows = [
-        (n, x_n, abs(x_n - x_ref) / abs(x_ref) if x_ref != 0.0 else 0.0)
-        for n, x_n in series.trace
-    ]
-
-    if args.format == "json":
-        return _json_text({
-            "version": __version__,
-            "problem": args.problem,
-            "reference_method": reference.method,
-            "reference_X": x_ref,
-            "rows": [{"n": n, "X_n": x, "rel_gap": g} for n, x, g in rows],
-        })
-    lines = [
-        _HEADER,
-        f"# problem={args.problem} reference_method={reference.method} reference_X={_fmt(x_ref)}",
-        f"n,{unit_col},rel_gap_vs_reference",
-    ]
-    for n, x, g in rows:
-        lines.append(f"{n},{_fmt(x)},{_fmt(g)}")
-    return "\n".join(lines)
+    rows = [(n, x, abs(x - x_ref) / abs(x_ref) if x_ref != 0.0 else 0.0) for n, x in series.trace]
+    obj = {"problem": args.problem, "reference_method": reference.method, "reference_X": x_ref,
+           "rows": [{"n": n, "X_n": x, "rel_gap": g} for n, x, g in rows]}
+    comments = [f"# problem={args.problem} reference_method={reference.method} "
+                f"reference_X={_fmt(x_ref)}"]
+    columns = f"n,X_{series.units.replace(' ', '')},rel_gap_vs_reference"
+    return _render(args, obj, comments, columns, rows)
 
 
 def cmd_eval(args) -> str:
-    from .special_functions import appell_f1, gauss_2f1, gauss_summation, hyp_3f2, lauricella_fd3
-    rtol = _resolve_rtol(args)
-    name = args.function
-    p = args.params
-    arity = _EVAL_ARITY[name]
+    from . import special_functions
+    _check_rtol(args.rtol)
+    name, p = args.function, args.params
+    arity, call = _EVAL[name]
     if len(p) != arity:
         raise UsageError(f"{name} takes {arity} parameters, got {len(p)}")
-    if name == "2f1":
-        value = gauss_2f1(p[0], p[1], p[2], p[3], rtol=rtol)
-    elif name == "3f2":
-        value = hyp_3f2(p[0], p[1], p[2], p[3], p[4], p[5], rtol=rtol)
-    elif name == "f1":
-        value = appell_f1(p[0], p[1], p[2], p[3], p[4], p[5], rtol=rtol)
-    elif name == "fd3":
-        value = lauricella_fd3(p[0], (p[1], p[2], p[3]), p[4], (p[5], p[6], p[7]), rtol=rtol)
-    else:
-        value = gauss_summation(p[0], p[1], p[2])
+    value = call(special_functions, p, args.rtol)
     # the requested tolerance scaled by |value|: neither a bound nor an
     # achieved error, which the series and quadrature do not report yet
-    estimate = max(abs(value) * rtol, 1e-300)
-    obj = {"version": __version__, "function": name, "value": value, "error_estimate": estimate}
-    if args.format == "json":
-        return _json_text(obj)
-    return "\n".join([
-        _HEADER,
-        "function,value,error_estimate",
-        f"{name},{_fmt(value)},{_fmt(estimate)}",
-    ])
+    estimate = max(abs(value) * args.rtol, 1e-300)
+    return _render(args, {"function": name, "value": value, "error_estimate": estimate}, [],
+                   "function,value,error_estimate", [(name, value, estimate)])
 
 
 def main(argv=None) -> int:
@@ -265,12 +223,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {"solve": cmd_solve, "deflect": cmd_deflect,
-                "table": cmd_table, "eval": cmd_eval}
+    handlers = {"solve": cmd_solve, "deflect": cmd_deflect, "table": cmd_table, "eval": cmd_eval}
     try:
-        text = handlers[args.command](args)
-        out_path = getattr(args, "out", None)
-        _emit(text, out_path)
+        _emit(handlers[args.command](args), args.out)
     except UsageError as exc:
         print(f"rodbend: error: {exc}", file=sys.stderr)
         return 1

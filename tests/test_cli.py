@@ -355,6 +355,53 @@ def test_out_file_writing(tmp_path, capsys):
     assert obj["X"] == 375.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "2f1", "0.5", "0.5", "1.5", "0.36", "--out", "{tmp}/missing/x.json"],
+    ["eval", "2f1", "0.5", "0.5", "1.5", "0.36", "--out", "{tmp}"],
+], ids=["missing-directory", "is-a-directory"])
+def test_unwritable_out_path_exits_1(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"rodbend: error: cannot write {argv[-1]}: ")
+    assert err.count("\n") == 1
+
+
+class _FullStream:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_unwritable_standard_output_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    code = cli.main(["eval", "2f1", "0.5", "0.5", "1.5", "0.36"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "rodbend: error: cannot write standard output: No space left on device\n")
+
+
+# a command with two faults reports the rod first, then --rtol, then the
+# subcommand's own checks
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "roller", "--EJ", "200", "--q", "1000", "--method", "closed", "--rtol", "-1"],
+     "--L is required"),
+    (["solve", "roller", *ROD_ARGS, "--q", "1000", "--method", "closed", "--rtol", "-1"],
+     "tolerance must be finite and positive, got -1.0"),
+    (["table", "roller", *ROD_ARGS, "--q", "1000", "--n", "51", "--rtol", "0"],
+     "tolerance must be finite and positive, got 0.0"),
+    (["deflect", *ROD_ARGS, "--rtol", "0"],
+     "tolerance must be finite and positive, got 0.0"),
+    (["eval", "2f1", "1", "2", "--rtol", "0"],
+     "tolerance must be finite and positive, got 0.0"),
+], ids=["solve-rod", "solve-rtol", "table-rtol", "deflect-rtol", "eval-rtol"])
+def test_error_report_order(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"rodbend: error: {message}\n"
+
+
 def test_rtol_flag_must_be_positive(capsys):
     code, _, err = run(capsys, "solve", "roller", *ROD_ARGS,
                        "--q", "1000", "--method", "linearized", "--rtol", "0")

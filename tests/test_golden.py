@@ -59,6 +59,8 @@ COMMANDS = {
     "solve_roller_series_csv": ["solve", "roller", *_ROD, "--q", "1000", "--method", "series", "--n", "7",
                                 "--format", "csv"],
     "solve_builtin_closed": ["solve", "builtin", *_ROD, "--q", "1000", "--method", "closed"],
+    "solve_builtin_series_csv": ["solve", "builtin", *_ROD, "--q", "1000", "--method", "series", "--n", "11",
+                                 "--format", "csv"],
     # one deflection profile per load kind
     "deflect_P_csv": ["deflect", *_ROD, "--P", "300", "--format", "csv"],
     "deflect_M0_csv": ["deflect", *_ROD, "--M0", "150", "--format", "csv"],
@@ -70,6 +72,10 @@ COMMANDS = {
     "eval_2f1_negative_x_csv": ["eval", "2f1", "1", "1", "2", "-0.5", "--format", "csv"],
     "eval_3f2": ["eval", "3f2", "0.5", "1", "1.5", "1.1666666666666667", "1.6666666666666667", "0.25"],
     "eval_3f2_csv": ["eval", "3f2", "0.5", "1", "1.5", "1.25", "1.75", "0.81", "--format", "csv"],
+    # shell-series routes of F1 and FD3 (FD3 pins the parameter order a, b1..b3, c, x1..x3)
+    "eval_f1": ["eval", "f1", "1.2", "0.7", "0.4", "2.5", "0.2", "-0.1"],
+    "eval_fd3_csv": ["eval", "fd3", "0.5", "0.3", "0.7", "0.2", "1.7", "0.2", "-0.1", "0.15",
+                     "--format", "csv"],
 }
 
 ERRORS = {
