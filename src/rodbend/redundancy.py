@@ -54,6 +54,7 @@ _KERNELS = {name: _TIP[shape][4] for name, shape in _KERNEL_SHAPES.items()}
 # highest order of a reaction series, n_terms <= 50: the cold cost of a
 # build grows about as order^4, to about 0.4 s for the roller series at 101
 _MAX_ORDER = 101
+_SEED_ORDER = 7  # the roller root finder starts from its sums through w^5 and w^7
 
 
 class ConsistencyEquation(Frozen):
@@ -141,7 +142,8 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
                        kernel: str = "expansion", rtol: float = 1e-13) -> float:
     """Residual 3Lq*F_load - 8X*F_reaction of the roller condition.
 
-    Positive residual means the reaction X is too small. The "expansion"
+    Positive residual means the reaction X is too small; for X >= 0 it
+    falls and is concave. The "expansion"
     kernel evaluates the reaction factor with the load-side parameter
     pair (7/6, 5/3); "displacement" uses the tip-shear pair (5/4, 7/4),
     which makes the zero of the residual agree with the quadrature
@@ -234,7 +236,7 @@ def _series_trace(series: PowerSeries, w: float, scale: float, n_terms: int):
     return trace
 
 
-def _find_roller_root(rod: RodProperties, q: float, load_side: float, residual,
+def _find_roller_root(rod: RodProperties, q: float, kernel: str, load_side: float, residual,
                       rtol: float) -> float:
     # Solves roller_consistency = 0 on [0, min(1.1 * 3qL/8, 0.999 * 2EJ/L^2)]
     # through solve_roller's _roller_residual, so the load side is summed once;
@@ -244,35 +246,29 @@ def _find_roller_root(rod: RodProperties, q: float, load_side: float, residual,
     if q == 0.0:
         return 0.0
     L, EJ = rod.L, rod.EJ
-    y_cap = 2.0 * EJ / L ** 2 * 0.999
-    lo, hi = 0.0, min(1.1 * 3.0 * q * L / 8.0, y_cap)
-    # the residual at X = 0 is the load side; the one at the top is summed
-    # only if bisection never moves it, as near the cap a 3F2 there sums
-    # thousands of terms. A moved end keeps its sign, so the bracket check
-    # can fail only with the top unmoved and may wait for the bisection.
-    r_lo, r_hi = load_side, None
-    # bisection to a coarse width, then a secant polish on the same bracket
-    while hi - lo > 1e-6 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if r_mid > 0.0:
-            lo, r_lo = mid, r_mid
-        else:
-            hi, r_hi = mid, r_mid
-    if r_hi is None:
-        r_hi = residual(hi)
-    if not (r_lo > 0.0 >= r_hi):
+    hi = min(1.1 * 3.0 * q * L / 8.0, 2.0 * EJ / L ** 2 * 0.999)
+    # the secant starts from the reaction series' sums through w^5 and w^7,
+    # both above the root as its coefficients past a_0 are negative; the
+    # residual is concave, so each step stays above the root too. The top,
+    # where near the cap a 3F2 sums thousands of terms, is summed only when a
+    # seed reaches it (from about 0.99 of critical): a positive residual there
+    # leaves no root below it, and with both seeds there the secant starts
+    # from the bracket's ends, the residual at X = 0 being the load side
+    trace = _series_trace(roller_reaction_series(_SEED_ORDER, kernel), L ** 3 * q / EJ,
+                          EJ / L ** 2, _SEED_ORDER // 2)
+    x0, x1 = (min(x, hi) for _, x in trace[-2:])
+    f0 = residual(x0)
+    if x0 == hi and f0 > 0.0:
         raise BracketError(
             f"no sign change on (0, {hi:.6g}); the load is too close to critical "
             f"for the reaction bracket"
         )
-    x0, x1 = lo, hi
-    f0, f1 = r_lo, r_hi
+    x0, f0, f1 = (0.0, load_side, f0) if x1 == hi else (x0, f0, residual(x1))
     for _ in range(60):
         if f1 == f0:
             break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x2 = min(max(x2, lo), hi)
+        # the quotient first: f1 * (x1 - x0) underflows to 0 at tiny loads
+        x2 = min(max(x1 - (x1 - x0) / (f1 - f0) * f1, 0.0), hi)
         if abs(x2 - x1) <= rtol * abs(x2):
             return x2
         x0, f0 = x1, f1
@@ -305,7 +301,8 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         trace = tuple(_series_trace(series, L ** 3 * q / EJ, EJ / L ** 2, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
     else:
-        X, trace, label = _find_roller_root(rod, q, load_side, residual, rtol), (), "root_find"
+        X = _find_roller_root(rod, q, kernel, load_side, residual, rtol)
+        trace, label = (), "root_find"
 
     _require_feasible(TipShear(X), rod)
     deviation = 0.0 if X == 0.0 else (linearized - X) / X * 100.0

@@ -21,7 +21,10 @@ coefficients (``PowerSeries.json_obj``) of one reaction series to order
 (``float.hex``) of the root-find reaction and its residual for both
 kernels from 0.02 to 0.995 of the critical load, or the error class and
 message where the bracket fails, so a faster root finder must land on
-the same floats.
+the same floats. ``tests/golden/roller_roots_mpmath.json`` holds the
+30-digit roots of the same equations for each of those loads that is
+not refused; ``tests/roller_roots_mpmath.py`` writes it with mpmath,
+which is not a test extra, and this script leaves it alone.
 
 Regenerate the files only when an output change is intended:
 
@@ -34,6 +37,7 @@ import contextlib
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -167,6 +171,18 @@ def test_series_coefficients_match_golden(name):
 def test_roller_root_find_bits_match_golden():
     golden = json.loads((GOLDEN_DIR / "roller_root_find_bits.json").read_text(encoding="utf-8"))
     assert root_find_bits() == golden
+
+
+def test_roller_root_find_is_within_4e_13_of_the_mpmath_roots():
+    # the worst case, 3.2e-13 at 0.99 of critical with the displacement
+    # kernel, is set by the 3F2 sums at their default rtol 1e-13
+    roots = json.loads((GOLDEN_DIR / "roller_roots_mpmath.json").read_text(encoding="utf-8"))
+    solved = {(c["kernel"], c["q"]): c["X"] for c in root_find_bits() if "X" in c}
+    assert sorted(solved) == sorted((r["kernel"], r["q"]) for r in roots)
+    for r in roots:
+        exact = Fraction(r["X"])
+        X = Fraction(float.fromhex(solved[r["kernel"], r["q"]]))
+        assert abs(X - exact) <= Fraction(4e-13) * exact, r
 
 
 if __name__ == "__main__":

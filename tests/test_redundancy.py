@@ -6,6 +6,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodbend import redundancy, special_functions
 from rodbend.elastica import RodProperties, tip_deflection_shear, tip_deflection_uniform
@@ -138,11 +140,8 @@ def test_roller_root_displacement_kernel():
     assert sol.deviation_pct == pytest.approx(5.2492531, abs=1e-5)
 
 
-def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
-    # at q = 1000 the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the
-    # solve sums goes through the summation loop, which solve_roller calls
-    # through the one _roller_residual that serves the root finder and the
-    # reported residual
+def _count_3f2_sums(monkeypatch):
+    """The argument of every 3F2 a solve sums, as it passes the summation loop."""
     args = []
     loop = special_functions._sum_ratios
 
@@ -152,6 +151,15 @@ def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
 
     monkeypatch.setattr(special_functions, "_sum_ratios", counting)
     monkeypatch.setattr(redundancy, "_sum_ratios", counting)
+    return args
+
+
+def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
+    # at q = 1000 the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the
+    # solve sums goes through the summation loop, which solve_roller calls
+    # through the one _roller_residual that serves the root finder and the
+    # reported residual
+    args = _count_3f2_sums(monkeypatch)
     solve_roller(ROD, Q, method="root_find")
     load_arg = ROD.L ** 6 * Q ** 2 / (36.0 * ROD.EJ ** 2)
     y_cap = 2.0 * ROD.EJ / ROD.L ** 2 * 0.999
@@ -160,8 +168,43 @@ def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     # once for the root finder and the reported residual together
     assert args.count(load_arg) == 1
     assert max(args) < cap_arg
-    # 1 load side + 22 bisection and secant probes + 1 for the residual
-    assert len(args) == 24
+    # 1 load side + the 2 series seeds + 3 secant probes + 1 for the residual
+    assert len(args) == 7
+
+
+@pytest.mark.parametrize("kernel", ["expansion", "displacement"])
+def test_root_find_from_the_series_seeds_takes_few_sums(monkeypatch, kernel):
+    args = _count_3f2_sums(monkeypatch)
+    for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        args.clear()
+        solve_roller(ROD, f * 1200.0, method="root_find", kernel=kernel)
+        assert len(args) <= 9, f
+
+
+@pytest.mark.parametrize("kernel", ["expansion", "displacement"])
+def test_roller_series_coefficients_past_the_first_are_negative(kernel):
+    # the premise of the root finder's seeds: every partial sum of the
+    # series lies above its limit, the root
+    coefficients = roller_reaction_series(41, kernel).coefficients
+    assert coefficients[1] == F(3, 8)
+    assert all(c < 0 for c in coefficients[3::2])
+
+
+@pytest.mark.parametrize("q", [1e-160, 1e-200, 1.2e-297])
+def test_root_find_keeps_tiny_loads(q):
+    # a secant numerator f1 * (x1 - x0) underflows to 0 at these loads, and
+    # a zero step counts as converged, at the bracket top or short of the root
+    X = solve_roller(ROD, q, method="root_find").X
+    assert abs(X / (3.0 * q * ROD.L / 8.0) - 1.0) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(1e-3, 0.98), st.sampled_from(["expansion", "displacement"]))
+def test_root_find_lands_between_residual_signs(f, kernel):
+    q = f * 6.0 * ROD.EJ / ROD.L ** 3
+    X = solve_roller(ROD, q, method="root_find", kernel=kernel).X
+    assert roller_consistency(ROD, q, X * (1.0 - 1e-9), kernel) > 0.0
+    assert roller_consistency(ROD, q, X * (1.0 + 1e-9), kernel) < 0.0
 
 
 def test_displacement_kernel_closes_tip_displacement():
