@@ -50,8 +50,15 @@ def _real(name, v):
 
 def _integer(name, v):
     """Refuse ``v`` unless it is an integer (bools and integral floats excluded)."""
-    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+    if type(v) is not int and (isinstance(v, bool) or not hasattr(type(v), "__index__")):
         raise _NotANumber(f"{name} must be an integer, got {v!r}")
+
+
+def _count(name, v):
+    """Refuse ``v`` unless it is an integer >= 0."""
+    _integer(name, v)
+    if v < 0:
+        raise UsageError(f"{name} must be nonnegative, got {v!r}")
 
 
 def _check_rtol(rtol: float) -> None:

@@ -19,7 +19,7 @@ import math
 from typing import Callable
 
 from ._value import Frozen, set_field
-from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _check_rtol, _real
+from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _check_rtol, _integer, _real
 
 __all__ = ["IntegrandSpec", "integrate", "integrate_deflection"]
 
@@ -81,6 +81,7 @@ class IntegrandSpec(Frozen):
         _check_rtol(rtol)
         if not (math.isfinite(atol) and atol >= 0):
             raise UsageError(f"atol must be finite and nonnegative, got {atol}")
+        _integer("max_subdivisions", max_subdivisions)
         if not max_subdivisions >= 1:
             raise UsageError(f"max_subdivisions must be at least 1, got {max_subdivisions}")
         for name, p in (("lo_exponent", lo_exponent), ("hi_exponent", hi_exponent)):

@@ -28,7 +28,7 @@ from operator import mul
 from typing import Sequence
 
 from ._value import Frozen, set_field
-from .errors import UsageError, _integer
+from .errors import DomainError, UsageError, _count, _integer
 
 __all__ = ["PowerSeries", "identity_series", "compose", "lagrange_revert", "hyp3f2_taylor"]
 
@@ -39,7 +39,7 @@ class PowerSeries(Frozen):
     __slots__ = ("coefficients", "order", "parity")
 
     def __init__(self, coefficients: Sequence, order: int, parity: str = "general"):
-        _integer("order", order)
+        _count("order", order)
         if parity not in ("odd", "general"):
             raise UsageError(f"parity must be 'odd' or 'general', got {parity!r}")
         if order < len(coefficients) - 1:
@@ -56,7 +56,7 @@ class PowerSeries(Frozen):
         coeffs = tuple(Fraction(c) for c in coeffs)
         if order is None:
             order = len(coeffs) - 1
-        _integer("order", order)  # before the slice, which takes no float or str
+        _count("order", order)  # before the slice, which takes no float or str
         return cls(coefficients=coeffs[: order + 1], order=order, parity=parity)
 
     def coefficient(self, n: int) -> Fraction:
@@ -68,6 +68,7 @@ class PowerSeries(Frozen):
         """Horner evaluation in float; ``n_terms`` caps the powers used."""
         coeffs = self.coefficients
         if n_terms is not None:
+            _count("n_terms", n_terms)
             coeffs = coeffs[:n_terms]
         total = 0.0
         for c in reversed(coeffs):
@@ -87,7 +88,7 @@ class PowerSeries(Frozen):
 
 
 def identity_series(order: int, parity: str = "odd") -> PowerSeries:
-    _integer("order", order)
+    _count("order", order)
     coeffs = [Fraction(0)] * (order + 1)
     if order >= 1:
         coeffs[1] = Fraction(1)
@@ -192,6 +193,9 @@ def hyp3f2_taylor(params: Sequence, order: int) -> PowerSeries:
     if order < 1:
         raise UsageError("order must be at least 1")
     a1, a2, a3, b1, b2 = (Fraction(p) for p in params)
+    for b in (b1, b2):
+        if b <= 0 and b.denominator == 1:
+            raise DomainError(f"3F2 Taylor series: lower parameter {b} is a nonpositive integer")
     coeffs = [Fraction(0)] * (order + 1)
     term = Fraction(1)
     coeffs[1] = term

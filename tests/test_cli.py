@@ -3,7 +3,6 @@
 import functools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -12,6 +11,8 @@ import pytest
 
 from rodbend import __version__, cli
 from rodbend.elastica import RodProperties, tip_deflection_moment, tip_deflection_shear
+
+from _oracle import src_env
 
 ROD_ARGS = ["--L", "1", "--EJ", "200"]
 ROD = RodProperties.from_stiffness(1.0, 200.0)
@@ -321,7 +322,7 @@ def test_eval_domain_error_exits_3(capsys):
 def test_eval_non_finite_input_exits_1(argv):
     # a fresh process with a timeout: unguarded, these sum 10^6 terms
     # or (fd3) run for minutes
-    result = subprocess.run([sys.executable, "-m", "rodbend.cli", "eval", *argv], env=_src_env(),
+    result = subprocess.run([sys.executable, "-m", "rodbend.cli", "eval", *argv], env=src_env(),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 1
     assert result.stdout == ""
@@ -431,19 +432,10 @@ def test_unknown_problem_exits_1(capsys):
     assert code == 1
 
 
-def _src_env():
-    """Environment for a fresh process that imports this rodbend."""
-    import rodbend
-
-    src = os.path.dirname(os.path.dirname(rodbend.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
 def _modules_after(code, argv=()):
     """Full names of the modules in sys.modules of a fresh process after ``code``."""
     probe = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", probe, *argv], env=_src_env(),
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=src_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     return set(result.stdout.split())
 
@@ -482,7 +474,8 @@ def _third_party(packages):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; the runtime import path must not load it
+    # rodbend has no runtime dependency, and no test needs scipy either; the
+    # runtime import path must not load it (perfbench imports it on its own)
     assert "scipy" not in _packages_loaded()
 
 

@@ -21,10 +21,10 @@ coefficients (``PowerSeries.json_obj``) of one reaction series to order
 (``float.hex``) of the root-find reaction and its residual for both
 kernels from 0.02 to 0.995 of the critical load, or the error class and
 message where the bracket fails, so a faster root finder must land on
-the same floats. ``tests/golden/roller_roots_mpmath.json`` holds the
-30-digit roots of the same equations for each of those loads that is
-not refused; ``tests/roller_roots_mpmath.py`` writes it with mpmath,
-which is not a test extra, and this script leaves it alone.
+the same floats. Those floats are also checked against the roots of the
+same equations, which mpmath solves at 30 digits on every run
+(``_oracle.roller_root``): a new load needs its entry in
+``ROOT_FIND_FRACTIONS`` and its bits from this script, and no other file.
 
 Regenerate the files only when an output change is intended:
 
@@ -37,14 +37,16 @@ import contextlib
 import io
 import json
 import pathlib
-from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from rodbend.cli import main
 from rodbend.elastica import RodProperties
 from rodbend.errors import RodBendError
 from rodbend.redundancy import builtin_reaction_series, roller_reaction_series, solve_roller
+
+from _oracle import roller_root
 
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
 
@@ -109,16 +111,16 @@ SERIES = {
 # fractions of the roller bound q_crit = 6 EJ / L^3 = 1200 N/m; from about
 # 0.807 on, the bracket top sits at the 0.999 * 2 EJ / L^2 cap
 ROOT_FIND_FRACTIONS = (0.02, 0.1, 0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99, 0.995)
-ROOT_FIND_BRACKET_Q = 1199.0
+ROOT_FIND_LOADS = tuple(f * 1200.0 for f in ROOT_FIND_FRACTIONS) + (1199.0,)
+ROOT_FIND_KERNELS = ("expansion", "displacement")
 
 
 def root_find_bits() -> list[dict]:
     """Bits of ``solve_roller(..., "root_find")`` on the reference rod, or its refusal."""
     rod = RodProperties.from_stiffness(1.0, 200.0)
-    loads = [f * 1200.0 for f in ROOT_FIND_FRACTIONS] + [ROOT_FIND_BRACKET_Q]
     cases = []
-    for kernel in ("expansion", "displacement"):
-        for q in loads:
+    for kernel in ROOT_FIND_KERNELS:
+        for q in ROOT_FIND_LOADS:
             case = {"kernel": kernel, "q": q.hex()}
             try:
                 sol = solve_roller(rod, q, "root_find", kernel=kernel)
@@ -175,14 +177,18 @@ def test_roller_root_find_bits_match_golden():
 
 def test_roller_root_find_is_within_4e_13_of_the_mpmath_roots():
     # the worst case, 3.2e-13 at 0.99 of critical with the displacement
-    # kernel, is set by the 3F2 sums at their default rtol 1e-13
-    roots = json.loads((GOLDEN_DIR / "roller_roots_mpmath.json").read_text(encoding="utf-8"))
+    # kernel, is set by the 3F2 sums at their default rtol 1e-13. A load
+    # whose root does not lie below the root finder's bracket top
+    # min(1.1 * 3qL/8, 0.999 * 2EJ/L^2) has no root here, as the solver
+    # refuses it (3 of the 28 cases).
     solved = {(c["kernel"], c["q"]): c["X"] for c in root_find_bits() if "X" in c}
-    assert sorted(solved) == sorted((r["kernel"], r["q"]) for r in roots)
-    for r in roots:
-        exact = Fraction(r["X"])
-        X = Fraction(float.fromhex(solved[r["kernel"], r["q"]]))
-        assert abs(X - exact) <= Fraction(4e-13) * exact, r
+    with mp.workdps(30):
+        roots = {(kernel, q.hex()): roller_root(kernel, q, min(1.1 * 3.0 * q / 8.0, 0.999 * 400.0))
+                 for kernel in ROOT_FIND_KERNELS for q in ROOT_FIND_LOADS}
+        roots = {case: X for case, X in roots.items() if X is not None}
+        assert sorted(solved) == sorted(roots)
+        for case, exact in roots.items():
+            assert abs(float.fromhex(solved[case]) - exact) <= 4e-13 * exact, case
 
 
 if __name__ == "__main__":

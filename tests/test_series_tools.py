@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodbend.errors import UsageError
+from rodbend.errors import DomainError, UsageError
 from rodbend.series_tools import (
     PowerSeries,
     compose,
@@ -317,6 +317,15 @@ def test_hyp3f2_taylor_matches_float_series():
     y = 0.3
     direct = y * hyp_3f2(0.5, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, y * y, rtol=1e-16)
     assert abs(s.evaluate(y) - direct) < 1e-12
+
+
+@pytest.mark.parametrize("params, lower", [
+    ((1, 1, 1, 0, 1), "0"), ((1, 1, 1, -1, 1), "-1"), ((1, 1, 1, 1, -2), "-2"),
+])
+def test_hyp3f2_taylor_refuses_a_nonpositive_integer_lower_parameter(params, lower):
+    with pytest.raises(DomainError, match=f"^3F2 Taylor series: lower parameter {lower} is a "
+                                          "nonpositive integer$"):
+        hyp3f2_taylor(params, order=5)
 
 
 def test_hyp3f2_taylor_is_odd():

@@ -177,11 +177,19 @@ def test_power_series_stores_fractions():
      "tolerance must be finite and positive, got nan"),
     (lambda: IntegrandSpec(abs, 0.0, 1.0, hi_exponent=-1.0),
      "hi_exponent=-1.0 is not integrable (need > -1)"),
+    (lambda: IntegrandSpec(abs, 0.0, 1.0, max_subdivisions=2.5),
+     "max_subdivisions must be an integer, got 2.5"),
+    (lambda: IntegrandSpec(abs, 0.0, 1.0, max_subdivisions=True),
+     "max_subdivisions must be an integer, got True"),
     (lambda: PowerSeries((0, 1), 1, "even"), "parity must be 'odd' or 'general', got 'even'"),
     (lambda: PowerSeries((0, 1, 2), 1), "truncation order below the highest stored power"),
     (lambda: PowerSeries((1, 1), 1, "odd"), "odd series has a nonzero even coefficient"),
     (lambda: PowerSeries((0, 1), 2.5), "order must be an integer, got 2.5"),
     (lambda: PowerSeries((0, 1), True), "order must be an integer, got True"),
+    (lambda: PowerSeries((), -1), "order must be nonnegative, got -1"),
+    (lambda: PowerSeries((0, 1, 0, 1), 3).evaluate(2.0, -1), "n_terms must be nonnegative, got -1"),
+    (lambda: PowerSeries((0, 1, 0, 1), 3).evaluate(2.0, True), "n_terms must be an integer, got True"),
+    (lambda: identity_series(-1), "order must be nonnegative, got -1"),
     (lambda: identity_series(True), "order must be an integer, got True"),
     (lambda: identity_series(2.5), "order must be an integer, got 2.5"),
     (lambda: hyp3f2_taylor((1, 1, 1, 2, 2), 2.5), "order must be an integer, got 2.5"),
@@ -191,7 +199,9 @@ def test_power_series_stores_fractions():
     (lambda: pochhammer(3.0, 2.5), "pochhammer order must be an integer, got 2.5"),
 ], ids=["L", "E", "J", "EJ", "UniformLoad", "TipShear", "TipMoment", "BuiltInCombined",
         "profile-order", "profile-wall", "interval", "rtol-zero", "rtol-nan", "hint",
-        "parity", "order", "odd", "order-float", "order-bool", "identity-bool",
+        "subdivisions-float", "subdivisions-bool",
+        "parity", "order", "odd", "order-float", "order-bool", "order-negative",
+        "evaluate-negative", "evaluate-bool", "identity-negative", "identity-bool",
         "identity-float", "taylor-float", "revert-float", "pochhammer-bool",
         "pochhammer-float"])
 def test_validation_messages(build, message):
