@@ -50,7 +50,7 @@ def _real(name, v):
 
 def _integer(name, v):
     """Refuse ``v`` unless it is an integer (bools and integral floats excluded)."""
-    if type(v) is not int and (isinstance(v, bool) or not hasattr(type(v), "__index__")):
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
         raise _NotANumber(f"{name} must be an integer, got {v!r}")
 
 

@@ -49,7 +49,7 @@ def hyp3f2(upper, lower, z):
     return mp.hyper(list(upper), list(lower), z, force_series=True, maxterms=10 ** 6)
 
 
-def roller_root(kernel: str, q: float, top: float):
+def roller_root(kernel: str, q: float):
     """The root X in (0, top) of the roller consistency condition on the
     reference rod L = 1 m, EJ = 200 N m^2,
 
@@ -57,15 +57,18 @@ def roller_root(kernel: str, q: float, top: float):
             = 8 X 3F2(1/2, 1, 3/2; b1, b2; L^4 X^2 / (4 EJ^2)),
 
     with (b1, b2) = (7/6, 5/3) for the "expansion" kernel and (5/4, 7/4) for
-    "displacement", or None when the root does not lie below ``top``."""
-    EJ, q = mp.mpf(200), mp.mpf(q)
+    "displacement", or None when the root does not lie below the root
+    finder's bracket top, min(1.1 * 3qL/8, 0.999 * 2EJ/L^2), which is
+    rounded in floats as the root finder rounds it."""
+    L, EJ = 1.0, 200.0
+    top = mp.mpf(min(1.1 * 3.0 * q * L / 8.0, 2.0 * EJ / L ** 2 * 0.999))
+    L, EJ, q = mp.mpf(L), mp.mpf(EJ), mp.mpf(q)
     upper = ("1/2", 1, "3/2")
-    load = 3 * q * hyp3f2(upper, _KERNELS["expansion"], q ** 2 / (36 * EJ ** 2))
+    load = 3 * L * q * hyp3f2(upper, _KERNELS["expansion"], L ** 6 * q ** 2 / (36 * EJ ** 2))
 
     def residual(X):
-        return load - 8 * X * hyp3f2(upper, _KERNELS[kernel], X ** 2 / (4 * EJ ** 2))
+        return load - 8 * X * hyp3f2(upper, _KERNELS[kernel], L ** 4 * X ** 2 / (4 * EJ ** 2))
 
-    top = mp.mpf(top)
     if residual(top) >= 0:
         return None
     return mp.findroot(residual, (mp.mpf(0), top), solver="anderson")

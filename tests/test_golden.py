@@ -178,12 +178,11 @@ def test_roller_root_find_bits_match_golden():
 def test_roller_root_find_is_within_4e_13_of_the_mpmath_roots():
     # the worst case, 3.2e-13 at 0.99 of critical with the displacement
     # kernel, is set by the 3F2 sums at their default rtol 1e-13. A load
-    # whose root does not lie below the root finder's bracket top
-    # min(1.1 * 3qL/8, 0.999 * 2EJ/L^2) has no root here, as the solver
-    # refuses it (3 of the 28 cases).
+    # whose root does not lie below the root finder's bracket top has no
+    # root here, as the solver refuses it (3 of the 28 cases).
     solved = {(c["kernel"], c["q"]): c["X"] for c in root_find_bits() if "X" in c}
     with mp.workdps(30):
-        roots = {(kernel, q.hex()): roller_root(kernel, q, min(1.1 * 3.0 * q / 8.0, 0.999 * 400.0))
+        roots = {(kernel, q.hex()): roller_root(kernel, q)
                  for kernel in ROOT_FIND_KERNELS for q in ROOT_FIND_LOADS}
         roots = {case: X for case, X in roots.items() if X is not None}
         assert sorted(solved) == sorted(roots)
