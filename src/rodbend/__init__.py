@@ -26,11 +26,10 @@ _MODULE_OF = {
                      "linearized_deflection", "tip_deflection_moment",
                      "tip_deflection_shear", "tip_deflection_uniform"),
         "quadrature": ("IntegrandSpec", "integrate", "integrate_deflection"),
-        "redundancy": ("ConsistencyEquation", "RedundancySolution",
-                       "builtin_reaction_series", "builtin_tip_integral",
-                       "max_bending_stress_report", "roller_consistency",
-                       "roller_reaction_series", "solve_builtin", "solve_roller",
-                       "stabilized_from"),
+        "redundancy": ("RedundancySolution", "builtin_reaction_series",
+                       "builtin_tip_integral", "max_bending_stress_report",
+                       "roller_consistency", "roller_reaction_series", "solve_builtin",
+                       "solve_roller", "stabilized_from"),
         "series_tools": ("PowerSeries", "compose", "hyp3f2_taylor", "identity_series",
                          "lagrange_revert"),
         "special_functions": ("appell_f1", "gauss_2f1", "gauss_summation", "hyp_3f2",

@@ -17,7 +17,7 @@ import math
 
 from ._value import Frozen, set_field
 from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _integer, _real
-from .quadrature import integrate_deflection
+from .quadrature import _position, integrate_deflection
 from .special_functions import gauss_2f1, hyp_3f2
 
 __all__ = [
@@ -47,13 +47,12 @@ class RodProperties(Frozen):
     def __init__(self, L: float, E: float, J: float):
         for name, v in (("L", L), ("E", E), ("J", J)):
             _real(name, v)
+            v = float(v)
             if not (math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be finite and positive, got {v}")
-        if not (math.isfinite(E * J) and E * J > 0):
-            raise UsageError(f"EJ = E*J must be finite and positive, got {E * J}")
-        set_field(self, "L", L)
-        set_field(self, "E", E)
-        set_field(self, "J", J)
+            set_field(self, name, v)
+        if not (math.isfinite(self.EJ) and self.EJ > 0):
+            raise UsageError(f"EJ = E*J must be finite and positive, got {self.EJ}")
 
     @property
     def EJ(self) -> float:
@@ -89,6 +88,7 @@ class LoadCase(Frozen):
 
     def _set_magnitude(self, name, value):
         _real(name, value)
+        value = float(value)
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value}")
         set_field(self, name, value)
@@ -144,7 +144,7 @@ class TipMoment(LoadCase):
         self._set_magnitude("M0", M0)
 
     def moment(self, x, L):
-        return float(self.M0)
+        return self.M0
 
     def H(self, x, L):
         return self.M0 * (L - x)
@@ -177,29 +177,26 @@ class BuiltInCombined(LoadCase):
         return self.q * (L - x) ** 3 * (L + x) / (24.0 * EJ)
 
 
-# each tip kernel in floats, built once: shape -> (d, r^2, p + 1, 2p, params)
-_TIP = {s: (float(s.tip[0]), float(s.tip[1] ** 2), s.bound[2] + 1, 2 * s.bound[2],
-            tuple(n / m for n, m in s.tip[2])) for s in (UniformLoad, TipShear, BuiltInCombined)}
+# each tip kernel's pFq parameters as floats, built once
+_TIP_PARAMS = {s: tuple(n / m for n, m in s.tip[2])
+               for s in (UniformLoad, TipShear, BuiltInCombined)}
+
+
+def _tip_argument(shape, rod: RodProperties):
+    """m -> the argument (m L^p/(r EJ))^2 of ``shape``'s tip kernel on ``rod``; the
+    roller residual builds it once per solve and calls it at every probe."""
+    Lp, den = rod.L ** (2 * shape.bound[2]), shape.tip[1] ** 2 * rod.EJ ** 2
+    return lambda m: Lp * m ** 2 / den
 
 
 def _tip_closed_form(shape, m: float, rod: RodProperties, rtol: float, past_one=None) -> float:
     """``shape``'s tip closed form at a gated magnitude m. Given ``past_one``, an
     argument past 1 raises NearCriticalLoadError with the message ``past_one()``."""
-    (d, r2, p1, p2, params), L, EJ = _TIP[shape], rod.L, rod.EJ
-    x = L ** p2 * m ** 2 / (r2 * EJ ** 2)
+    x, params = _tip_argument(shape, rod)(m), _TIP_PARAMS[shape]
     if x > 1.0 and past_one is not None:
         raise NearCriticalLoadError(past_one())
     pfq = gauss_2f1 if len(params) == 3 else hyp_3f2
-    return (L ** p1 * m / (d * EJ)) * pfq(*params, x, rtol)
-
-
-def _position(x, rod: RodProperties) -> float:
-    """A position on the rod as a float; non-numbers, NaN and points off [0, L] are refused."""
-    _real("position x", x)
-    x = float(x)
-    if not 0.0 <= x <= rod.L:
-        raise UsageError(f"position x={x} outside the rod [0, {rod.L}]")
-    return x
+    return (rod.L ** (shape.bound[2] + 1) * m / (shape.tip[0] * rod.EJ)) * pfq(*params, x, rtol)
 
 
 def bending_moment(load: LoadCase, x: float, rod: RodProperties) -> float:
@@ -221,24 +218,26 @@ def feasibility_check(load: LoadCase, rod: RodProperties) -> float:
     return abs(load.H(0.0, rod.L)) / rod.EJ
 
 
-def _require_feasible(load: LoadCase, rod: RodProperties) -> None:
-    """The one feasibility gate: refuse |H(0)| >= EJ.
+def _require_feasible(load: LoadCase, rod: RodProperties) -> float:
+    """The one feasibility gate: refuse |H(0)| >= EJ; returns the load's float magnitude.
 
     The same test as ``feasibility_check(load, rod) >= 1`` and as the
     refusal in ``integrate_deflection``, so all three agree to the last
     ulp; ``bound`` only words the message.
     """
+    name, = load.__slots__
+    magnitude = getattr(load, name)
     if abs(load.H(0.0, rod.L)) >= rod.EJ:
-        name, = load.__slots__
-        magnitude, (text, k, p, unit) = getattr(load, name), load.bound
+        text, k, p, unit = load.bound
         raise InfeasibleLoadError(
             f"{name} = {magnitude:.6g} violates {text} = {k * rod.EJ / rod.L ** p:.6g} {unit}"
         )
+    return magnitude
 
 
 def tip_deflection_uniform(rod: RodProperties, q: float, rtol: float = 1e-13) -> float:
     """Exact tip deflection under a uniform load, by closed form."""
-    _require_feasible(UniformLoad(q), rod)
+    q = _require_feasible(UniformLoad(q), rod)
     return _tip_closed_form(UniformLoad, q, rod, rtol)
 
 
@@ -248,13 +247,13 @@ def tip_deflection_shear(rod: RodProperties, X: float, rtol: float = 1e-13) -> f
     Equals -integrate_deflection(TipShear(X), rod, 0): positive X lifts
     the tip, so the returned value is negative (upward).
     """
-    _require_feasible(TipShear(X), rod)
+    X = _require_feasible(TipShear(X), rod)
     return _tip_closed_form(TipShear, X, rod, rtol)
 
 
 def tip_deflection_moment(rod: RodProperties, X: float) -> float:
     """Exact tip deflection under a constant tip couple X, elementary closed form."""
-    _require_feasible(TipMoment(X), rod)
+    X = _require_feasible(TipMoment(X), rod)
     L, EJ = rod.L, rod.EJ
     if X == 0.0:
         return 0.0
@@ -289,7 +288,7 @@ def deflection_profile(load: LoadCase, rod: RodProperties, n_points: int = 201,
     _integer("n_points", n_points)
     if n_points < 2:
         raise UsageError("need at least 2 grid points")
-    L = float(rod.L)
+    L = rod.L
     step = L / (n_points - 1)
     xs = [i * step for i in range(n_points - 1)] + [L]  # numpy.linspace's grid, bit for bit
     ys = [integrate_deflection(load, rod, x, rtol=rtol) for x in xs]

@@ -9,6 +9,9 @@ import them without a cycle.
 
 import math
 
+__all__ = ["BracketError", "DomainError", "InfeasibleLoadError", "NearCriticalLoadError",
+           "RodBendError", "UsageError"]
+
 
 class RodBendError(Exception):
     """Base class for all library errors."""

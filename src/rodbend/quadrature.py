@@ -200,6 +200,15 @@ def integrate(spec: IntegrandSpec) -> tuple[float, float]:
     return total, total_err
 
 
+def _position(x, rod) -> float:
+    """A position on the rod as a float; non-numbers, NaN and points off [0, L] are refused."""
+    _real("position x", x)
+    x = float(x)
+    if not 0.0 <= x <= rod.L:
+        raise UsageError(f"position x={x} outside the rod [0, {rod.L}]")
+    return x
+
+
 # fraction of EJ by which |H| must clear the curvature bound
 _CRITICAL_MARGIN = 1e-6
 
@@ -213,14 +222,10 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10) -> float:
     NearCriticalLoadError when the relative margin is below 1e-6, where
     the integrand is numerically intractable.
     """
-    L = rod.L
-    _real("position x", x)
-    if not 0.0 <= x <= L:
-        raise UsageError(f"position x={x} outside the rod [0, {L}]")
+    x, L, EJ = _position(x, rod), rod.L, rod.EJ
     if x == L:
         return 0.0
 
-    EJ = rod.EJ
     # |H| falls toward the wall for every load shape, so its max on [x, L] sits at x
     habs = abs(load.H(x, L))
     margin = (EJ - habs) / EJ

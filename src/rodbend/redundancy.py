@@ -22,16 +22,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Frozen, set_field
-from .elastica import (_TIP, BuiltInCombined, RodProperties, TipShear, UniformLoad,
-                       _require_feasible, _tip_closed_form)
+from .elastica import (_TIP_PARAMS, BuiltInCombined, RodProperties, TipShear, UniformLoad,
+                       _require_feasible, _tip_argument, _tip_closed_form)
 from .errors import BracketError, NearCriticalLoadError, UsageError, _check_rtol, _integer
 from .quadrature import integrate_deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import _ratio_block, _sum_ratios, hyp_3f2
+from .special_functions import _ratio_block, _sum_ratios
 
 __all__ = [
     "RedundancySolution",
-    "ConsistencyEquation",
     "roller_consistency",
     "solve_roller",
     "roller_reaction_series",
@@ -48,39 +47,11 @@ __all__ = [
 # convergence behavior belong to it. "displacement" takes the tip shear's,
 # which makes the equation the exact zero-displacement closure.
 _KERNEL_SHAPES = {"expansion": UniformLoad, "displacement": TipShear}
-# the same tuples as floats, the parameters of every float 3F2 sum here
-_KERNELS = {name: _TIP[shape][4] for name, shape in _KERNEL_SHAPES.items()}
 
 # highest order of a reaction series, n_terms <= 50: the cold cost of a
 # build grows about as order^4, to about 0.4 s for the roller series at 101
 _MAX_ORDER = 101
 _SEED_ORDER = 7  # the roller root finder starts from its sums through w^5 and w^7
-
-
-class ConsistencyEquation(Frozen):
-    """Scaled form f(Y) = Z of a consistency condition.
-
-    Y = X L^2/(2 EJ) is the scaled unknown; f is odd, strictly
-    increasing on (-1, 1) and unbounded as Y -> 1, so the equation has
-    exactly one root for any admissible Z >= 0.
-    """
-
-    __slots__ = ("kernel", "rod", "q")
-
-    def __init__(self, kernel: str, rod: RodProperties, q: float):
-        _check_kernel(kernel)
-        _check_load(UniformLoad(q), rod)
-        set_field(self, "kernel", kernel)
-        set_field(self, "rod", rod)
-        set_field(self, "q", q)
-
-    def lhs(self, Y: float, rtol: float = 1e-13) -> float:
-        return Y * hyp_3f2(*_KERNELS[self.kernel], Y * Y, rtol=rtol)
-
-    def target(self, rtol: float = 1e-13) -> float:
-        w = self.rod.L ** 3 * self.q / self.rod.EJ
-        return (3.0 / 16.0) * w * hyp_3f2(*_KERNELS["expansion"], w * w / _TIP[UniformLoad][1],
-                                          rtol=rtol)
 
 
 class RedundancySolution(Frozen):
@@ -115,8 +86,8 @@ class RedundancySolution(Frozen):
 
 
 def _check_kernel(kernel: str) -> None:
-    if kernel not in _KERNELS:
-        raise UsageError(f"kernel must be one of {sorted(_KERNELS)}, got {kernel!r}")
+    if kernel not in _KERNEL_SHAPES:
+        raise UsageError(f"kernel must be one of {sorted(_KERNEL_SHAPES)}, got {kernel!r}")
 
 
 def _check_order(order: int) -> None:
@@ -131,11 +102,12 @@ def _check_n_terms(n_terms: int) -> None:
         raise UsageError(f"n_terms must lie in [0, {_MAX_ORDER // 2}], got {n_terms}")
 
 
-def _check_load(load: UniformLoad | BuiltInCombined, rod: RodProperties) -> None:
-    """Refuse a negative or infeasible load; building ``load`` refused a non-finite q."""
+def _check_load(load: UniformLoad | BuiltInCombined, rod: RodProperties) -> float:
+    """Refuse a negative or infeasible load and return its float q; building ``load``
+    refused a non-finite q."""
     if load.q < 0:
         raise UsageError("q must be nonnegative (loads act downward)")
-    _require_feasible(load, rod)
+    return _require_feasible(load, rod)
 
 
 def roller_consistency(rod: RodProperties, q: float, X: float,
@@ -153,8 +125,8 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     call this function.
     """
     _check_kernel(kernel)
-    _check_load(UniformLoad(q), rod)
-    _require_feasible(TipShear(X), rod)
+    q = _check_load(UniformLoad(q), rod)
+    X = _require_feasible(TipShear(X), rod)
     return _roller_residual(rod, q, kernel, rtol)[1](X)
 
 
@@ -166,14 +138,12 @@ def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float = 1e
     summation loop, which refuses an argument that rounds to 1 at once.
     """
     _check_rtol(rtol)
-    L, EJ = rod.L, rod.EJ
-    (_, load_r2, _, load_p2, load_params), (_, r2, _, p2, _) = _TIP[UniformLoad], _TIP[TipShear]
-    load_side = 3.0 * L * q * _sum_ratios(_ratio_block, load_params,
-                                          L ** load_p2 * q ** 2 / (load_r2 * EJ ** 2), rtol)
-    params, Lp, den = _KERNELS[kernel], L ** p2, r2 * EJ ** 2
+    load_side = 3.0 * rod.L * q * _sum_ratios(_ratio_block, _TIP_PARAMS[UniformLoad],
+                                              _tip_argument(UniformLoad, rod)(q), rtol)
+    params, argument = _TIP_PARAMS[_KERNEL_SHAPES[kernel]], _tip_argument(TipShear, rod)
 
     def residual(X):
-        return load_side - 8.0 * X * _sum_ratios(_ratio_block, params, Lp * X ** 2 / den, rtol)
+        return load_side - 8.0 * X * _sum_ratios(_ratio_block, params, argument(X), rtol)
 
     return load_side, residual
 
@@ -225,12 +195,13 @@ def builtin_reaction_series(order: int = 19) -> PowerSeries:
 
 
 def _series_trace(series: PowerSeries, w: float, scale: float, n_terms: int):
-    """Partial sums (n, scale * sum_{k<=n} c_{2k+1} w^(2k+1))."""
+    """Partial sums (n, scale * sum_{k<=n} c_{2k+1} w^(2k+1)); the series has
+    order 2 n_terms + 1, so its odd coefficients are read directly."""
     trace = []
     total = 0.0
     wk = w
-    for k in range(n_terms + 1):
-        total += float(series.coefficient(2 * k + 1)) * wk
+    for k, c in enumerate(series.coefficients[1:2 * n_terms + 2:2]):
+        total += float(c) * wk
         trace.append((k, scale * total))
         wk *= w * w
     return trace
@@ -285,7 +256,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
     """
     _check_kernel(kernel)
     _check_rtol(rtol)
-    _check_load(UniformLoad(q), rod)
+    q = _check_load(UniformLoad(q), rod)
     if method == "series":
         _check_n_terms(n_terms)
     elif method not in ("linearized", "root_find"):
@@ -334,7 +305,7 @@ def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
     """
     _check_mode(mode)
     _check_rtol(rtol)
-    _check_load(BuiltInCombined(q), rod)
+    q = _check_load(BuiltInCombined(q), rod)
     if q == 0.0:
         return 0.0
     if mode == "quadrature":
@@ -360,7 +331,7 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     """
     _check_mode(integral_mode)
     _check_rtol(rtol)
-    _check_load(BuiltInCombined(q), rod)
+    q = _check_load(BuiltInCombined(q), rod)
     L, EJ = rod.L, rod.EJ
     linearized = q * L ** 2 / 12.0
 

@@ -60,6 +60,7 @@ class PowerSeries(Frozen):
         return cls(coefficients=coeffs[: order + 1], order=order, parity=parity)
 
     def coefficient(self, n: int) -> Fraction:
+        _count("coefficient index", n)
         if n > self.order:
             raise UsageError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coefficients[n] if n < len(self.coefficients) else Fraction(0)

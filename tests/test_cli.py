@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
 import functools
+import importlib
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+import rodbend
 from rodbend import __version__, cli
 from rodbend.elastica import RodProperties, tip_deflection_moment, tip_deflection_shear
 
@@ -542,6 +544,20 @@ def test_import_rodbend_loads_no_module_of_its_own():
     loaded = _modules_after("import rodbend") - _bare_modules()
     assert {m for m in loaded if m.startswith("rodbend")} == {"rodbend"}
     assert not {"dataclasses", "inspect"} & loaded
+
+
+@pytest.mark.parametrize("module", sorted(set(rodbend._MODULE_OF.values())))
+def test_module_all_equals_its_names_in_the_package_table(module):
+    # the public names are kept by hand twice: in each module's __all__ and
+    # in the package's name -> module table, through which they resolve
+    names = sorted(n for n, m in rodbend._MODULE_OF.items() if m == module)
+    assert sorted(importlib.import_module(f"rodbend.{module}").__all__) == names
+
+
+def test_every_public_name_resolves():
+    for name in rodbend.__all__:
+        module = importlib.import_module(f"rodbend.{rodbend._MODULE_OF[name]}")
+        assert getattr(rodbend, name) is getattr(module, name)
 
 
 @pytest.mark.parametrize("name", [None, *COMMANDS], ids=["import-cli", *COMMANDS])

@@ -31,7 +31,8 @@ from rodbend.elastica import (
 )
 from rodbend.errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
 from rodbend.quadrature import integrate_deflection
-from rodbend.redundancy import roller_consistency, solve_builtin, solve_roller
+from rodbend.redundancy import (builtin_tip_integral, roller_consistency, solve_builtin,
+                                solve_roller)
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
 
@@ -181,13 +182,49 @@ def test_rod_dimensions_that_are_not_numbers_refused(field, v):
         RodProperties(**{"L": 1.0, "E": 200.0, "J": 1.0, field: v})
 
 
+# the results that a real number given as load, reaction or position reaches
+FLOAT_RESULTS = {
+    "solve_roller": lambda v: solve_roller(ROD, v, "root_find").X,
+    "solve_builtin": lambda v: solve_builtin(ROD, v, "closed").X,
+    "builtin_tip_integral": lambda v: builtin_tip_integral(ROD, v, mode="hyp_approx"),
+    "roller_consistency": lambda v: roller_consistency(ROD, v, v),
+    "tip_deflection_uniform": lambda v: tip_deflection_uniform(ROD, v),
+    "tip_deflection_shear": lambda v: tip_deflection_shear(ROD, v),
+    "tip_deflection_moment": lambda v: tip_deflection_moment(ROD, v),
+    "integrate_deflection": lambda v: integrate_deflection(UniformLoad(1000.0), ROD, v),
+}
+
+
 @pytest.mark.parametrize("v", [0.5, 1, np.float64(0.5), np.float32(0.5), Fraction(1, 2)],
                          ids=["float", "int", "float64", "float32", "Fraction"])
 def test_real_number_types_pass(v):
     # bending moment of q = 1000 N/m at x: -q x^2 / 2
     assert bending_moment(UniformLoad(1000.0), v, ROD) == -1000.0 * float(v) ** 2 / 2.0
     assert bending_moment(UniformLoad(v), 1.0, ROD) == -float(v) / 2.0
-    assert RodProperties(L=v, E=200.0, J=1.0).L == v
+    # every number is stored and computed as a float, so each result is a
+    # Python float with the bits of the float input
+    rod = RodProperties(L=v, E=v, J=v)
+    assert all(type(f) is float and f == v for f in (rod.L, rod.E, rod.J))
+    for shape in BOUNDS:
+        (field,) = shape.__slots__
+        assert type(getattr(shape(v), field)) is float
+    for name, call in FLOAT_RESULTS.items():
+        got, want = call(v), call(float(v))
+        assert type(got) is float and got.hex() == want.hex(), name
+
+
+# float32 inputs on L = 1, EJ = 200 whose results came back as float32 when
+# the solvers computed from the raw magnitude: each is the float64 answer now
+FLOAT32_INPUTS = {"solve_roller": 1000.0, "tip_deflection_uniform": 1000.0,
+                  "integrate_deflection": 0.3}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_INPUTS))
+def test_float32_inputs_are_computed_in_double(name):
+    call, v = FLOAT_RESULTS[name], np.float32(FLOAT32_INPUTS[name])
+    got = call(v)
+    assert type(got) is float
+    assert got.hex() == call(float(v)).hex()
 
 
 # ---------------------------------------------------------------- feasibility

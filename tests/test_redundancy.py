@@ -19,7 +19,6 @@ from rodbend.errors import (
     UsageError,
 )
 from rodbend.redundancy import (
-    ConsistencyEquation,
     RedundancySolution,
     builtin_reaction_series,
     builtin_tip_integral,
@@ -40,69 +39,20 @@ ROOT_EXPANSION = 347.6368432063616888
 ROOT_DISPLACEMENT = 356.2970653152939935
 
 
-# -------------------------------------------------------- consistency equation
-
-def test_lhs_is_odd():
-    eq = ConsistencyEquation("expansion", ROD, Q)
-    for y in (0.1, 0.45, 0.9):
-        assert eq.lhs(-y) == -eq.lhs(y)
-
-
-def test_lhs_strictly_increasing_and_unbounded_toward_one():
-    eq = ConsistencyEquation("expansion", ROD, Q)
-    ys = [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99, 0.999]
-    vals = [eq.lhs(y, rtol=1e-10) for y in ys]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    # divergent tail: the last sample has left Y itself far behind
-    assert vals[-1] > 6.0
-
-
-def test_target_value_for_reference_rod():
-    eq = ConsistencyEquation("expansion", ROD, Q)
-    assert eq.target() == pytest.approx(1.44568474701092, rel=1e-12)
-
-
-def test_root_satisfies_scaled_equation():
-    eq = ConsistencyEquation("expansion", ROD, Q)
-    x_root = solve_roller(ROD, Q, method="root_find").X
-    y_root = x_root * ROD.L ** 2 / (2.0 * ROD.EJ)
-    assert eq.lhs(y_root) == pytest.approx(eq.target(), rel=1e-11)
-
-
-def test_consistency_equation_refuses_an_unknown_kernel():
-    with pytest.raises(UsageError, match="kernel must be one of"):
-        ConsistencyEquation("nope", ROD, Q)
-
-
-def test_consistency_equation_refuses_a_load_the_rod_cannot_carry():
-    with pytest.raises(InfeasibleLoadError) as excinfo:
-        ConsistencyEquation("expansion", ROD, 1e9)
-    assert excinfo.type is InfeasibleLoadError
-    assert str(excinfo.value) == "q = 1e+09 violates q < 6*EJ/L^3 = 1200 N/m"
-    with pytest.raises(UsageError, match="q must be nonnegative"):
-        ConsistencyEquation("expansion", ROD, -1.0)
-
-
 # ------------------------------------------------------------ tip-kernel bits
 
 # float.hex of the tip closed forms at (L, EJ) and a fraction f of each
 # bound: q = f * (6 EJ/L^3), the uniform bound and the radius of the 2F1
 # approximation, and X = f * (2 EJ/L^2), the tip-shear bound. Columns:
-# tip_deflection_uniform(q), tip_deflection_shear(X),
-# builtin_tip_integral(q, "hyp_approx"), ConsistencyEquation target(q).
+# tip_deflection_uniform(q), tip_deflection_shear(X) and
+# builtin_tip_integral(q, "hyp_approx").
 _TIP_KERNEL_BITS = {
-    (1.0, 200.0, 0.1): ("0x1.3464859463f0ap-4", "-0x1.1202344aae258p-4",
-                        "0x1.9a6c4de29cd4cp-6", "0x1.ce96c85e95e8ep-4"),
-    (1.0, 200.0, 0.6): ("0x1.10c00e6ac5e5ep-1", "-0x1.db2e188c4440ap-2",
-                        "0x1.4e2455a151c43p-3", "0x1.992015a028d8ep-1"),
-    (1.0, 200.0, 0.95): ("0x1.9812f9679adc3p+0", "-0x1.3ed8242b4afc8p+0",
-                         "0x1.5381573cc23c4p-2", "0x1.320e3b0db4254p+1"),
-    (1.3, 350.0, 0.1): ("0x1.90e9140db51f5p-4", "-0x1.643610c77bfdbp-4",
-                        "0x1.0ac665d34c572p-5", "0x1.ce96c85e95e8ep-4"),
-    (1.3, 350.0, 0.6): ("0x1.629345f13477ap-1", "-0x1.34ddf65b2c5d2p-1",
-                        "0x1.b2626f51b718ap-3", "0x1.992015a028d8ap-1"),
-    (1.3, 350.0, 0.95): ("0x1.093f888357dbfp+1", "-0x1.9e7f623847e19p+0",
-                         "0x1.b95b57cefc819p-2", "0x1.320e3b0db4251p+1"),
+    (1.0, 200.0, 0.1): ("0x1.3464859463f0ap-4", "-0x1.1202344aae258p-4", "0x1.9a6c4de29cd4cp-6"),
+    (1.0, 200.0, 0.6): ("0x1.10c00e6ac5e5ep-1", "-0x1.db2e188c4440ap-2", "0x1.4e2455a151c43p-3"),
+    (1.0, 200.0, 0.95): ("0x1.9812f9679adc3p+0", "-0x1.3ed8242b4afc8p+0", "0x1.5381573cc23c4p-2"),
+    (1.3, 350.0, 0.1): ("0x1.90e9140db51f5p-4", "-0x1.643610c77bfdbp-4", "0x1.0ac665d34c572p-5"),
+    (1.3, 350.0, 0.6): ("0x1.629345f13477ap-1", "-0x1.34ddf65b2c5d2p-1", "0x1.b2626f51b718ap-3"),
+    (1.3, 350.0, 0.95): ("0x1.093f888357dbfp+1", "-0x1.9e7f623847e19p+0", "0x1.b95b57cefc819p-2"),
 }
 
 
@@ -111,8 +61,7 @@ def test_tip_kernel_bits_are_pinned(L, EJ, f):
     rod = RodProperties.from_stiffness(L, EJ)
     q, X = f * (6.0 * EJ / L ** 3), f * (2.0 * EJ / L ** 2)
     got = (tip_deflection_uniform(rod, q).hex(), tip_deflection_shear(rod, X).hex(),
-           builtin_tip_integral(rod, q, mode="hyp_approx").hex(),
-           ConsistencyEquation("expansion", rod, q).target().hex())
+           builtin_tip_integral(rod, q, mode="hyp_approx").hex())
     assert got == _TIP_KERNEL_BITS[L, EJ, f]
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from rodbend import (
     BuiltInCombined,
-    ConsistencyEquation,
     DeflectionProfile,
     IntegrandSpec,
     PowerSeries,
@@ -35,7 +34,7 @@ CASES = {
                       "RodProperties(L=1.0, E=200.0, J=1.0)"),
     "UniformLoad": (UniformLoad, (5.0,), dict(q=5.0), "UniformLoad(q=5.0)"),
     "TipShear": (TipShear, (-2.5,), dict(P=-2.5), "TipShear(P=-2.5)"),
-    "TipMoment": (TipMoment, (3,), dict(M0=3), "TipMoment(M0=3)"),
+    "TipMoment": (TipMoment, (3,), dict(M0=3), "TipMoment(M0=3.0)"),
     "BuiltInCombined": (BuiltInCombined, (5.0,), dict(q=5.0), "BuiltInCombined(q=5.0)"),
     "DeflectionProfile": (DeflectionProfile, (((0.0, 1.5), (1.0, 0.0)),),
                           dict(samples=((0.0, 1.5), (1.0, 0.0))),
@@ -51,10 +50,6 @@ CASES = {
                          parity="odd"),
                     "PowerSeries(coefficients=(Fraction(0, 1), Fraction(1, 2), Fraction(0, 1), "
                     "Fraction(-1, 3)), order=3, parity='odd')"),
-    "ConsistencyEquation": (ConsistencyEquation, ("expansion", ROD, 1000.0),
-                            dict(kernel="expansion", rod=ROD, q=1000.0),
-                            "ConsistencyEquation(kernel='expansion', "
-                            "rod=RodProperties(L=1.0, E=200.0, J=1.0), q=1000.0)"),
     "RedundancySolution": (RedundancySolution,
                            ("builtin", ROD, 18.0, "series(1)", 1.5, "N m", None, -1.25,
                             ((0, 1.0), (1, 1.5))),
@@ -77,7 +72,6 @@ CHANGED = {
     "DeflectionProfile": ("samples", ((0.0, 2.5), (1.0, 0.0))),
     "IntegrandSpec": ("max_subdivisions", 200),
     "PowerSeries": ("order", 5),
-    "ConsistencyEquation": ("q", 500.0),
     "RedundancySolution": ("X", 2.5),
 }
 
@@ -189,6 +183,14 @@ def test_power_series_stores_fractions():
     (lambda: PowerSeries((), -1), "order must be nonnegative, got -1"),
     (lambda: PowerSeries((0, 1, 0, 1), 3).evaluate(2.0, -1), "n_terms must be nonnegative, got -1"),
     (lambda: PowerSeries((0, 1, 0, 1), 3).evaluate(2.0, True), "n_terms must be an integer, got True"),
+    (lambda: PowerSeries((0, 1, 0, 5), 3).coefficient(-1),
+     "coefficient index must be nonnegative, got -1"),
+    (lambda: PowerSeries((0, 1, 0, 5), 3).coefficient(-4),
+     "coefficient index must be nonnegative, got -4"),
+    (lambda: PowerSeries((0, 1, 0, 5), 3).coefficient(-5),
+     "coefficient index must be nonnegative, got -5"),
+    (lambda: PowerSeries((0, 1, 0, 5), 3).coefficient(1.0),
+     "coefficient index must be an integer, got 1.0"),
     (lambda: identity_series(-1), "order must be nonnegative, got -1"),
     (lambda: identity_series(True), "order must be an integer, got True"),
     (lambda: identity_series(2.5), "order must be an integer, got 2.5"),
@@ -201,7 +203,8 @@ def test_power_series_stores_fractions():
         "profile-order", "profile-wall", "interval", "rtol-zero", "rtol-nan", "hint",
         "subdivisions-float", "subdivisions-bool",
         "parity", "order", "odd", "order-float", "order-bool", "order-negative",
-        "evaluate-negative", "evaluate-bool", "identity-negative", "identity-bool",
+        "evaluate-negative", "evaluate-bool", "coefficient-last", "coefficient-first", "coefficient-past-start",
+        "coefficient-float", "identity-negative", "identity-bool",
         "identity-float", "taylor-float", "revert-float", "pochhammer-bool",
         "pochhammer-float"])
 def test_validation_messages(build, message):
