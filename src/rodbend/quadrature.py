@@ -1,12 +1,12 @@
 """Adaptive one-dimensional quadrature with endpoint-singularity support.
 
-A 7-point Gauss rule nested in a 15-point Kronrod rule (QUADPACK's GK15)
+A 20-point Gauss rule nested in a 41-point Kronrod rule (QUADPACK's qk41)
 drives adaptive interval bisection; the difference between the two rules
 is the panel error estimate. A panel calls the integrand once per node
-with a float and sums the weighted values left to right. Integrable
-algebraic endpoint singularities are absorbed by a power substitution
-before any panel is evaluated, so the adaptive stage only ever sees a
-smooth integrand.
+with a float and sums the weighted values left to right, the Gauss sum
+over its own 20 nodes only. Integrable algebraic endpoint singularities
+are absorbed by a power substitution before any panel is evaluated, so
+the adaptive stage only ever sees a smooth integrand.
 
 Also hosts the exact rod-deflection integral, which every closed-form
 result in the library is checked against.
@@ -23,41 +23,78 @@ from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _che
 
 __all__ = ["IntegrandSpec", "integrate", "integrate_deflection"]
 
-# 15-point Kronrod nodes on [-1, 1] (nonnegative half; the rule is symmetric).
-# Even indices of the half array form the embedded 7-point Gauss subset.
+# 41-point Kronrod nodes on [-1, 1] (nonnegative half, ascending; the rule
+# is symmetric) and their weights, with the weights of the embedded 20-point
+# Gauss rule, whose nodes are the odd indices of the half array. QUADPACK's
+# qk41 pair; the tests recompute it with mpmath (tests/_oracle.py).
 _XK = (
     0.000000000000000000000000000000000,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
+    0.076526521133497333754640409398838,
+    0.152605465240922675505220241022678,
+    0.227785851141645078080496195368575,
+    0.301627868114913004320555356858592,
+    0.373706088715419560672548177024927,
+    0.443593175238725103199992213492640,
+    0.510867001950827098004364050955251,
+    0.575140446819710315342946036586425,
+    0.636053680726515025452836696226286,
+    0.693237656334751384805490711845932,
+    0.746331906460150792614305070355642,
+    0.795041428837551198350638833272788,
+    0.839116971822218823394529061701521,
+    0.878276811252281976077442995113078,
+    0.912234428251325905867752441203298,
+    0.940822633831754753519982722212443,
+    0.963971927277913791267666131197277,
+    0.981507877450250259193342994720217,
+    0.993128599185094924786122388471320,
+    0.998859031588277663838315576545863,
 )
 _WK = (
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
+    0.076600711917999656445049901530102,
+    0.076377867672080736705502835038061,
+    0.075704497684556674659542775376617,
+    0.074582875400499188986581418362488,
+    0.073030690332786667495189417658913,
+    0.071054423553444068305790361723210,
+    0.068648672928521619345623411885368,
+    0.065834597133618422111563556969398,
+    0.062653237554781168025870122174255,
+    0.059111400880639572374967220648594,
+    0.055195105348285994744832372419777,
+    0.050944573923728691932707670050345,
+    0.046434821867497674720231880926108,
+    0.041668873327973686263788305936895,
+    0.036600169758200798030557240707211,
+    0.031287306777032798958543119323801,
+    0.025882133604951158834505067096153,
+    0.020388373461266523598010231432755,
+    0.014626169256971252983787960308868,
+    0.008600269855642942198661787950102,
+    0.003073583718520531501218293246031,
 )
 _WG = (
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
+    0.152753387130725850698084331955098,
+    0.149172986472603746787828737001969,
+    0.142096109318382051329298325067165,
+    0.131688638449176626898494499748163,
+    0.118194531961518417312377377711382,
+    0.101930119817240435036750135480350,
+    0.083276741576704748724758143222046,
+    0.062672048334109063569506535187042,
+    0.040601429800386941331039952274932,
+    0.017614007139152118311861962351853,
 )
 
 
-# the 15 mirrored nodes with their Kronrod weights; the center lands at
-# index 7, so the Gauss subset is the odd indices (zero Gauss weight elsewhere)
+# the 41 mirrored nodes with their Kronrod weights. G20 has no center node,
+# so the Gauss nodes are the odd indices 1, 3, ..., 39 and their weights
+# mirror without a shared middle. A panel walks the nodes left to right in
+# (Kronrod-only, Gauss) pairs, then the last Kronrod-only node.
 _NODES = tuple(-x for x in _XK[:0:-1]) + _XK
 _KW = _WK[:0:-1] + _WK
-_GW = (0.0,) + tuple(v for w in _WG[:0:-1] + _WG for v in (w, 0.0))
+_GW = _WG[::-1] + _WG
+_PAIRS = tuple(zip(_NODES[:-1:2], _KW[:-1:2], _NODES[1::2], _KW[1::2], _GW))
 
 
 class IntegrandSpec(Frozen):
@@ -65,7 +102,8 @@ class IntegrandSpec(Frozen):
 
     ``lo_exponent``/``hi_exponent`` declare that the integrand behaves like
     (x - lo)**p resp. (hi - x)**p at the endpoint. Hints must be > -1
-    (integrable); None means the integrand is regular there. ``f`` is
+    (integrable); None means the integrand is regular there. ``lo`` and
+    ``hi`` are stored as floats, whatever real type comes in. ``f`` is
     called once per node with a float and must return a float; numpy
     ufuncs work too, since they accept and return scalars.
     """
@@ -76,6 +114,9 @@ class IntegrandSpec(Frozen):
     def __init__(self, f: Callable[[float], float], lo: float, hi: float,
                  lo_exponent: float | None = None, hi_exponent: float | None = None,
                  rtol: float = 1e-10, atol: float = 1e-14, max_subdivisions: int = 4096):
+        _real("lo", lo)
+        _real("hi", hi)
+        lo, hi = float(lo), float(hi)
         if not lo < hi:
             raise UsageError(f"empty or reversed interval [{lo}, {hi}]")
         _check_rtol(rtol)
@@ -98,22 +139,24 @@ class IntegrandSpec(Frozen):
 
 
 def _panel(f, lo, hi):
-    """Gauss-Kronrod panel: returns (K15 value, error estimate)."""
+    """Gauss-Kronrod panel: returns (K41 value, error estimate |K41 - G20|)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    k15 = g7 = 0.0
+    k41 = g20 = 0.0
     try:
-        for x, wk, wg in zip(_NODES, _KW, _GW):
-            v = f(mid + half * x)
-            k15 += wk * v
-            g7 += wg * v
+        for xk, wk, xg, wkg, wg in _PAIRS:
+            k41 += wk * f(mid + half * xk)
+            v = f(mid + half * xg)
+            k41 += wkg * v
+            g20 += wg * v
+        k41 += _KW[-1] * f(mid + half * _NODES[-1])
     except OverflowError:  # float ** raises on overflow instead of returning inf
-        k15 = math.inf
+        k41 = math.inf
     # every Kronrod weight is positive, so one non-finite node value shows here
-    if not math.isfinite(k15):
+    if not math.isfinite(k41):
         raise UsageError(f"integrand not finite inside [{lo}, {hi}]")
-    k15 *= half
-    return k15, abs(k15 - half * g7)
+    k41 *= half
+    return k41, abs(k41 - half * g20)
 
 
 class _NotConverged(UsageError):

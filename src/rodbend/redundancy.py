@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from ._value import Frozen, set_field
 from .elastica import (_TIP_PARAMS, BuiltInCombined, RodProperties, TipShear, UniformLoad,
-                       _require_feasible, _tip_argument, _tip_closed_form)
+                       _require_feasible, _tip_argument, _tip_closed_form, feasibility_check)
 from .errors import BracketError, NearCriticalLoadError, UsageError, _check_rtol, _integer
 from .quadrature import integrate_deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
@@ -252,7 +252,10 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
     """Roller reaction by 'linearized', 'series' (n_terms) or 'root_find'.
 
     ``n_terms`` is the largest series index k, so the series sums the
-    n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
+    n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1). 'linearized'
+    answers 3qL/8 for every feasible q; from q = 16EJ/(3L^3) on that
+    passes the tip-shear bound 2EJ/L^2, where the reaction-side 3F2 is
+    undefined, and the residual is None.
     """
     _check_kernel(kernel)
     _check_rtol(rtol)
@@ -275,10 +278,14 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         X = _find_roller_root(rod, q, kernel, load_side, residual, rtol)
         trace, label = (), "root_find"
 
-    _require_feasible(TipShear(X), rod)
+    if method == "linearized" and feasibility_check(TipShear(X), rod) >= 1.0:
+        res = None
+    else:
+        _require_feasible(TipShear(X), rod)
+        res = residual(X)
     deviation = 0.0 if X == 0.0 else (linearized - X) / X * 100.0
     return RedundancySolution(problem="roller", rod=rod, q=q, method=label, X=X, units="N",
-                              residual=residual(X), deviation_pct=deviation, trace=trace)
+                              residual=res, deviation_pct=deviation, trace=trace)
 
 
 def _radius(rod: RodProperties, q: float, relation: str) -> str:

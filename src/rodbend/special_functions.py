@@ -53,11 +53,14 @@ _MAX_SHELLS = 10 ** 5
 # method="auto" of F1 and FD3 sums the shell series, not the Euler
 # integral, when the ln(rtol)/ln(max|x_i|) shells that reach rtol are
 # within this budget: max|x_i| <= 0.47 at rtol 1e-13. There the series
-# costs 30-230 us and the integral 180-400 us (2-vCPU Xeon, Python 3.11);
-# they cross near max|x_i| = 0.6 for FD3 and 0.7 for F1. The budget stays
-# below both because the series' rounding error grows with max|x_i|:
-# inside the budget it stayed within 4.1e-14 of the integral over 2200
-# random draws, and at 0.6 it already reached 4e-14 in 40.
+# costs 45-200 us and the 41-point integral 70-230 us (10th to 90th
+# percentile of 40 random draws per max|x_i|; 2-vCPU Xeon, Python 3.11);
+# by the medians the integral is the cheaper route from max|x_i| = 0.3
+# for F1 and 0.4 for FD3. The budget dates from a 15-point integral at
+# 180-400 us and is kept: a lower one moves the route, and so the bits,
+# of every value in between. The series' rounding error grows with
+# max|x_i|: inside the budget it stayed within 4.1e-14 of the integral
+# over 2200 random draws, and at 0.6 it already reached 4e-14 in 40.
 _SHELL_BUDGET = 40
 
 # Term-ratio blocks. The ratio r_k = t_(k+1) / (t_k x) of a 2F1 or 3F2
@@ -160,6 +163,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
     _check_finite("2F1", a, b, c, x)
     _check_rtol(rtol)
     _check_lower((c,), "2F1")
+    x = float(x)
     if x == 0.0:
         return 1.0
     if x == 1.0:
@@ -195,6 +199,7 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
     _check_finite("3F2", a1, a2, a3, b1, b2, x)
     _check_rtol(rtol)
     _check_lower((b1, b2), "3F2")
+    x = float(x)
     if x == 0.0:
         return 1.0
     return _sum_series((a1, a2, a3, b1, b2), x, rtol)
@@ -258,6 +263,7 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
     or has |b1 x1| + |b2 x2| > 1, the series otherwise.
     """
     _check_fd_call("F1", method, rtol, a, b1, b2, c, x1, x2)
+    x1, x2 = float(x1), float(x2)
     if x1 == 1.0 or x2 == 1.0:
         raise DomainError(f"F1 is singular at a unit argument, got ({x1}, {x2})")
     return _fd_route("F1", method, a, (b1, b2), c, (x1, x2), rtol)

@@ -17,7 +17,8 @@ import os
 
 import mpmath as mp
 
-__all__ = ["gamma_ratio", "hyp2f1", "hyp3f2", "roller_root", "src_env"]
+__all__ = ["builtin_end_moment", "gamma_ratio", "gauss_kronrod", "hyp2f1", "hyp3f2", "roller_root",
+           "src_env"]
 
 # the lower parameters of the roller's reaction-side 3F2 per kernel; both
 # kernels share the load side's (7/6, 5/3)
@@ -72,6 +73,67 @@ def roller_root(kernel: str, q: float):
     if residual(top) >= 0:
         return None
     return mp.findroot(residual, (mp.mpf(0), top), solver="anderson")
+
+
+def builtin_end_moment(q):
+    """End moment X = 2 EJ I / (L^2 + I^2) of the built-in reference rod
+    (L = 1 m, EJ = 200 N m^2) under the load q, with the exact tip integral
+
+        I = int_0^L |H| / sqrt(EJ^2 - H^2) dx,   |H| = q (L - x)^2 (L + 2x) / 12.
+
+    Near the critical load q = 12 EJ / L^3 the integrand peaks at the tip
+    with width about sqrt((EJ - q L^3 / 12) / q), so the interval is split
+    at 1e-3, 1e-2 and 0.1."""
+    _precise()
+    L, EJ, q = mp.mpf(1), mp.mpf(200), mp.mpf(q)
+
+    def integrand(x):
+        h = q * (L - x) ** 2 * (L + 2 * x) / 12
+        return h / mp.sqrt((EJ - h) * (EJ + h))
+
+    tip = mp.quad(integrand, [0, mp.mpf("1e-3"), mp.mpf("1e-2"), mp.mpf("0.1"), L])
+    return 2 * EJ * tip / (L ** 2 + tip ** 2)
+
+
+def gauss_kronrod(n: int):
+    """Nonnegative halves (xg, wg, xk, wk), ascending, of the n-point Gauss
+    rule on [-1, 1] and of the (2n+1)-point Kronrod rule that extends it.
+
+    The Kronrod nodes are the Gauss-Legendre nodes and the n + 1 roots of the
+    Stieltjes polynomial E, the monic polynomial of degree n + 1 orthogonal
+    to x^j P_n(x) for every j <= n. Each polynomial has one parity, so its
+    roots come from a polynomial in x^2; each rule's weights solve its even
+    moment equations. Computed at three times the working precision."""
+    _precise()
+
+    def moment(k):  # int_-1^1 x^k dx
+        return mp.mpf(0) if k % 2 else mp.mpf(2) / (k + 1)
+
+    def nonnegative_roots(coeffs, degree):
+        ys = mp.polyroots([coeffs.get(p, 0) for p in range(degree, -1, -2)],
+                           maxsteps=500, extraprec=mp.mp.prec)
+        return [mp.mpf(0)] * (degree % 2) + sorted(mp.sqrt(mp.re(y)) for y in ys)
+
+    def weights(xs):
+        rows = [[x ** (2 * k) * (1 if x == 0 else 2) for x in xs] for k in range(len(xs))]
+        return list(mp.lu_solve(mp.matrix(rows), mp.matrix([moment(2 * k) for k in range(len(xs))])))
+
+    with mp.extradps(2 * mp.mp.dps):
+        legendre = {n - 2 * k: (-1) ** k * mp.binomial(n, k) * mp.binomial(2 * n - 2 * k, n) / 2 ** n
+                    for k in range(n // 2 + 1)}
+
+        def inner(j, p):  # int_-1^1 x^(j + p) P_n(x) dx
+            return mp.fsum(c * moment(i + j + p) for i, c in legendre.items())
+
+        # only odd j give a condition that parity does not meet already
+        powers, conditions = range((n + 1) % 2, n + 1, 2), range(1, n + 1, 2)
+        lower = mp.lu_solve(mp.matrix([[inner(j, p) for p in powers] for j in conditions]),
+                            mp.matrix([-inner(j, n + 1) for j in conditions]))
+        stieltjes = {**dict(zip(powers, lower)), n + 1: 1}
+        xg = nonnegative_roots(legendre, n)
+        xk = sorted(xg + nonnegative_roots(stieltjes, n + 1))
+        rule = xg, weights(xg), xk, weights(xk)
+    return tuple([+v for v in part] for part in rule)
 
 
 def src_env() -> dict:

@@ -40,6 +40,16 @@ def test_solve_roller_linearized_json(capsys):
     assert obj["method"] == "linearized"
 
 
+def test_solve_roller_linearized_past_the_tip_shear_bound(capsys):
+    # the caller gives q; 3qL/8 past 2EJ/L^2 is an answer, not a refused P
+    code, out, err = run(capsys, "solve", "roller", *ROD_ARGS,
+                         "--q", "1100", "--method", "linearized")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["X"] == 412.5
+    assert obj["residual"] is None
+
+
 def test_solve_roller_root_find(capsys):
     code, out, _ = run(capsys, "solve", "roller", *ROD_ARGS,
                        "--q", "1000", "--method", "root-find")
@@ -81,10 +91,10 @@ def test_solve_infeasible_load_exits_2(capsys):
 
 def test_solve_builtin_closed_near_critical_exits_2(capsys):
     code, out, err = run(capsys, "solve", "builtin", *ROD_ARGS,
-                         "--q", "2399.99", "--method", "closed")
+                         "--q", "2399.997", "--method", "closed")
     assert code == 2
     assert out == ""
-    assert "within 4.167e-06 of the curvature bound" in err
+    assert "within 1.250e-06 of the curvature bound" in err
 
 
 def test_solve_nan_load_exits_1(capsys):

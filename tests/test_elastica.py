@@ -30,9 +30,10 @@ from rodbend.elastica import (
     tip_deflection_uniform,
 )
 from rodbend.errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
-from rodbend.quadrature import integrate_deflection
+from rodbend.quadrature import IntegrandSpec, integrate, integrate_deflection
 from rodbend.redundancy import (builtin_tip_integral, roller_consistency, solve_builtin,
                                 solve_roller)
+from rodbend.special_functions import appell_f1, gauss_2f1, hyp_3f2, lauricella_fd3
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
 
@@ -213,15 +214,27 @@ def test_real_number_types_pass(v):
         assert type(got) is float and got.hex() == want.hex(), name
 
 
-# float32 inputs on L = 1, EJ = 200 whose results came back as float32 when
-# the solvers computed from the raw magnitude: each is the float64 answer now
-FLOAT32_INPUTS = {"solve_roller": 1000.0, "tip_deflection_uniform": 1000.0,
-                  "integrate_deflection": 0.3}
+# float32 inputs whose results came back as float32 when the solvers (on
+# L = 1, EJ = 200), the quadrature bounds or the special-function arguments
+# were used as given: each is the float64 answer now. F1 on its integral
+# route did not converge at all.
+FLOAT32_INPUTS = {
+    "solve_roller": (FLOAT_RESULTS["solve_roller"], 1000.0),
+    "tip_deflection_uniform": (FLOAT_RESULTS["tip_deflection_uniform"], 1000.0),
+    "integrate_deflection": (FLOAT_RESULTS["integrate_deflection"], 0.3),
+    "integrate": (lambda v: integrate(IntegrandSpec(lambda x: x * x, type(v)(0.0), v))[0], 0.3),
+    "gauss_2f1": (lambda v: gauss_2f1(0.5, 0.5, 1.5, v), 0.3),
+    "hyp_3f2": (lambda v: hyp_3f2(0.5, 1.0, 1.5, 1.25, 1.75, v), 0.3),
+    "appell_f1 series": (lambda v: appell_f1(1.0, 0.6, 0.4, 2.3, v, -0.12), 0.2),
+    "appell_f1 integral": (lambda v: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, v), -0.4),
+    "lauricella_fd3": (lambda v: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.7, v, 0.3)), -0.4),
+}
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT32_INPUTS))
 def test_float32_inputs_are_computed_in_double(name):
-    call, v = FLOAT_RESULTS[name], np.float32(FLOAT32_INPUTS[name])
+    call, v = FLOAT32_INPUTS[name]
+    v = np.float32(v)
     got = call(v)
     assert type(got) is float
     assert got.hex() == call(float(v)).hex()

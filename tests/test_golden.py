@@ -98,7 +98,7 @@ ERRORS = {
     "error_solve_builtin_series_past_radius": ["solve", "builtin", *_ROD, "--q", "2000", "--method", "series",
                                                "--n", "11"],
     "error_table_builtin_past_radius": ["table", "builtin", *_ROD, "--q", "1500"],
-    "error_solve_builtin_closed_near_critical": ["solve", "builtin", *_ROD, "--q", "2399.99",
+    "error_solve_builtin_closed_near_critical": ["solve", "builtin", *_ROD, "--q", "2399.997",
                                                  "--method", "closed"],
 }
 

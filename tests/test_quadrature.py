@@ -2,12 +2,18 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from rodbend import quadrature
 from rodbend.elastica import RodProperties, TipMoment, TipShear, UniformLoad
 from rodbend.errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
 from rodbend.quadrature import IntegrandSpec, integrate, integrate_deflection
+from rodbend.redundancy import solve_builtin
+from rodbend.special_functions import appell_f1, lauricella_fd3
+
+from _oracle import gauss_kronrod
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
 
@@ -117,6 +123,56 @@ def test_one_non_finite_node_value_refused(bad):
     spec = IntegrandSpec(f=lambda x: bad if x == 0.5 else 1.0, lo=0.0, hi=1.0)
     with pytest.raises(UsageError, match="integrand not finite"):
         integrate(spec)
+
+
+# ------------------------------------------------------------- the rule
+
+def test_rule_is_g20_k41_to_the_last_bit():
+    with mp.workdps(50):
+        xg, wg, xk, wk = gauss_kronrod(20)
+    assert quadrature._XK == tuple(float(x) for x in xk)
+    assert quadrature._WK == tuple(float(w) for w in wk)
+    assert quadrature._WG == tuple(float(w) for w in wg)
+    # G20 has no center node: its nodes are the odd entries of the K41 half
+    assert quadrature._XK[1::2] == tuple(float(x) for x in xg)
+    # the panel's non-finite check relies on every Kronrod weight being positive
+    assert len(quadrature._KW) == 41 and min(quadrature._KW) > 0.0
+
+
+def test_one_panel_pairs_the_mirrored_nodes_with_their_weights():
+    # an entire integrand: both rules agree to rounding
+    value, est = quadrature._panel(math.exp, 0.0, 1.0)
+    assert abs(value - (math.e - 1.0)) < 1e-15 and est < 1e-15
+    # poles at +-0.2i: G20 is off by about 4e-4, K41 by 1e-7, inside the estimate
+    value, est = quadrature._panel(lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0)
+    assert abs(value - 0.4 * math.atan(5.0)) < 1e-6 < est < 1e-3
+
+
+# integrand evaluations, counted as panels x 41 nodes: the built-in closed
+# solve at q = 1000 and the F1/FD3 integral-route cases of
+# test_special_functions._FD_ROUTE_BITS
+EVALUATIONS = {
+    "built-in closed": (lambda: solve_builtin(ROD, 1000.0, method="closed"), 41),
+    "F1 auto, integral": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, -0.4), 82),
+    "FD3 auto, integral": (lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.7, -0.4, 0.3)), 82),
+    "FD3 auto, unit argument": (lambda: lauricella_fd3(0.5, (0.3, 0.3, 0.3), 1.5, (0.2, 0.1, 1.0)),
+                                164),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATIONS))
+def test_integrand_evaluations_are_pinned(monkeypatch, case):
+    panels = []
+    panel = quadrature._panel
+
+    def counting(f, lo, hi):
+        panels.append((lo, hi))
+        return panel(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel", counting)
+    call, evaluations = EVALUATIONS[case]
+    call()
+    assert len(panels) * 41 == evaluations
 
 
 # ------------------------------------------------------------- deflection

@@ -5,6 +5,7 @@ import re
 import time
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,8 @@ from rodbend.redundancy import (
     solve_roller,
     stabilized_from,
 )
+
+from _oracle import builtin_end_moment
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
 Q = 1000.0
@@ -74,6 +77,17 @@ def test_roller_linearized_reaction():
     assert sol.method == "linearized"
     assert sol.deviation_pct == 0.0
     assert sol.trace == ()
+
+
+def test_roller_linearized_past_the_tip_shear_bound():
+    # 3qL/8 = 412.5 N passes 2EJ/L^2 = 400 N from q = 16EJ/(3L^3) = 1066.7 N/m
+    # on; the load itself is feasible up to 1200 N/m. The reaction-side 3F2
+    # is undefined past the bound, so there is no residual, as for built-in
+    sol = solve_roller(ROD, 1100.0, method="linearized")
+    assert sol.X == 412.5
+    assert sol.residual is None
+    assert sol.deviation_pct == 0.0
+    assert solve_roller(ROD, Q, method="linearized").residual is not None
 
 
 def test_roller_root_expansion_kernel():
@@ -322,16 +336,23 @@ def test_builtin_2f1_routes_refused_past_their_radius():
 
 
 def test_builtin_closed_near_critical_quadrature_refused_with_exit_2_class():
-    # q = 2399.99 and 2399.997 pass both gates (margins 4.2e-6 and 1.3e-6
-    # against 1e-6), but the deflection quadrature cannot reach rtol 1e-13
-    # within its subdivision budget; that is a near-critical load, not a
-    # usage error
-    for q, margin in ((2399.99, "4.167e-06"), (2399.997, "1.250e-06")):
-        with pytest.raises(NearCriticalLoadError, match=re.escape(margin)) as info:
-            solve_builtin(ROD, q, method="closed")
-        assert "deflection quadrature stopped at error" in str(info.value)
+    # q = 2399.997 passes both gates (margin 1.3e-6 against 1e-6), but the
+    # deflection quadrature cannot reach rtol 1e-13 within its subdivision
+    # budget; that is a near-critical load, not a usage error
+    with pytest.raises(NearCriticalLoadError, match=re.escape("1.250e-06")) as info:
+        solve_builtin(ROD, 2399.997, method="closed")
+    assert "deflection quadrature stopped at error" in str(info.value)
     assert solve_builtin(ROD, 2399.9, method="closed").X == pytest.approx(
         143.992502312244, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1000.0, 2399.9, 2399.99])
+def test_builtin_closed_matches_mpmath_up_to_near_critical(q):
+    # 2399.99 lies 4.2e-6 inside the curvature bound, where the tip
+    # integrand peaks over about 1e-3 of the span
+    with mp.workdps(40):
+        want = builtin_end_moment(q)
+    assert abs(solve_builtin(ROD, q, method="closed").X - want) <= 1e-13 * want
 
 
 def test_builtin_deviation_sign_is_negative():
@@ -654,14 +675,14 @@ REPORT_BITS = [
         '0x0.0p+0', '0x0.0p+0',
     )),
     ('builtin', 1.0, 200.0, 0.3, (
-        '0x1.dffffffffffffp+5', '0x1.e28397fccb8dcp+5', '-0x1.dfffffffffffep+4',
-        '-0x1.daf8d00668e44p+4', '0x1.dffffffffffffp+5', '0x1.e28397fccb8dcp+5',
-        '0x1.0c29feaa25c16p-1', '0x1.0ac44ef50fa5ap-1',
+        '0x1.dffffffffffffp+5', '0x1.e28397fccb8dep+5', '-0x1.dfffffffffffep+4',
+        '-0x1.daf8d00668e40p+4', '0x1.dffffffffffffp+5', '0x1.e28397fccb8dep+5',
+        '0x1.0c29feaa25cebp-1', '0x1.0ac44ef50fb2dp-1',
     )),
     ('builtin', 1.0, 200.0, 0.8, (
-        '0x1.4000000000001p+7', '0x1.4ce5b4eacdb0cp+7', '-0x1.4000000000000p+6',
-        '-0x1.2634962a649eap+6', '0x1.4000000000001p+7', '0x1.4ce5b4eacdb0cp+7',
-        '0x1.01f2225811cdbp+2', '0x1.efe79b28a0531p+1',
+        '0x1.4000000000001p+7', '0x1.4ce5b4eacdb0ap+7', '-0x1.4000000000000p+6',
+        '-0x1.2634962a649eep+6', '0x1.4000000000001p+7', '0x1.4ce5b4eacdb0ap+7',
+        '0x1.01f2225811cb3p+2', '0x1.efe79b28a04e6p+1',
     )),
     ('roller', 1.3, 350.0, 0.0, (
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
@@ -686,9 +707,9 @@ REPORT_BITS = [
         '0x1.0c29feaa25d6ep-1', '0x1.0ac44ef50fbaep-1',
     )),
     ('builtin', 1.3, 350.0, 0.8, (
-        '0x1.aec4ec4ec4ec7p+7', '0x1.c021873c14e41p+7', '-0x1.aec4ec4ec4ec6p+6',
-        '-0x1.8c0bb67424fd2p+6', '0x1.aec4ec4ec4ec7p+7', '0x1.c021873c14e41p+7',
-        '0x1.01f2225811ccap+2', '0x1.efe79b28a0512p+1',
+        '0x1.aec4ec4ec4ec7p+7', '0x1.c021873c14e3fp+7', '-0x1.aec4ec4ec4ec6p+6',
+        '-0x1.8c0bb67424fd6p+6', '0x1.aec4ec4ec4ec7p+7', '0x1.c021873c14e3fp+7',
+        '0x1.01f2225811cacp+2', '0x1.efe79b28a04dap+1',
     )),
 
 ]
