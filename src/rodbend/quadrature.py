@@ -6,7 +6,11 @@ is the panel error estimate. A panel calls the integrand once per node
 with a float and sums the weighted values left to right, the Gauss sum
 over its own 20 nodes only. Integrable algebraic endpoint singularities
 are absorbed by a power substitution before any panel is evaluated, so
-the adaptive stage only ever sees a smooth integrand.
+the adaptive stage only ever sees a smooth integrand. An integral made of
+several pieces (the substituted pieces beside two hinted endpoints, or
+the two halves of an Euler integral) is integrated on one error budget:
+one heap holds the panels of every piece, and the worst of them is
+bisected until the summed estimate meets the tolerance.
 
 Also hosts the exact rod-deflection integral, which every closed-form
 result in the library is checked against.
@@ -168,25 +172,37 @@ class _NotConverged(UsageError):
         self.error = error
 
 
-def _adaptive(f, lo, hi, rtol, atol, max_subdivisions):
-    """Bisect the worst panel until the error bound is met."""
-    value, err = _panel(f, lo, hi)
-    # max-heap on panel error; counter breaks ties deterministically
-    heap = [(-err, 0, lo, hi, value, err)]
-    total, total_err = value, err
-    count = 1
+def _adaptive(pieces, rtol, atol, max_subdivisions):
+    """Integrate the sum over ``pieces``, a list of (f, lo, hi), on one error
+    budget: bisect the worst panel among all pieces until the summed error
+    estimate is at most max(atol, rtol * |summed value|).
+
+    The panel budget is ``max_subdivisions`` per piece. Returns the summed
+    (value, error estimate).
+    """
+    total = total_err = 0.0
+    # max-heap on panel error; a counter breaks ties deterministically
+    heap = []
+    for f, lo, hi in pieces:
+        value, err = _panel(f, lo, hi)
+        heap.append((-err, len(heap), f, lo, hi, value, err))
+        total += value
+        total_err += err
+    heapq.heapify(heap)
+    count = len(heap)
+    budget = max_subdivisions * count
     while total_err > max(atol, rtol * abs(total)):
-        if count >= max_subdivisions:
-            raise _NotConverged(max_subdivisions, total_err)
-        _, _, a, b, v, e = heapq.heappop(heap)
+        if count >= budget:
+            raise _NotConverged(budget, total_err)
+        _, _, f, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         v1, e1 = _panel(f, a, m)
         v2, e2 = _panel(f, m, b)
         total += v1 + v2 - v
         total_err += e1 + e2 - e
         count += 2
-        heapq.heappush(heap, (-e1, count, a, m, v1, e1))
-        heapq.heappush(heap, (-e2, count + 1, m, b, v2, e2))
+        heapq.heappush(heap, (-e1, count, f, a, m, v1, e1))
+        heapq.heappush(heap, (-e2, count + 1, f, m, b, v2, e2))
     return total, total_err
 
 
@@ -198,7 +214,7 @@ def _absorb(f, end, width, p, direction):
     Offsets below one ulp of the endpoint cannot be represented in x,
     so evaluation is clamped there; the affected tail mass is returned
     as an error floor instead of being silently trusted. Returns the
-    piece (g, 0.0, 1.0, floor) for ``integrate``.
+    piece (g, 0.0, 1.0) and its floor for ``integrate``.
     """
     gamma = max(1.0, 3.0 / (1.0 + p))
     d_min = math.ulp(1.0) * max(abs(end), width)  # machine epsilon times scale
@@ -208,7 +224,7 @@ def _absorb(f, end, width, p, direction):
         return f(end + direction * d) * width * gamma * t ** (gamma - 1.0)
 
     t_clamp = (d_min / width) ** (1.0 / gamma)
-    return g, 0.0, 1.0, abs(g(t_clamp)) * t_clamp / 3.0
+    return (g, 0.0, 1.0), abs(g(t_clamp)) * t_clamp / 3.0
 
 
 def integrate(spec: IntegrandSpec) -> tuple[float, float]:
@@ -221,26 +237,22 @@ def integrate(spec: IntegrandSpec) -> tuple[float, float]:
     """
     f, lo, hi = spec.f, spec.lo, spec.hi
     p_lo, p_hi = spec.lo_exponent, spec.hi_exponent
+    pieces, floor = [], 0.0
     if p_lo is None and p_hi is None:
-        pieces = [(f, lo, hi, 0.0)]
+        pieces.append((f, lo, hi))
     else:
         # one substituted piece per hinted endpoint, meeting at the midpoint
         mid = lo if p_lo is None else hi if p_hi is None else 0.5 * (lo + hi)
-        pieces = []
-        if p_lo is not None:
-            pieces.append(_absorb(f, lo, mid - lo, p_lo, 1))
-        if p_hi is not None:
-            pieces.append(_absorb(f, hi, hi - mid, p_hi, -1))
+        for end, width, p, direction in ((lo, mid - lo, p_lo, 1), (hi, hi - mid, p_hi, -1)):
+            if p is not None:
+                piece, piece_floor = _absorb(f, end, width, p, direction)
+                pieces.append(piece)
+                floor += piece_floor
 
-    total, total_err = 0.0, 0.0
-    for g, a, b, floor in pieces:
-        # below the floor the rule error is dominated by rounding of the
-        # endpoint offset, so tightening further cannot help
-        atol_each = max(spec.atol / len(pieces), 2.0 * floor)
-        v, e = _adaptive(g, a, b, spec.rtol, atol_each, spec.max_subdivisions)
-        total += v
-        total_err += e + floor
-    return total, total_err
+    # below the floor the rule error is dominated by rounding of the
+    # endpoint offset, so tightening further cannot help
+    value, err = _adaptive(pieces, spec.rtol, max(spec.atol, 2.0 * floor), spec.max_subdivisions)
+    return value, err + floor
 
 
 def _position(x, rod) -> float:

@@ -6,15 +6,17 @@ by a term ratio read in fixed blocks: a ratio depends on the parameters
 and the index only, so the blocks used last are kept in one bounded
 memo. Appell F1 is Lauricella's FD in two variables, so F1 and FD3 share
 the other, a sum over total-degree shells that takes any number of
-variables. Integral evaluation goes through the one-dimensional
-Euler-type representation
+variables; the shells come from an (n+1)-term recurrence, n products per
+shell for n variables. Integral evaluation goes through the
+one-dimensional Euler-type representation
 
     G(c) / (G(a) G(c-a)) * int_0^1 u^(a-1) (1-u)^(c-a-1) prod (1-x_i u)^(-b_i) du,
 
-valid for c > a > 0, with algebraic endpoint singularities absorbed by
-the quadrature layer. Gamma ratios are computed in the log domain only,
-from the standard library's ``math.lgamma`` (which returns log|G(v)|)
-and the sign rule G(v) < 0 exactly when v < 0 and floor(v) is odd.
+valid for c > a > 0, split at u = 1/2 with each endpoint power carried
+analytically, and both halves integrated on one error budget. Gamma
+ratios are computed in the log domain only, from the standard library's
+``math.lgamma`` (which returns log|G(v)|) and the sign rule G(v) < 0
+exactly when v < 0 and floor(v) is odd.
 All arguments are real; the reduction identities collapse a unit
 Lauricella argument into an Appell value and an Appell value with
 opposite arguments into a 3F2 value.
@@ -52,15 +54,15 @@ _MAX_SHELLS = 10 ** 5
 
 # method="auto" of F1 and FD3 sums the shell series, not the Euler
 # integral, when the ln(rtol)/ln(max|x_i|) shells that reach rtol are
-# within this budget: max|x_i| <= 0.47 at rtol 1e-13. There the series
-# costs 45-200 us and the 41-point integral 70-230 us (10th to 90th
-# percentile of 40 random draws per max|x_i|; 2-vCPU Xeon, Python 3.11);
-# by the medians the integral is the cheaper route from max|x_i| = 0.3
-# for F1 and 0.4 for FD3. The budget dates from a 15-point integral at
-# 180-400 us and is kept: a lower one moves the route, and so the bits,
-# of every value in between. The series' rounding error grows with
-# max|x_i|: inside the budget it stayed within 4.1e-14 of the integral
-# over 2200 random draws, and at 0.6 it already reached 4e-14 in 40.
+# within this budget: max|x_i| <= 0.47 at rtol 1e-13. There the series is
+# the cheaper route: 16-38 us against 47-173 us for the 41-point integral
+# (10th to 90th percentile of 40 random draws per max|x_i|, F1 and FD3;
+# 2-vCPU Xeon, Python 3.11). The budget is not raised, because the
+# three-strikes stop leaves a truncation error that grows with max|x_i|.
+# Median relative error against mpmath, series vs integral, over 1000
+# random draws with sum |b_i x_i| <= 1: 4.7e-15 vs 5.3e-16 at max|x_i|
+# 0.45-0.50, 6.6e-14 vs 7.0e-16 at 0.70-0.75, 1.5e-13 vs 7.8e-16 at
+# 0.85-0.90. Raising it waits for a tail bound on the stop (ROADMAP item 3).
 _SHELL_BUDGET = 40
 
 # Term-ratio blocks. The ratio r_k = t_(k+1) / (t_k x) of a 2F1 or 3F2
@@ -226,7 +228,7 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
         return 1.0
 
     def half(own, other, terms):
-        """Integral over the half next to one endpoint, e = distance from it.
+        """The half next to one endpoint as a piece for _adaptive, e = distance from it.
 
         ``own``/``other`` are the endpoint powers (plus one) at this and
         the far endpoint; each (b_i, c_i, d_i) in ``terms`` contributes
@@ -242,14 +244,16 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
                 val *= (ci + di * e) ** -bi
             return val
 
-        return _adaptive(g, 0.0, 1.0, rtol, 0.5 * _IRT_ATOL, 4096)[0]
+        return g, 0.0, 1.0
 
     # left half: e = u; right half: e = 1 - u, with 1 - x_i u written
-    # as (1 - x_i) + x_i e to avoid cancellation
-    v1 = half(alpha1, beta1, [(bi, 1.0, -xi) for bi, xi in comp])
-    v2 = half(beta1, alpha1, [(bi, 1.0 - xi, xi) for bi, xi in comp])
+    # as (1 - x_i) + x_i e to avoid cancellation. Both halves are positive,
+    # so rtol * |sum| is no looser than the two bounds rtol * |half| added.
+    pieces = [half(alpha1, beta1, [(bi, 1.0, -xi) for bi, xi in comp]),
+              half(beta1, alpha1, [(bi, 1.0 - xi, xi) for bi, xi in comp])]
+    total = _adaptive(pieces, rtol, _IRT_ATOL, 4096)[0]
     # G(c) / (G(a) G(c-a)) with c > a > 0: all arguments positive
-    return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * (v1 + v2)
+    return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * total
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
@@ -263,7 +267,7 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
     or has |b1 x1| + |b2 x2| > 1, the series otherwise.
     """
     _check_fd_call("F1", method, rtol, a, b1, b2, c, x1, x2)
-    x1, x2 = float(x1), float(x2)
+    a, b1, b2, c, x1, x2 = (float(v) for v in (a, b1, b2, c, x1, x2))
     if x1 == 1.0 or x2 == 1.0:
         raise DomainError(f"F1 is singular at a unit argument, got ({x1}, {x2})")
     return _fd_route("F1", method, a, (b1, b2), c, (x1, x2), rtol)
@@ -330,32 +334,34 @@ def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[fl
                rtol: float) -> float:
     """Lauricella FD series in len(x) variables, summed by total-degree shells.
 
-    Shell s contributes (a)_s/(c)_s times the degree-s coefficient of the
-    product of the single-variable factor series (b_i)_k x_i^k / k!. The
-    product is folded from the right: each fold holds, by degree, the
-    coefficients of the product of one factor series with the fold to its
-    right, so a shell adds one coefficient per fold. Appell's F1 is the
-    two-variable case and FD3 the three-variable one; ``name`` ("F1" or
-    "FD3") labels the error.
+    Shell s is (a)_s/(c)_s times the degree-s Taylor coefficient c_s of
+    P(t) = prod (1 - x_i t)^(-b_i). P satisfies Q P' = R P, with
+    Q = prod (1 - x_i t) = sum q_k t^k and
+    R = sum b_i x_i prod_(j != i) (1 - x_j t) = sum r_k t^k, so for the
+    n factors with b_i != 0 and x_i != 0 (the others are 1)
+
+        (s + 1) c_(s+1) = sum_(k < n) (r_k - (s - k) q_(k+1)) c_(s-k),
+
+    n products per shell. Each of the recurrence's modes decays like
+    |x_i|^s, so rounding stays of the order of a direct convolution.
+    Appell's F1 is the two-variable case and FD3 the three-variable one;
+    ``name`` ("F1" or "FD3") labels the error.
     """
-    cols = [[1.0] for _ in x]
-    folds = [[] for _ in x[1:]]  # innermost (the last two factors) first
+    q, r = [1.0], []
+    for bi, xi in zip(b, x):
+        if bi != 0.0 and xi != 0.0:
+            # R <- R (1 - x_i t) + b_i x_i Q, then Q <- Q (1 - x_i t)
+            r = [u - xi * v + bi * xi * w for u, v, w in zip(r + [0.0], [0.0] + r, q)]
+            q = [u - xi * v for u, v in zip(q + [0.0], [0.0] + q)]
+    steps = list(zip(r, q[1:]))  # (r_k, q_(k+1)), k = 0, ..., n-1
+    coeffs = [1.0]  # c_0, ..., c_s
     ratio_sc = 1.0  # (a)_s / (c)_s
     total = 0.0
     quiet = 0
     for s in range(_MAX_SHELLS):
         if s > 0:
             ratio_sc *= (a + s - 1) / (c + s - 1)
-            for col, bi, xi in zip(cols, b, x):
-                col.append(col[-1] * (bi + s - 1) * xi / s)
-        right = cols[-1]
-        for col, fold in zip(cols[-2::-1], folds):
-            conv = 0.0
-            for u, v in zip(col, reversed(right)):
-                conv += u * v
-            fold.append(conv)
-            right = fold
-        shell = ratio_sc * right[-1]
+        shell = ratio_sc * coeffs[s]
         total += shell
         if abs(shell) <= rtol * abs(total):
             quiet += 1
@@ -363,6 +369,12 @@ def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[fl
                 return total
         else:
             quiet = 0
+        following = 0.0
+        for k, (rk, qk1) in enumerate(steps):
+            if k > s:
+                break
+            following += (rk - (s - k) * qk1) * coeffs[s - k]
+        coeffs.append(following / (s + 1))
     raise DomainError(f"{name} series did not converge within {_MAX_SHELLS} shells")
 
 
@@ -381,7 +393,7 @@ def lauricella_fd3(a: float, b: Sequence[float], c: float, x: Sequence[float],
     if len(b) != 3 or len(x) != 3:
         raise UsageError("FD3 takes exactly three b parameters and three arguments")
     _check_fd_call("FD3", method, rtol, a, *b, c, *x)
-    return _fd_route("FD3", method, a, b, c, x, rtol)
+    return _fd_route("FD3", method, float(a), b, float(c), x, rtol)
 
 
 def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,

@@ -17,8 +17,8 @@ import os
 
 import mpmath as mp
 
-__all__ = ["builtin_end_moment", "gamma_ratio", "gauss_kronrod", "hyp2f1", "hyp3f2", "roller_root",
-           "src_env"]
+__all__ = ["builtin_end_moment", "gamma_ratio", "gauss_kronrod", "hyp2f1", "hyp3f2",
+           "lauricella_fd", "roller_root", "src_env"]
 
 # the lower parameters of the roller's reaction-side 3F2 per kernel; both
 # kernels share the load side's (7/6, 5/3)
@@ -48,6 +48,37 @@ def hyp3f2(upper, lower, z):
     value, the forced series a fraction of a second at z = 0.998."""
     _precise()
     return mp.hyper(list(upper), list(lower), z, force_series=True, maxterms=10 ** 6)
+
+
+def lauricella_fd(a, b, c, x):
+    """Lauricella FD(a; b_1, ..., b_n; c; x_1, ..., x_n), all |x_i| < 1, and
+    its total-degree shells: returns (value, shells).
+
+    Shell s is (a)_s/(c)_s times the degree-s coefficient of the product of
+    the factor series sum_k (b_i)_k x_i^k / k!, each product coefficient a
+    direct convolution (mp.fdot), so nothing is shared with a recurrence for
+    the product. Summing stops after three shells in a row at or below
+    mp.eps times the partial sum."""
+    _precise()
+    a, c = mp.mpf(a), mp.mpf(c)
+    b, x = [mp.mpf(v) for v in b], [mp.mpf(v) for v in x]
+    # by degree: each factor series, and folds[i] the product of the factor
+    # series i, i + 1, ..., n - 1
+    cols = [[mp.mpf(1)] for _ in x]
+    folds = [[mp.mpf(1)] for _ in x[1:]] + cols[-1:]
+    shells, total, quiet, ratio = [mp.mpf(1)], mp.mpf(1), 0, mp.mpf(1)
+    for s in range(1, 10 ** 4):
+        for col, bi, xi in zip(cols, b, x):
+            col.append(col[-1] * (bi + s - 1) * xi / s)
+        for i in range(len(x) - 2, -1, -1):
+            folds[i].append(mp.fdot(cols[i], reversed(folds[i + 1])))
+        ratio *= (a + s - 1) / (c + s - 1)
+        shells.append(ratio * folds[0][-1])
+        total += shells[-1]
+        quiet = quiet + 1 if abs(shells[-1]) <= mp.eps * abs(total) else 0
+        if quiet == 3:
+            return total, shells
+    raise AssertionError(f"FD shell sum did not settle within {s} shells")
 
 
 def roller_root(kernel: str, q: float):

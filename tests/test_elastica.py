@@ -217,7 +217,9 @@ def test_real_number_types_pass(v):
 # float32 inputs whose results came back as float32 when the solvers (on
 # L = 1, EJ = 200), the quadrature bounds or the special-function arguments
 # were used as given: each is the float64 answer now. F1 on its integral
-# route did not converge at all.
+# route did not converge at all, with a float32 argument or parameter.
+# (2F1 and 3F2 parameters are used as given: an int or Fraction parameter
+# keeps its own arithmetic.)
 FLOAT32_INPUTS = {
     "solve_roller": (FLOAT_RESULTS["solve_roller"], 1000.0),
     "tip_deflection_uniform": (FLOAT_RESULTS["tip_deflection_uniform"], 1000.0),
@@ -228,6 +230,18 @@ FLOAT32_INPUTS = {
     "appell_f1 series": (lambda v: appell_f1(1.0, 0.6, 0.4, 2.3, v, -0.12), 0.2),
     "appell_f1 integral": (lambda v: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, v), -0.4),
     "lauricella_fd3": (lambda v: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.7, v, 0.3)), -0.4),
+    "appell_f1 series, a": (lambda v: appell_f1(v, 0.6, 0.4, 2.3, 0.2, -0.12), 1.0),
+    "appell_f1 series, b2": (lambda v: appell_f1(1.0, 0.6, v, 2.3, 0.2, -0.12), 0.4),
+    "appell_f1 integral, a": (lambda v: appell_f1(v, 0.6, 0.4, 2.3, 0.7, -0.4), 1.0),
+    "appell_f1 integral, c": (lambda v: appell_f1(1.0, 0.6, 0.4, v, 0.7, -0.4), 2.3),
+    "lauricella_fd3 series, a": (
+        lambda v: lauricella_fd3(v, (0.6, 0.4, 0.5), 2.3, (0.2, -0.12, 0.1)), 1.0),
+    "lauricella_fd3 series, b1": (
+        lambda v: lauricella_fd3(1.0, (v, 0.4, 0.5), 2.3, (0.2, -0.12, 0.1)), 0.6),
+    "lauricella_fd3 integral, a": (
+        lambda v: lauricella_fd3(v, (0.6, 0.4, 0.5), 2.3, (0.7, -0.4, 0.3)), 1.0),
+    "lauricella_fd3 integral, c": (
+        lambda v: lauricella_fd3(1.0, (0.6, 0.4, 0.5), v, (0.7, -0.4, 0.3)), 2.3),
 }
 
 

@@ -31,7 +31,7 @@ from rodbend.special_functions import (
     reduce_fd3_unit_arg,
 )
 
-from _oracle import gamma_ratio, hyp2f1, src_env
+from _oracle import gamma_ratio, hyp2f1, lauricella_fd, src_env
 
 
 def rel_err(got, want):
@@ -267,6 +267,14 @@ def test_f1_series_equals_integral_route():
         assert rel_err(via_series, via_integral) < 1e-10, args
 
 
+def test_near_unit_f1_series_agrees_with_the_integral():
+    # about 13 000 shells: linear in their number by the shell recurrence,
+    # quadratic when every shell convolved the factor series
+    args = (1.5, 0.6, 0.9, 2.8, 0.999, 0.01)
+    via_series = appell_f1(*args, method="series")
+    assert rel_err(via_series, appell_f1(*args, method="integral")) < 1e-9
+
+
 def test_f1_series_is_fd3_series_with_an_empty_slot():
     # F1 and FD3 share one shell sum; an empty third slot adds exact zeros
     rng = np.random.default_rng(17)
@@ -356,18 +364,21 @@ def test_fd3_integral_equals_triple_series():
 
 
 # FD3 series values of the numpy implementation this pure-Python series
-# replaced, as float.hex; inputs fixed before the values were recorded
+# replaced, as float.hex; inputs fixed before the values were recorded. The
+# rows marked re-pinned moved by 1 to 4 ulps when the shell coefficients came
+# from their recurrence instead of a convolution (relative error against
+# mpmath: 2.51e-14 -> 2.57e-14, 1.71e-15 -> 9.3e-16, 6.77e-15 -> 6.6e-15)
 _FD3_SERIES_BITS = [
     ((0.5, (1.0, 0.5, 0.25), 1.5, (0.3, -0.2, 0.1)), "0x1.18753a41ee196p+0"),
     ((1.0, (0.5, 0.5, 0.5), 2.0, (0.5, 0.25, -0.5)), "0x1.1fd2af5063d93p+0"),
     ((2.0, (1.0, -0.5, 0.75), 1.5, (0.4, 0.4, 0.4)), "0x1.2de4ba3a738f9p+1"),
     ((-0.5, (1.0, 1.0, 1.0), 1.0, (0.2, -0.3, 0.6)), "0x1.5cfb5a9feba16p-1"),
-    ((1.5, (2.0, 0.5, 1.0), 2.5, (-0.8, 0.1, 0.05)), "0x1.07a65bdaf2ab7p-1"),
+    ((1.5, (2.0, 0.5, 1.0), 2.5, (-0.8, 0.1, 0.05)), "0x1.07a65bdaf2ab4p-1"),  # re-pinned
     ((0.25, (0.5, 1.5, -1.0), 3.0, (0.9, -0.9, 0.5)), "0x1.d40539affd0bcp-1"),
-    ((3.0, (0.5, 0.5, 0.5), 1.25, (0.1, 0.2, 0.3)), "0x1.23a893fa984e1p+1"),
+    ((3.0, (0.5, 0.5, 0.5), 1.25, (0.1, 0.2, 0.3)), "0x1.23a893fa984e5p+1"),  # re-pinned
     ((1.0, (1.0, 2.0, 3.0), 4.0, (0.7, 0.0, -0.6)), "0x1.a76fcdba29ffdp-1"),
     ((0.75, (-2.0, 1.0, 0.5), 1.75, (0.6, 0.6, -0.6)), "0x1.5b94f256fb733p-1"),
-    ((1.25, (0.3, 0.7, 1.1), 2.25, (-0.5, -0.5, -0.5)), "0x1.3e66381512478p-1"),
+    ((1.25, (0.3, 0.7, 1.1), 2.25, (-0.5, -0.5, -0.5)), "0x1.3e66381512479p-1"),  # re-pinned
 ]
 
 
@@ -678,21 +689,29 @@ def test_auto_takes_the_cheaper_valid_route(monkeypatch, case):
 
 # F1 and FD3 values on each route, as float.hex: the route choice, the
 # unit-slot folding and the domain checks that F1 and FD3 share must not
-# move a bit
+# move a bit. Re-pinned: "F1 series" by one ulp when the shells came from
+# their recurrence (relative error against mpmath 7.98e-14 -> 8.00e-14),
+# "FD3 auto, unit argument" when the two halves of the Euler integral came
+# to share one error budget (7.0e-16 -> 3.6e-16)
 _FD_ROUTE_BITS = {
     "F1 auto, series": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.2, -0.12),
                         "0x1.0954d5f53eacbp+0"),
     "F1 auto, integral": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, -0.4),
                           "0x1.3631aa1ad0c4dp+0"),
     "F1 series": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, -0.4, method="series"),
-                  "0x1.3631aa1ad0a99p+0"),
+                  "0x1.3631aa1ad0a98p+0"),
     "F1 cancelling, auto": (lambda: appell_f1(*_CANCELLING_F1), "0x1.b871975458929p-7"),
     "FD3 auto, unit argument": (
         lambda: lauricella_fd3(0.5, (0.3, 0.3, 0.3), 1.5, (0.2, 0.1, 1.0)),
-        "0x1.4df62b7f2ddc3p+0"),
+        "0x1.4df62b7f2ddc5p+0"),
     "FD3 auto, integral": (
         lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.7, -0.4, 0.3)),
         "0x1.5039245447ac8p+0"),
+    "F1 auto, integral at 0.8": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.8, -0.4),
+                                 "0x1.4a7045c48083dp+0"),
+    "FD3 auto, integral at 0.8": (
+        lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.8, -0.4, 0.3)),
+        "0x1.6724eb6536ac9p+0"),
 }
 
 
@@ -763,3 +782,45 @@ def test_fd3_auto_stays_within_rtol_of_the_integral(args):
     a, b, c, x = args
     via_integral = lauricella_fd3(a, b, c, x, method="integral")
     assert rel_err(lauricella_fd3(a, b, c, x), via_integral) <= 1e-13
+
+
+@st.composite
+def _fd_series_args(draw, n):
+    """a, b, c, x in n variables with max|x_i| = m <= 0.9: b_i and x_i of
+    either sign, each b_i possibly zero or a nonpositive integer, each x_i
+    but the first possibly zero."""
+    a = draw(st.floats(-3.0, 5.0))
+    c = draw(st.floats(0.1, 5.0))
+    b = draw(st.lists(st.floats(-5.0, 5.0) | st.sampled_from([0.0, -1.0, -2.0, -3.0]),
+                      min_size=n, max_size=n))
+    m = draw(st.floats(0.0, 0.9))
+    x = [m * draw(st.sampled_from([-1.0, 1.0]))]
+    x += [m * draw(st.floats(-1.0, 1.0) | st.just(0.0)) for _ in range(n - 1)]
+    return a, b, c, x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]).flatmap(_fd_series_args))
+def test_fd_series_is_within_its_tail_and_rounding_of_the_oracle(args):
+    a, b, c, x = args
+    if len(x) == 2:
+        got = appell_f1(a, *b, c, *x, method="series")
+    else:
+        got = lauricella_fd3(a, b, c, x, method="series")
+    with mp.workdps(30):
+        want, shells = lauricella_fd(a, b, c, x)
+        # the shells the float sum takes: up to the third in a row at or
+        # below rtol times the partial sum
+        partial, quiet, size = 0, 0, 0
+        for count, shell in enumerate(shells, 1):
+            partial += shell
+            size += abs(shell)
+            quiet = quiet + 1 if abs(shell) <= 1e-13 * abs(partial) else 0
+            if quiet == 3:
+                break
+        # the stop leaves the tail after a last shell of at most rtol |sum|,
+        # about |last shell| m / (1 - m); each of the S shells rounds at
+        # about eps times the shell sizes
+        m = max(abs(v) for v in x)
+        tail = 1e-13 * abs(want) * m / (1 - m)
+        assert abs(got - want) <= tail + count * sys.float_info.epsilon * size
