@@ -277,7 +277,15 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10) -> float:
     NearCriticalLoadError when the relative margin is below 1e-6, where
     the integrand is numerically intractable.
     """
-    x, L, EJ = _position(x, rod), rod.L, rod.EJ
+    x = _position(x, rod)
+    _check_rtol(rtol)
+    return _deflection(load, rod, x, rtol)
+
+
+def _deflection(load, rod, x: float, rtol: float) -> float:
+    """``integrate_deflection`` at a checked position and rtol: the one
+    _adaptive piece a hint-free ``integrate`` sums, with its atol 1e-14."""
+    L, EJ = rod.L, rod.EJ
     if x == L:
         return 0.0
 
@@ -298,7 +306,7 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10) -> float:
         return h / math.sqrt((EJ - h) * (EJ + h))
 
     try:
-        value, _ = integrate(IntegrandSpec(f=integrand, lo=x, hi=L, rtol=rtol))
+        value, _ = _adaptive([(integrand, x, L)], rtol, 1e-14, 4096)
     except _NotConverged as exc:
         raise NearCriticalLoadError(
             f"load within {margin:.3e} of the curvature bound: the deflection quadrature "

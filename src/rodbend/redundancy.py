@@ -25,9 +25,9 @@ from ._value import Frozen, set_field
 from .elastica import (_TIP_PARAMS, BuiltInCombined, RodProperties, TipShear, UniformLoad,
                        _require_feasible, _tip_argument, _tip_closed_form, feasibility_check)
 from .errors import BracketError, NearCriticalLoadError, UsageError, _check_rtol, _integer
-from .quadrature import integrate_deflection
+from .quadrature import _deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import _ratio_block, _sum_ratios
+from .special_functions import _ratio_block, _sum_ratios, _sum_with_slope
 
 __all__ = [
     "RedundancySolution",
@@ -51,7 +51,14 @@ _KERNEL_SHAPES = {"expansion": UniformLoad, "displacement": TipShear}
 # highest order of a reaction series, n_terms <= 50: the cold cost of a
 # build grows about as order^4, to about 0.4 s for the roller series at 101
 _MAX_ORDER = 101
-_SEED_ORDER = 7  # the roller root finder starts from its sums through w^5 and w^7
+_SEED_ORDER = 7  # the roller root finder starts from the series' sum through w^7
+
+# The weights u_k = (2k + 1) t_k z^k of the slope S of either roller kernel
+# 3F2(1/2, 1, 3/2; b1, b2; z) have ratios z (k + 3/2)^2 / ((k + b1) (k + b2))
+# <= z (k + 7/6) / (k + 1), those of the negative binomial weights of mean
+# 7/6 z/(1 - z); so their mean index z S'(z)/S(z) is at most that mean. At
+# (b1, b2) = (7/6, 5/3) the two cubics differ by 1/54 alone.
+_SLOPE_INDEX = 7.0 / 6.0
 
 
 class RedundancySolution(Frozen):
@@ -120,9 +127,9 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     pair (7/6, 5/3); "displacement" uses the tip-shear pair (5/4, 7/4),
     which makes the zero of the residual agree with the quadrature
     zero-displacement closure exactly. It is the gates plus one call of
-    ``_roller_residual``, whose residual ``solve_roller`` builds once for
-    its root finder and its reported residual; ``solve_roller`` does not
-    call this function.
+    ``_roller_residual``, which ``solve_roller`` builds once, so its root
+    finder and its reported residual share one load side; ``solve_roller``
+    does not call this function.
     """
     _check_kernel(kernel)
     q = _check_load(UniformLoad(q), rod)
@@ -207,44 +214,66 @@ def _series_trace(series: PowerSeries, w: float, scale: float, n_terms: int):
     return trace
 
 
-def _find_roller_root(rod: RodProperties, q: float, kernel: str, load_side: float, residual,
+@lru_cache(maxsize=None)
+def _seed_coefficients(kernel: str) -> tuple[float, ...]:
+    """a_0, ..., a_3 of the roller reaction series as floats, once per kernel."""
+    return tuple(float(c) for c in roller_reaction_series(_SEED_ORDER, kernel).coefficients[1::2])
+
+
+def _find_roller_root(rod: RodProperties, q: float, kernel: str, load_side: float,
                       rtol: float) -> float:
-    # Solves roller_consistency = 0 on [0, min(1.1 * 3qL/8, 0.999 * 2EJ/L^2)]
-    # through solve_roller's _roller_residual, so the load side is summed once;
-    # solve_roller has checked the load and every probe lies inside the
-    # tip-shear bound. ``rtol`` is the secant stop; the 3F2 sums keep the
-    # residual's default tolerance.
+    # Solves roller_consistency = 0 below min(1.1 * 3qL/8, 0.999 * 2EJ/L^2) by
+    # Newton steps; solve_roller has checked the load and every iterate lies
+    # inside the tip-shear bound. The residual r(X) = load side - 8 g(X), with
+    # g(X) = X F(c X^2), is concave and falls, and r'(X) = -8 S, S = F + 2zF'
+    # from the same loop as F. The first iterate is the reaction series' sum
+    # through w^7, above the root as every coefficient past a_0 is negative,
+    # or the bracket top when the sum passes it; the top, where near the cap
+    # a 3F2 sums thousands of terms, is summed only then (from about 0.99 of
+    # critical), and a positive residual there leaves no root below it. From
+    # above the root each step lands above it again, the tangent lying above
+    # a concave residual, so the iterates fall to the root. The 3F2 sums keep
+    # the residual's default tolerance; ``rtol`` bounds the returned iterate's
+    # error, by the stop below.
     if q == 0.0:
         return 0.0
     L, EJ = rod.L, rod.EJ
     hi = min(1.1 * 3.0 * q * L / 8.0, 2.0 * EJ / L ** 2 * 0.999)
-    # the secant starts from the reaction series' sums through w^5 and w^7,
-    # both above the root as its coefficients past a_0 are negative; the
-    # residual is concave, so each step stays above the root too. The top,
-    # where near the cap a 3F2 sums thousands of terms, is summed only when a
-    # seed reaches it (from about 0.99 of critical): a positive residual there
-    # leaves no root below it, and with both seeds there the secant starts
-    # from the bracket's ends, the residual at X = 0 being the load side
-    trace = _series_trace(roller_reaction_series(_SEED_ORDER, kernel), L ** 3 * q / EJ,
-                          EJ / L ** 2, _SEED_ORDER // 2)
-    x0, x1 = (min(x, hi) for _, x in trace[-2:])
-    f0 = residual(x0)
-    if x0 == hi and f0 > 0.0:
-        raise BracketError(
-            f"no sign change on (0, {hi:.6g}); the load is too close to critical "
-            f"for the reaction bracket"
-        )
-    x0, f0, f1 = (0.0, load_side, f0) if x1 == hi else (x0, f0, residual(x1))
+    w = L ** 3 * q / EJ
+    seed = 0.0
+    for c in reversed(_seed_coefficients(kernel)):
+        seed = seed * (w * w) + c
+    x = min(EJ / L ** 2 * w * seed, hi)
+    params, argument = _TIP_PARAMS[_KERNEL_SHAPES[kernel]], _tip_argument(TipShear, rod)
     for _ in range(60):
-        if f1 == f0:
+        z = argument(x)
+        f, s = _sum_with_slope(params, z, 1e-13)
+        r = load_side - 8.0 * x * f
+        if x == hi and r > 0.0:
+            raise BracketError(
+                f"no sign change on (0, {hi:.6g}); the load is too close to critical "
+                f"for the reaction bracket"
+            )
+        step = r / (8.0 * s)
+        # The stop: a bound on the new iterate's error. Let x_n >= X* be the
+        # iterate, d = -step and K = g''(x_n)/(2 g'(x_n)). g'' rises with X, so
+        # below x_n the slope g' falls by at most 2K g'(x_n) per unit of X, and
+        # r(x_n - e) >= 8 g'(x_n) (e - K e^2 - d). Given 4Kd <= 1, that is >= 0
+        # at e = 2d/(1 + sqrt(1 - 4Kd)): the root lies within e of x_n, and
+        # x_n + step above it by at most e - d = 4K d^2/(1 + sqrt(1 - 4Kd))^2,
+        # at most 4K d^2. The curvature: K x_n = z S'(z)/S(z), at most
+        # _SLOPE_INDEX z/(1 - z). Below the root (r > 0, from rounding alone)
+        # the step overshoots it by at most its own length. The sums' own
+        # errors are not in the bound.
+        if r > 0.0:
+            bound = step
+        else:
+            k4 = 4.0 * _SLOPE_INDEX * z / ((1.0 - z) * x)
+            bound = k4 * step * step if -k4 * step <= 1.0 else math.inf
+        x += step
+        if bound <= rtol * x:
             break
-        # the quotient first: f1 * (x1 - x0) underflows to 0 at tiny loads
-        x2 = min(max(x1 - (x1 - x0) / (f1 - f0) * f1, 0.0), hi)
-        if abs(x2 - x1) <= rtol * abs(x2):
-            return x2
-        x0, f0 = x1, f1
-        x1, f1 = x2, residual(x2)
-    return x1
+    return x
 
 
 def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
@@ -275,7 +304,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         trace = tuple(_series_trace(series, L ** 3 * q / EJ, EJ / L ** 2, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
     else:
-        X = _find_roller_root(rod, q, kernel, load_side, residual, rtol)
+        X = _find_roller_root(rod, q, kernel, load_side, rtol)
         trace, label = (), "root_find"
 
     if method == "linearized" and feasibility_check(TipShear(X), rod) >= 1.0:
@@ -312,11 +341,18 @@ def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
     """
     _check_mode(mode)
     _check_rtol(rtol)
-    q = _check_load(BuiltInCombined(q), rod)
+    load = BuiltInCombined(q)
+    _check_load(load, rod)
+    return _tip_integral(load, rod, mode, rtol)
+
+
+def _tip_integral(load: BuiltInCombined, rod: RodProperties, mode: str, rtol: float) -> float:
+    """``builtin_tip_integral`` of a gated load, with mode and rtol checked."""
+    q = load.q
     if q == 0.0:
         return 0.0
     if mode == "quadrature":
-        return integrate_deflection(BuiltInCombined(q), rod, 0.0, rtol=rtol)
+        return _deflection(load, rod, 0.0, rtol)
     return _tip_closed_form(BuiltInCombined, q, rod, rtol, lambda: (
         f"the 2F1 approximation of the tip integral diverges past "
         f"{_radius(rod, q, '>')}; use --method closed, whose tip integral "
@@ -338,7 +374,8 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     """
     _check_mode(integral_mode)
     _check_rtol(rtol)
-    q = _check_load(BuiltInCombined(q), rod)
+    load = BuiltInCombined(q)
+    q = _check_load(load, rod)
     L, EJ = rod.L, rod.EJ
     linearized = q * L ** 2 / 12.0
 
@@ -356,7 +393,7 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
         trace = tuple(_series_trace(series, w, EJ / L, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
     elif method == "closed":
-        i_val = builtin_tip_integral(rod, q, mode=integral_mode, rtol=rtol)
+        i_val = _tip_integral(load, rod, integral_mode, rtol)
         X = 2.0 * EJ * i_val / (L ** 2 + i_val ** 2)
         trace, label = (), f"closed({integral_mode})"
     else:

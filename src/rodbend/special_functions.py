@@ -44,9 +44,10 @@ __all__ = [
 
 # Series stop policy: a term counts as negligible when |term| <= rtol*|partial|;
 # summation stops after three negligible terms in a row or fails at the cap.
-# gauss_2f1 and hyp_3f2 share this loop (_sum_series). Appell F1 and FD3
-# share the other one (_fd_series), the Lauricella FD shell sum in two or
-# three variables, which applies the same rule to whole shells.
+# gauss_2f1 and hyp_3f2 share this loop (_sum_series); the roller root
+# finder's copy of it (_sum_with_slope) also sums the slope of a tip kernel.
+# Appell F1 and FD3 share the other one (_fd_series), the Lauricella FD shell
+# sum in two or three variables, which applies the same rule to whole shells.
 DEFAULT_RTOL = 1e-13
 _CONSECUTIVE = 3
 _MAX_TERMS = 10 ** 6
@@ -151,6 +152,34 @@ def _sum_ratios(block, params: tuple, x: float, rtol: float) -> float:
                 quiet += 1
                 if quiet >= _CONSECUTIVE:
                     return partial
+            else:
+                quiet = 0
+    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
+
+
+def _sum_with_slope(params: tuple, x: float, rtol: float) -> tuple[float, float]:
+    """F = 1 + sum t_k by the loop of _sum_ratios, with the same bits and stop,
+    and beside it S = 1 + sum (2k + 1) t_k, from all-float 3F2 ``params``.
+
+    With a1 = 1/2, (2k + 1) (1/2)_k = (3/2)_k, so S = F + 2xF' is the 3F2
+    with a1 raised to 3/2: the slope d(X F)/dX of a tip kernel at x = c X^2.
+    S is summed to F's stop, not to its own.
+    """
+    if not abs(x) < 1.0:
+        raise DomainError(f"3F2 series needs |x| < 1, got x={x}")
+    partial = slope = term = 1.0
+    odd = 1.0
+    quiet = 0
+    for start in range(0, _MAX_TERMS, _BLOCK):
+        for r in _ratio_block(params, start):
+            term *= r * x
+            partial += term
+            odd += 2.0
+            slope += odd * term
+            if abs(term) <= rtol * abs(partial):
+                quiet += 1
+                if quiet >= _CONSECUTIVE:
+                    return partial, slope
             else:
                 quiet = 0
     raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
@@ -323,11 +352,14 @@ def _series_is_cheaper(b: Sequence[float], x: Sequence[float], rtol: float) -> b
     With sum |b_i x_i| > 1 the shells grow before they fall and terms of
     mixed sign cancel, so the series is not taken whatever the count.
     """
-    top = max(abs(xi) for xi in x)
-    if top == 0.0:
-        return True
     return (sum(abs(bi * xi) for bi, xi in zip(b, x)) <= 1.0
-            and math.log(rtol) >= _SHELL_BUDGET * math.log(top))
+            and _shells_within(max(abs(xi) for xi in x), rtol, _SHELL_BUDGET))
+
+
+def _shells_within(top: float, rtol: float, budget: int) -> bool:
+    """Whether ln(rtol)/ln(top) shells, about what an FD series whose largest
+    |x_i| is top < 1 sums to reach rtol, are at most ``budget``."""
+    return top == 0.0 or math.log(rtol) >= budget * math.log(top)
 
 
 def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[float],
@@ -401,8 +433,10 @@ def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,
     """FD(3)(a; b1, b2, b3; c; x, y, 1) collapsed to an Appell F1 value.
 
     Returns G(c) G(c-a-b3) / (G(c-a) G(c-b3)) * F1(a; b1, b2; c-b3; x, y);
-    the F1 factor is summed as a double series when both arguments allow
-    it, so the result is an independent route from the direct integral.
+    the F1 factor is summed as a double series when |x|, |y| < 1 and the
+    series reaches rtol within ``_MAX_SHELLS`` shells, so the result is an
+    independent route from the direct integral; otherwise it is the F1
+    integral.
     """
     _check_finite("FD3 reduction", a, b1, b2, b3, c, x, y)
     _check_rtol(rtol)
@@ -410,7 +444,8 @@ def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,
         raise DomainError(f"reduction needs c > a + b3, got c={c}, a+b3={a + b3}")
     if not c > a > 0:
         raise DomainError(f"reduction needs c > a > 0, got a={a}, c={c}")
-    method = "series" if (abs(x) < 1 and abs(y) < 1) else "integral"
+    top = max(abs(x), abs(y))
+    method = "series" if top < 1 and _shells_within(top, rtol, _MAX_SHELLS) else "integral"
     f1 = appell_f1(a, b1, b2, c - b3, x, y, method=method, rtol=rtol)
     if b3 == 0.0:
         return f1

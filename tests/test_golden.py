@@ -20,11 +20,12 @@ coefficients (``PowerSeries.json_obj``) of one reaction series to order
 ``tests/golden/roller_root_find_bits.json`` holds the exact bits
 (``float.hex``) of the root-find reaction and its residual for both
 kernels from 0.02 to 0.995 of the critical load, or the error class and
-message where the bracket fails, so a faster root finder must land on
-the same floats. Those floats are also checked against the roots of the
-same equations, which mpmath solves at 30 digits on every run
-(``_oracle.roller_root``): a new load needs its entry in
-``ROOT_FIND_FRACTIONS`` and its bits from this script, and no other file.
+message where the bracket fails, so any change to the root finder's floats
+shows. Those floats are also checked against the roots of the same
+equations, which mpmath solves at 30 digits on every run
+(``_oracle.roller_root``); new bits are recorded only once that check
+passes, and a new load needs its entry in ``ROOT_FIND_FRACTIONS`` and its
+bits from this script, and no other file.
 
 Regenerate the files only when an output change is intended:
 

@@ -233,3 +233,24 @@ def test_outside_span_rejected():
         integrate_deflection(UniformLoad(100.0), ROD, -0.1)
     with pytest.raises(UsageError):
         integrate_deflection(UniformLoad(100.0), ROD, ROD.L * 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf],
+                         ids=["nan", "zero", "negative", "inf"])
+@pytest.mark.parametrize("x", [0.0, ROD.L], ids=["tip", "wall"])
+def test_deflection_refuses_a_bad_tolerance(x, bad):
+    with pytest.raises(UsageError, match="tolerance must be finite and positive"):
+        integrate_deflection(UniformLoad(100.0), ROD, x, rtol=bad)
+
+
+def test_deflection_is_one_hint_free_integral():
+    # the same bits as integrate() of the same integrand without hints
+    load = UniformLoad(1000.0)
+
+    def integrand(xi):
+        h = load.H(xi, ROD.L)
+        return h / math.sqrt((ROD.EJ - h) * (ROD.EJ + h))
+
+    for x in (0.0, 0.3):
+        value, _ = integrate(IntegrandSpec(f=integrand, lo=x, hi=ROD.L, rtol=1e-12))
+        assert integrate_deflection(load, ROD, x, rtol=1e-12) == -value

@@ -104,24 +104,30 @@ def test_roller_root_displacement_kernel():
 
 
 def _count_3f2_sums(monkeypatch):
-    """The argument of every 3F2 a solve sums, as it passes the summation loop."""
+    """The argument of every 3F2 a solve sums, as it passes one of the two
+    summation loops: the plain one, and the root finder's, which sums the
+    slope beside the value."""
     args = []
-    loop = special_functions._sum_ratios
+    loop, with_slope = special_functions._sum_ratios, special_functions._sum_with_slope
 
     def counting(block, params, x, rtol):
         args.append(x)
         return loop(block, params, x, rtol)
 
+    def counting_with_slope(params, x, rtol):
+        args.append(x)
+        return with_slope(params, x, rtol)
+
     monkeypatch.setattr(special_functions, "_sum_ratios", counting)
     monkeypatch.setattr(redundancy, "_sum_ratios", counting)
+    monkeypatch.setattr(redundancy, "_sum_with_slope", counting_with_slope)
     return args
 
 
 def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     # at q = 1000 the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the
-    # solve sums goes through the summation loop, which solve_roller calls
-    # through the one _roller_residual that serves the root finder and the
-    # reported residual
+    # solve sums goes through a summation loop, the load side through the one
+    # _roller_residual that serves the root finder and the reported residual
     args = _count_3f2_sums(monkeypatch)
     solve_roller(ROD, Q, method="root_find")
     load_arg = ROD.L ** 6 * Q ** 2 / (36.0 * ROD.EJ ** 2)
@@ -131,8 +137,9 @@ def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     # once for the root finder and the reported residual together
     assert args.count(load_arg) == 1
     assert max(args) < cap_arg
-    # 1 load side + the 2 series seeds + 3 secant probes + 1 for the residual
-    assert len(args) == 7
+    # 1 load side + 3 Newton steps, each a value and its slope from one
+    # loop + 1 for the residual at the last iterate
+    assert len(args) == 5
 
 
 @pytest.mark.parametrize("kernel", ["expansion", "displacement"])
@@ -141,7 +148,33 @@ def test_root_find_from_the_series_seeds_takes_few_sums(monkeypatch, kernel):
     for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
         args.clear()
         solve_roller(ROD, f * 1200.0, method="root_find", kernel=kernel)
-        assert len(args) <= 9, f
+        assert len(args) <= 6, f
+
+
+@pytest.mark.parametrize("q", [1190.0, 1194.0])
+def test_root_find_from_the_cap_takes_few_sums(monkeypatch, q):
+    # the series seed passes the cap here, so the steps start from the cap,
+    # where each sum takes thousands of terms
+    args = _count_3f2_sums(monkeypatch)
+    solve_roller(ROD, q, method="root_find")
+    assert max(args) == ROD.L ** 4 * (2.0 * ROD.EJ / ROD.L ** 2 * 0.999) ** 2 / (4.0 * ROD.EJ ** 2)
+    assert len(args) <= 10
+
+
+@pytest.mark.parametrize("b", [(F(7, 6), F(5, 3)), (F(5, 4), F(7, 4))], ids=["expansion",
+                                                                             "displacement"])
+def test_slope_sum_is_the_3f2_with_a1_raised_and_its_index_bound_holds(b):
+    # S = sum (2k + 1) t_k z^k is 3F2(3/2, 1, 3/2; b1, b2; z), as a1 = 1/2
+    params = (0.5, 1.0, 1.5, float(b[0]), float(b[1]))
+    f, s = special_functions._sum_with_slope(params, 0.5, 1e-13)
+    assert f == special_functions._sum_ratios(special_functions._ratio_block, params, 0.5, 1e-13)
+    assert s == pytest.approx(special_functions.hyp_3f2(1.5, 1.0, 1.5, *params[3:], 0.5), rel=1e-11)
+    # the root finder's curvature bound: (k + 1)(k + 3/2)^2 <= (k + g)(k + b1)(k + b2)
+    # for g = _SLOPE_INDEX, a cubic difference whose coefficients are all nonnegative
+    g = F(redundancy._SLOPE_INDEX)
+    gap = [g + b[0] + b[1] - 4, g * (b[0] + b[1]) + b[0] * b[1] - F(21, 4),
+           g * b[0] * b[1] - F(9, 4)]
+    assert all(c >= 0 for c in gap), gap
 
 
 @pytest.mark.parametrize("kernel", ["expansion", "displacement"])
@@ -155,8 +188,8 @@ def test_roller_series_coefficients_past_the_first_are_negative(kernel):
 
 @pytest.mark.parametrize("q", [1e-160, 1e-200, 1.2e-297])
 def test_root_find_keeps_tiny_loads(q):
-    # a secant numerator f1 * (x1 - x0) underflows to 0 at these loads, and
-    # a zero step counts as converged, at the bracket top or short of the root
+    # the kernel argument underflows to 0 at these loads, and the seed's
+    # higher powers of w with it
     X = solve_roller(ROD, q, method="root_find").X
     assert abs(X / (3.0 * q * ROD.L / 8.0) - 1.0) <= 1e-15
 
@@ -662,8 +695,8 @@ REPORT_BITS = [
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
     )),
     ('roller', 1.0, 200.0, 0.3, (
-        '0x1.94ffffffffffep+4', '0x1.8d8f49cc7648bp+4', '0x1.8000000000000p-2',
-        '0x1.7c74d7017ab33p-2', '0x1.d64c97c98290cp+0', '0x1.df19cccdf3de4p+0',
+        '0x1.94ffffffffffep+4', '0x1.8d8f49cc764a0p+4', '0x1.8000000000000p-2',
+        '0x1.7c74d7017ab3dp-2', '0x1.d64c97c9823dcp+0', '0x1.df19cccdf3883p+0',
     )),
     ('roller', 1.0, 200.0, 0.8, (
         '0x1.0e00000000001p+6', '0x1.d61cbf15938ccp+5', '0x1.8000000000000p-2',
@@ -689,8 +722,8 @@ REPORT_BITS = [
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
     )),
     ('roller', 1.3, 350.0, 0.3, (
-        '0x1.10989d89d89d8p+5', '0x1.0b96990e8ab11p+5', '0x1.f333333333333p-2',
-        '0x1.ee97e44eb91c4p-2', '0x1.d64c97c982880p+0', '0x1.df19cccdf3d52p+0',
+        '0x1.10989d89d89d8p+5', '0x1.0b96990e8ab1fp+5', '0x1.f333333333333p-2',
+        '0x1.ee97e44eb91d0p-2', '0x1.d64c97c98235cp+0', '0x1.df19cccdf37fep+0',
     )),
     ('roller', 1.3, 350.0, 0.8, (
         '0x1.6b76276276277p+6', '0x1.3c6bf6c4ad289p+6', '0x1.f333333333333p-2',

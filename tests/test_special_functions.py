@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -541,6 +542,16 @@ def test_reduce_fd3_unit_arg_dual_route_battery():
         direct = lauricella_fd3(a, (b1, b2, b3), c, (x, y, 1.0))
         reduced = reduce_fd3_unit_arg(a, b1, b2, b3, c, x, y)
         assert rel_err(direct, reduced) < 1e-9
+
+
+def test_reduce_fd3_unit_arg_takes_the_integral_past_the_shell_cap():
+    # ln(1e-13)/ln(0.99999) = 3.0e6 shells, past the 10^5-shell cap of the series
+    start = time.perf_counter()
+    reduced = reduce_fd3_unit_arg(1.5, 0.6, 0.9, 0.3, 3.5, 0.99999, 0.01)
+    assert time.perf_counter() - start < 1.0
+    direct = lauricella_fd3(1.5, (0.6, 0.9, 0.3), 3.5, (0.99999, 0.01, 1.0))
+    assert direct == pytest.approx(2.222969891258134, rel=1e-15)
+    assert rel_err(reduced, direct) < 1e-12
 
 
 def test_reduce_f1_to_3f2_at_zero():
