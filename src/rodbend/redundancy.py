@@ -27,7 +27,7 @@ from .elastica import (_TIP_PARAMS, BuiltInCombined, RodProperties, TipShear, Un
 from .errors import BracketError, NearCriticalLoadError, UsageError, _check_rtol, _integer
 from .quadrature import _deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import _ratio_block, _sum_ratios, _sum_with_slope
+from .special_functions import _sum_ratios
 
 __all__ = [
     "RedundancySolution",
@@ -126,33 +126,35 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     kernel evaluates the reaction factor with the load-side parameter
     pair (7/6, 5/3); "displacement" uses the tip-shear pair (5/4, 7/4),
     which makes the zero of the residual agree with the quadrature
-    zero-displacement closure exactly. It is the gates plus one call of
-    ``_roller_residual``, which ``solve_roller`` builds once, so its root
-    finder and its reported residual share one load side; ``solve_roller``
-    does not call this function.
+    zero-displacement closure exactly. It is the gates, the rtol check
+    after them, and one call of ``_roller_residual``, the function that
+    ``solve_roller``'s root finder and reported residual call too.
     """
     _check_kernel(kernel)
     q = _check_load(UniformLoad(q), rod)
     X = _require_feasible(TipShear(X), rod)
-    return _roller_residual(rod, q, kernel, rtol)[1](X)
-
-
-def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float = 1e-13):
-    """The load side 3Lq*F_load, summed once, and X -> load side - 8X*F_reaction.
-
-    Checks rtol, but not the kernel, the load or X: the caller gates them.
-    The 3F2 parameters are fixed floats, so each sum goes straight to the
-    summation loop, which refuses an argument that rounds to 1 at once.
-    """
     _check_rtol(rtol)
-    load_side = 3.0 * rod.L * q * _sum_ratios(_ratio_block, _TIP_PARAMS[UniformLoad],
-                                              _tip_argument(UniformLoad, rod)(q), rtol)
+    return _roller_residual(rod, q, kernel, rtol)(X)[0]
+
+
+def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float):
+    """X -> (r, S, z): the residual r = 3Lq*F_load - 8X*F_reaction, with its load
+    side summed once here, the slope weight S = F + 2zF' of the reaction 3F2,
+    and its argument z; r'(X) = -8S.
+
+    Checks nothing: the caller gates the kernel, the load, X and rtol. The
+    summation loop refuses an argument that rounds to 1 at once.
+    """
+    load_side = 3.0 * rod.L * q * _sum_ratios(_TIP_PARAMS[UniformLoad],
+                                              _tip_argument(UniformLoad, rod)(q), rtol)[0]
     params, argument = _TIP_PARAMS[_KERNEL_SHAPES[kernel]], _tip_argument(TipShear, rod)
 
     def residual(X):
-        return load_side - 8.0 * X * _sum_ratios(_ratio_block, params, argument(X), rtol)
+        z = argument(X)
+        f, s = _sum_ratios(params, z, rtol)
+        return load_side - 8.0 * X * f, s, z
 
-    return load_side, residual
+    return residual
 
 
 def _tip_series(d: int, r: int, params, order: int) -> PowerSeries:
@@ -220,35 +222,35 @@ def _seed_coefficients(kernel: str) -> tuple[float, ...]:
     return tuple(float(c) for c in roller_reaction_series(_SEED_ORDER, kernel).coefficients[1::2])
 
 
-def _find_roller_root(rod: RodProperties, q: float, kernel: str, load_side: float,
-                      rtol: float) -> float:
-    # Solves roller_consistency = 0 below min(1.1 * 3qL/8, 0.999 * 2EJ/L^2) by
-    # Newton steps; solve_roller has checked the load and every iterate lies
-    # inside the tip-shear bound. The residual r(X) = load side - 8 g(X), with
-    # g(X) = X F(c X^2), is concave and falls, and r'(X) = -8 S, S = F + 2zF'
-    # from the same loop as F. The first iterate is the reaction series' sum
-    # through w^7, above the root as every coefficient past a_0 is negative,
-    # or the bracket top when the sum passes it; the top, where near the cap
-    # a 3F2 sums thousands of terms, is summed only then (from about 0.99 of
-    # critical), and a positive residual there leaves no root below it. From
-    # above the root each step lands above it again, the tangent lying above
-    # a concave residual, so the iterates fall to the root. The 3F2 sums keep
-    # the residual's default tolerance; ``rtol`` bounds the returned iterate's
-    # error, by the stop below.
-    if q == 0.0:
-        return 0.0
-    L, EJ = rod.L, rod.EJ
-    hi = min(1.1 * 3.0 * q * L / 8.0, 2.0 * EJ / L ** 2 * 0.999)
-    w = L ** 3 * q / EJ
+def _roller_seed(rod: RodProperties, q: float, kernel: str) -> float:
+    """The reaction series' sum through w^7 [N]: at most 3qL/8, as every
+    coefficient past a_0 is negative."""
+    w = rod.L ** 3 * q / rod.EJ
     seed = 0.0
     for c in reversed(_seed_coefficients(kernel)):
         seed = seed * (w * w) + c
-    x = min(EJ / L ** 2 * w * seed, hi)
-    params, argument = _TIP_PARAMS[_KERNEL_SHAPES[kernel]], _tip_argument(TipShear, rod)
+    return rod.EJ / rod.L ** 2 * w * seed
+
+
+def _find_roller_root(rod: RodProperties, q: float, kernel: str, residual, rtol: float) -> float:
+    # Solves roller_consistency = 0 below the bracket top 0.999 * 2EJ/L^2 by
+    # Newton steps; solve_roller has checked the load and every iterate lies
+    # inside the tip-shear bound. The residual r(X) = load side - 8 g(X), with
+    # g(X) = X F(c X^2), is concave and falls, and r'(X) = -8 S, S = F + 2zF'
+    # from the same loop as F. The first iterate is the seed, above the root
+    # as every coefficient past a_0 is negative, or the top when the seed
+    # passes it; the top, where a 3F2 sums thousands of terms, is summed only
+    # then (from about 0.99 of critical), and a positive residual there leaves
+    # no root below it. From above the root each step lands above it again,
+    # the tangent lying above a concave residual, so the iterates fall to the
+    # root. The 3F2 sums keep the residual's tolerance; ``rtol`` bounds the
+    # returned iterate's error, by the stop below.
+    if q == 0.0:
+        return 0.0
+    hi = 2.0 * rod.EJ / rod.L ** 2 * 0.999
+    x = min(_roller_seed(rod, q, kernel), hi)
     for _ in range(60):
-        z = argument(x)
-        f, s = _sum_with_slope(params, z, 1e-13)
-        r = load_side - 8.0 * x * f
+        r, s, z = residual(x)
         if x == hi and r > 0.0:
             raise BracketError(
                 f"no sign change on (0, {hi:.6g}); the load is too close to critical "
@@ -295,7 +297,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         raise UsageError(f"method must be linearized, series or root_find, got {method!r}")
     L, EJ = rod.L, rod.EJ
     linearized = 3.0 * q * L / 8.0
-    load_side, residual = _roller_residual(rod, q, kernel)
+    residual = _roller_residual(rod, q, kernel, 1e-13)
 
     if method == "linearized":
         X, trace, label = linearized, (), "linearized"
@@ -304,14 +306,14 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         trace = tuple(_series_trace(series, L ** 3 * q / EJ, EJ / L ** 2, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
     else:
-        X = _find_roller_root(rod, q, kernel, load_side, rtol)
+        X = _find_roller_root(rod, q, kernel, residual, rtol)
         trace, label = (), "root_find"
 
     if method == "linearized" and feasibility_check(TipShear(X), rod) >= 1.0:
         res = None
     else:
         _require_feasible(TipShear(X), rod)
-        res = residual(X)
+        res = residual(X)[0]
     deviation = 0.0 if X == 0.0 else (linearized - X) / X * 100.0
     return RedundancySolution(problem="roller", rod=rod, q=q, method=label, X=X, units="N",
                               residual=res, deviation_pct=deviation, trace=trace)

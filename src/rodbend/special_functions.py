@@ -1,13 +1,15 @@
 """Hypergeometric machinery: 2F1, 3F2, Appell F1, Lauricella FD(3).
 
 Series evaluation uses term-ratio recurrences with a three-strikes stop
-rule, in two loops. 2F1 and 3F2 share one, which multiplies each term
-by a term ratio read in fixed blocks: a ratio depends on the parameters
-and the index only, so the blocks used last are kept in one bounded
-memo. Appell F1 is Lauricella's FD in two variables, so F1 and FD3 share
-the other, a sum over total-degree shells that takes any number of
-variables; the shells come from an (n+1)-term recurrence, n products per
-shell for n variables. Integral evaluation goes through the
+rule, in two loops. 2F1 and 3F2 share one, on float parameters, which
+multiplies each term by a term ratio read in fixed blocks: a ratio
+depends on the parameters and the index only, so the blocks used last
+are kept in one bounded memo; beside the value it sums the slope weight
+S = F + 2xF' that the roller root finder steps by. Appell F1 is
+Lauricella's FD in two variables, so F1 and FD3 share the other, a sum
+over total-degree shells that takes any number of variables; the shells
+come from an (n+1)-term recurrence, n products per shell for n
+variables. Integral evaluation goes through the
 one-dimensional Euler-type representation
 
     G(c) / (G(a) G(c-a)) * int_0^1 u^(a-1) (1-u)^(c-a-1) prod (1-x_i u)^(-b_i) du,
@@ -44,8 +46,7 @@ __all__ = [
 
 # Series stop policy: a term counts as negligible when |term| <= rtol*|partial|;
 # summation stops after three negligible terms in a row or fails at the cap.
-# gauss_2f1 and hyp_3f2 share this loop (_sum_series); the roller root
-# finder's copy of it (_sum_with_slope) also sums the slope of a tip kernel.
+# gauss_2f1, hyp_3f2 and the roller residual share this loop (_sum_ratios).
 # Appell F1 and FD3 share the other one (_fd_series), the Lauricella FD shell
 # sum in two or three variables, which applies the same rule to whole shells.
 DEFAULT_RTOL = 1e-13
@@ -67,11 +68,10 @@ _MAX_SHELLS = 10 ** 5
 _SHELL_BUDGET = 40
 
 # Term-ratio blocks. The ratio r_k = t_(k+1) / (t_k x) of a 2F1 or 3F2
-# series depends on the parameters and k only, so _sum_series reads it in
+# series depends on the parameters and k only, so _sum_ratios reads it in
 # blocks of _BLOCK from _ratio_block, which keeps the 1024 blocks used
 # last (32 768 ratios). A kept ratio is the same float as a new one, so no
-# value depends on what is kept. Only all-float parameter tuples are kept,
-# because equal int or Fraction parameters can round differently.
+# value depends on what is kept.
 _BLOCK = 32
 
 # quadrature tolerances for the integral representations
@@ -124,58 +124,28 @@ def _ratio_block(params: tuple, start: int) -> tuple[float, ...]:
                   for k in ks])
 
 
-def _sum_series(params: tuple, x: float, rtol: float) -> float:
-    """1 + sum of t_k with t_0 = 1 and t_(k+1) = t_k r_k x, under the stop policy."""
-    block = _ratio_block if all(type(v) is float for v in params) else _ratio_block.__wrapped__
-    return _sum_ratios(block, params, x, rtol)
+def _sum_ratios(params: tuple, x: float, rtol: float) -> tuple[float, float]:
+    """F = 1 + sum t_k, with t_0 = 1 and t_(k+1) = t_k r_k x, under the stop
+    policy, and beside it S = 1 + sum (2k + 1) t_k = F + 2xF', summed to F's
+    stop; the ratios r_k are read from _ratio_block, so ``params`` are floats.
 
-
-def _sum_ratios(block, params: tuple, x: float, rtol: float) -> float:
-    """The loop of _sum_series, with the ratios read from ``block(params, start)``.
-
-    Refuses |x| >= 1 before the first term. Callers that sum one all-float
-    tuple many times, with rtol already checked, pass _ratio_block and
-    skip the other checks.
+    Refuses |x| >= 1 before the first term. For a tip kernel with a1 = 1/2,
+    (2k + 1) (1/2)_k = (3/2)_k, so S is the 3F2 with a1 raised to 3/2: the
+    slope d(X F)/dX at x = c X^2.
     """
     if not abs(x) < 1.0:
         raise DomainError(f"{'2F1' if len(params) == 3 else '3F2'} series needs |x| < 1, got x={x}")
-    partial = term = 1.0
+    partial = slope = term = odd = 1.0
     quiet = 0
     for start in range(0, _MAX_TERMS, _BLOCK):
-        for r in block(params, start):
+        for r in _ratio_block(params, start):
             # rounds r * x, then the product; term = term * r * x would
             # round term * r first and change the last bits
             term *= r * x
             partial += term
-            # <=, so that a terminating sum that is exactly 0 stops too
-            if abs(term) <= rtol * abs(partial):
-                quiet += 1
-                if quiet >= _CONSECUTIVE:
-                    return partial
-            else:
-                quiet = 0
-    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
-
-
-def _sum_with_slope(params: tuple, x: float, rtol: float) -> tuple[float, float]:
-    """F = 1 + sum t_k by the loop of _sum_ratios, with the same bits and stop,
-    and beside it S = 1 + sum (2k + 1) t_k, from all-float 3F2 ``params``.
-
-    With a1 = 1/2, (2k + 1) (1/2)_k = (3/2)_k, so S = F + 2xF' is the 3F2
-    with a1 raised to 3/2: the slope d(X F)/dX of a tip kernel at x = c X^2.
-    S is summed to F's stop, not to its own.
-    """
-    if not abs(x) < 1.0:
-        raise DomainError(f"3F2 series needs |x| < 1, got x={x}")
-    partial = slope = term = 1.0
-    odd = 1.0
-    quiet = 0
-    for start in range(0, _MAX_TERMS, _BLOCK):
-        for r in _ratio_block(params, start):
-            term *= r * x
-            partial += term
             odd += 2.0
             slope += odd * term
+            # <=, so that a terminating sum that is exactly 0 stops too
             if abs(term) <= rtol * abs(partial):
                 quiet += 1
                 if quiet >= _CONSECUTIVE:
@@ -192,16 +162,16 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
     evaluation because the series converges too slowly there.
     """
     _check_finite("2F1", a, b, c, x)
+    a, b, c, x = float(a), float(b), float(c), float(x)
     _check_rtol(rtol)
     _check_lower((c,), "2F1")
-    x = float(x)
     if x == 0.0:
         return 1.0
     if x == 1.0:
         if c > a + b:
             return gauss_summation(a, b, c)
         raise DomainError(f"2F1 diverges at x=1 unless c > a + b (c={c}, a+b={a + b})")
-    return _sum_series((a, b, c), x, rtol)
+    return _sum_ratios((a, b, c), x, rtol)[0]
 
 
 def gauss_summation(a: float, b: float, c: float) -> float:
@@ -228,12 +198,12 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
             rtol: float = DEFAULT_RTOL) -> float:
     """3F2(a1, a2, a3; b1, b2; x) by series, |x| < 1."""
     _check_finite("3F2", a1, a2, a3, b1, b2, x)
+    a1, a2, a3, b1, b2, x = float(a1), float(a2), float(a3), float(b1), float(b2), float(x)
     _check_rtol(rtol)
     _check_lower((b1, b2), "3F2")
-    x = float(x)
     if x == 0.0:
         return 1.0
-    return _sum_series((a1, a2, a3, b1, b2), x, rtol)
+    return _sum_ratios((a1, a2, a3, b1, b2), x, rtol)[0]
 
 
 def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],

@@ -90,10 +90,10 @@ def roller_root(kernel: str, q: float):
 
     with (b1, b2) = (7/6, 5/3) for the "expansion" kernel and (5/4, 7/4) for
     "displacement", or None when the root does not lie below the root
-    finder's bracket top, min(1.1 * 3qL/8, 0.999 * 2EJ/L^2), which is
-    rounded in floats as the root finder rounds it."""
+    finder's bracket top, 0.999 * 2EJ/L^2, which is rounded in floats as
+    the root finder rounds it."""
     L, EJ = 1.0, 200.0
-    top = mp.mpf(min(1.1 * 3.0 * q * L / 8.0, 2.0 * EJ / L ** 2 * 0.999))
+    top = mp.mpf(2.0 * EJ / L ** 2 * 0.999)
     L, EJ, q = mp.mpf(L), mp.mpf(EJ), mp.mpf(q)
     upper = ("1/2", 1, "3/2")
     load = 3 * L * q * hyp3f2(upper, _KERNELS["expansion"], L ** 6 * q ** 2 / (36 * EJ ** 2))

@@ -218,8 +218,8 @@ def test_real_number_types_pass(v):
 # L = 1, EJ = 200), the quadrature bounds or the special-function arguments
 # were used as given: each is the float64 answer now. F1 on its integral
 # route did not converge at all, with a float32 argument or parameter.
-# (2F1 and 3F2 parameters are used as given: an int or Fraction parameter
-# keeps its own arithmetic.)
+# (2F1 and 3F2 parameters are converted to float too: tests/
+# test_special_functions.py checks them.)
 FLOAT32_INPUTS = {
     "solve_roller": (FLOAT_RESULTS["solve_roller"], 1000.0),
     "tip_deflection_uniform": (FLOAT_RESULTS["tip_deflection_uniform"], 1000.0),
@@ -303,7 +303,7 @@ def test_gate_verdicts_at_the_bound(monkeypatch, rod, gate):
     # and the roller root 0 stays inside the |X| bound, as the linearized
     # reaction 3qL/8 would not
     monkeypatch.setattr(elastica, "hyp_3f2", lambda *args, **kwargs: 1.0)
-    monkeypatch.setattr(redundancy, "_sum_ratios", lambda *args, **kwargs: 1.0)
+    monkeypatch.setattr(redundancy, "_sum_ratios", lambda *args, **kwargs: (1.0, 1.0))
     monkeypatch.setattr(redundancy, "_find_roller_root", lambda *args, **kwargs: 0.0)
     shape, call = GATES[gate]
     bound = BOUNDS[shape](rod)

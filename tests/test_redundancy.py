@@ -104,42 +104,46 @@ def test_roller_root_displacement_kernel():
 
 
 def _count_3f2_sums(monkeypatch):
-    """The argument of every 3F2 a solve sums, as it passes one of the two
-    summation loops: the plain one, and the root finder's, which sums the
-    slope beside the value."""
+    """The argument of every 3F2 a solve sums, as it passes the one summation
+    loop, which sums the slope beside the value."""
     args = []
-    loop, with_slope = special_functions._sum_ratios, special_functions._sum_with_slope
+    loop = special_functions._sum_ratios
 
-    def counting(block, params, x, rtol):
+    def counting(params, x, rtol):
         args.append(x)
-        return loop(block, params, x, rtol)
-
-    def counting_with_slope(params, x, rtol):
-        args.append(x)
-        return with_slope(params, x, rtol)
+        return loop(params, x, rtol)
 
     monkeypatch.setattr(special_functions, "_sum_ratios", counting)
     monkeypatch.setattr(redundancy, "_sum_ratios", counting)
-    monkeypatch.setattr(redundancy, "_sum_with_slope", counting_with_slope)
     return args
 
 
 def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
-    # at q = 1000 the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the
-    # solve sums goes through a summation loop, the load side through the one
+    # the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the solve sums
+    # goes through the summation loop, the load side through the one
     # _roller_residual that serves the root finder and the reported residual
     args = _count_3f2_sums(monkeypatch)
     solve_roller(ROD, Q, method="root_find")
     load_arg = ROD.L ** 6 * Q ** 2 / (36.0 * ROD.EJ ** 2)
     y_cap = 2.0 * ROD.EJ / ROD.L ** 2 * 0.999
     cap_arg = ROD.L ** 4 * y_cap ** 2 / (4.0 * ROD.EJ ** 2)
-    assert 1.1 * 3.0 * Q * ROD.L / 8.0 > y_cap
     # once for the root finder and the reported residual together
     assert args.count(load_arg) == 1
     assert max(args) < cap_arg
     # 1 load side + 3 Newton steps, each a value and its slope from one
-    # loop + 1 for the residual at the last iterate
+    # sum + 1 for the residual at the last iterate
     assert len(args) == 5
+
+
+@pytest.mark.parametrize("kernel", ["expansion", "displacement"])
+@pytest.mark.parametrize("rod", [ROD, RodProperties.from_stiffness(1.7, 350.0)], ids=["L1", "L1.7"])
+def test_roller_seed_never_exceeds_the_linearized_reaction(rod, kernel):
+    # so the bracket top needs no 1.1 * 3qL/8 term: the iterates fall from
+    # the seed, or from the cap below it
+    critical = 6.0 * rod.EJ / rod.L ** 3
+    for f in [i / 400 for i in range(1, 400)] + [1.0 - 10.0 ** -k for k in range(3, 13)]:
+        q = f * critical
+        assert redundancy._roller_seed(rod, q, kernel) <= 3.0 * q * rod.L / 8.0, f
 
 
 @pytest.mark.parametrize("kernel", ["expansion", "displacement"])
@@ -166,8 +170,8 @@ def test_root_find_from_the_cap_takes_few_sums(monkeypatch, q):
 def test_slope_sum_is_the_3f2_with_a1_raised_and_its_index_bound_holds(b):
     # S = sum (2k + 1) t_k z^k is 3F2(3/2, 1, 3/2; b1, b2; z), as a1 = 1/2
     params = (0.5, 1.0, 1.5, float(b[0]), float(b[1]))
-    f, s = special_functions._sum_with_slope(params, 0.5, 1e-13)
-    assert f == special_functions._sum_ratios(special_functions._ratio_block, params, 0.5, 1e-13)
+    f, s = special_functions._sum_ratios(params, 0.5, 1e-13)
+    assert f == special_functions.hyp_3f2(*params, 0.5)
     assert s == pytest.approx(special_functions.hyp_3f2(1.5, 1.0, 1.5, *params[3:], 0.5), rel=1e-11)
     # the root finder's curvature bound: (k + 1)(k + 3/2)^2 <= (k + g)(k + b1)(k + b2)
     # for g = _SLOPE_INDEX, a cubic difference whose coefficients are all nonnegative
@@ -586,6 +590,31 @@ def test_solve_roller_refuses_usage_before_any_sum(monkeypatch, kwargs):
     monkeypatch.setattr(redundancy, "_sum_ratios", no_sum)
     with pytest.raises(UsageError):
         solve_roller(ROD, Q, **kwargs)
+
+
+@pytest.mark.parametrize("kernel", ["expansion", "displacement"])
+@pytest.mark.parametrize("q", [1e-3, 300.0, Q, 1150.0])
+def test_solve_roller_reports_the_consistency_residual(q, kernel):
+    # the same function gives both: no second writing of the residual
+    sol = solve_roller(ROD, q, method="root_find", kernel=kernel)
+    assert sol.residual.hex() == roller_consistency(ROD, q, sol.X, kernel).hex()
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1e-13, math.nan, math.inf])
+def test_consistency_residual_refuses_rtol_after_its_gates(monkeypatch, rtol):
+    def no_sum(*args):
+        raise AssertionError("a 3F2 was summed")
+
+    monkeypatch.setattr(redundancy, "_sum_ratios", no_sum)
+    with pytest.raises(UsageError, match="tolerance"):
+        roller_consistency(ROD, Q, 300.0, rtol=rtol)
+    # the load and X gates speak first
+    with pytest.raises(UsageError, match="nonnegative"):
+        roller_consistency(ROD, -1.0, 300.0, rtol=rtol)
+    with pytest.raises(InfeasibleLoadError):
+        roller_consistency(ROD, 1200.0, 300.0, rtol=rtol)
+    with pytest.raises(InfeasibleLoadError):
+        roller_consistency(ROD, Q, 400.0, rtol=rtol)
 
 
 def test_consistency_residual_rejects_infeasible_reaction():

@@ -438,7 +438,7 @@ def test_ratio_tables_stay_bounded():
     got = [getattr(special_functions, fn)(*args).hex() for fn, args in calls]
     info = special_functions._ratio_block.cache_info()
     assert info.misses > info.maxsize >= info.currsize
-    # a parameter tuple that is not all floats is summed without being kept
+    # an int parameter tuple is summed as floats, through the same bounded memo
     gauss_2f1(1, 1, 2, 0.5)
     assert special_functions._ratio_block.cache_info().currsize == info.currsize
     # a fresh process, summing in reverse order, returns the same values
@@ -448,6 +448,34 @@ def test_ratio_tables_stay_bounded():
     result = subprocess.run([sys.executable, "-c", probe, repr(calls[::-1])], env=src_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.split() == got[::-1]
+
+
+@pytest.mark.parametrize("fn, params, z", [
+    (gauss_2f1, (1, 2, 3), 0.4),
+    (gauss_2f1, (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)), 0.4),
+    (gauss_2f1, tuple(np.float32(v) for v in _ARCSIN), 0.4),
+    (gauss_2f1, tuple(np.float64(v) for v in _BUILTIN), -0.7),
+    (hyp_3f2, (1, 1, 2, 3, 4), 0.4),
+    (hyp_3f2, (Fraction(1, 2), 1, Fraction(3, 2), Fraction(3, 2), Fraction(1, 2)), 0.4),
+    (hyp_3f2, tuple(np.float32(v) for v in _UNIFORM), 0.8),
+    (hyp_3f2, tuple(np.float64(v) for v in _UNIFORM), 0.8),
+], ids=["2f1-int", "2f1-fraction", "2f1-float32", "2f1-float64",
+        "3f2-int", "3f2-fraction", "3f2-float32", "3f2-float64"])
+def test_hyp_series_params_take_the_float_path(fn, params, z):
+    # any real parameter type is converted to float before the sum: the bits
+    # of the float call, its ratios kept in the memo
+    block = special_functions._ratio_block
+    block.cache_clear()
+    got = fn(*params, z)
+    kept = block.cache_info()
+    assert kept.currsize > 0
+    floats = tuple(float(v) for v in params)
+    assert type(got) is float and got.hex() == fn(*floats, z).hex()
+    # the float call reads only the blocks kept by the first
+    assert block.cache_info().misses == kept.misses
+    # a string parameter is still refused, as before the conversion
+    with pytest.raises(TypeError):
+        fn("0.5", *floats[1:], z)
 
 
 def test_ratio_tables_shared_by_threads():
