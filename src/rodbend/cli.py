@@ -21,7 +21,8 @@ import json
 import sys
 
 from . import __version__
-from .errors import BracketError, DomainError, InfeasibleLoadError, UsageError, _check_rtol
+from .errors import (DEFAULT_RTOL, BracketError, DomainError, InfeasibleLoadError, UsageError,
+                     _check_rtol)
 
 _HEADER = f"# rodbend {__version__}"
 
@@ -53,8 +54,8 @@ def _add_rod_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rtol", type=float, default=1e-13,
-                   help="relative tolerance for numeric evaluation (default 1e-13)")
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
+                   help=f"relative tolerance for numeric evaluation (default {DEFAULT_RTOL:g})")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     p.add_argument("--out", default=None, help="output file (default standard output)")
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 
 from ._value import Frozen, set_field
-from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _integer, _real
+from .errors import (DEFAULT_RTOL, InfeasibleLoadError, NearCriticalLoadError, UsageError,
+                     _integer, _real)
 from .quadrature import _position, integrate_deflection
 from .special_functions import gauss_2f1, hyp_3f2
 
@@ -46,8 +47,7 @@ class RodProperties(Frozen):
 
     def __init__(self, L: float, E: float, J: float):
         for name, v in (("L", L), ("E", E), ("J", J)):
-            _real(name, v)
-            v = float(v)
+            v = _real(name, v)
             if not (math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be finite and positive, got {v}")
             set_field(self, name, v)
@@ -87,8 +87,7 @@ class LoadCase(Frozen):
     bound: tuple[str, float, int, str]
 
     def _set_magnitude(self, name, value):
-        _real(name, value)
-        value = float(value)
+        value = _real(name, value)
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value}")
         set_field(self, name, value)
@@ -235,13 +234,13 @@ def _require_feasible(load: LoadCase, rod: RodProperties) -> float:
     return magnitude
 
 
-def tip_deflection_uniform(rod: RodProperties, q: float, rtol: float = 1e-13) -> float:
+def tip_deflection_uniform(rod: RodProperties, q: float, rtol: float = DEFAULT_RTOL) -> float:
     """Exact tip deflection under a uniform load, by closed form."""
     q = _require_feasible(UniformLoad(q), rod)
     return _tip_closed_form(UniformLoad, q, rod, rtol)
 
 
-def tip_deflection_shear(rod: RodProperties, X: float, rtol: float = 1e-13) -> float:
+def tip_deflection_shear(rod: RodProperties, X: float, rtol: float = DEFAULT_RTOL) -> float:
     """Exact tip deflection under a tip force of magnitude X acting upward.
 
     Equals -integrate_deflection(TipShear(X), rod, 0): positive X lifts

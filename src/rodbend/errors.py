@@ -45,10 +45,13 @@ class _NotANumber(UsageError, TypeError):
     """A bool or a value of the wrong type given as a number; a TypeError too, like float's."""
 
 
-def _real(name, v):
-    """Refuse ``v`` unless it converts to float as a number does (bools excluded)."""
+def _real(name, v) -> float:
+    """``v`` as a float; refused unless it converts to float as a number does
+    (bools excluded). Every public real number is admitted here; a hot entry
+    skips the call for an input that is a float already."""
     if type(v) is not float and (isinstance(v, bool) or not hasattr(type(v), "__float__")):
         raise _NotANumber(f"{name} must be a real number, got {v!r}")
+    return float(v)
 
 
 def _integer(name, v):
@@ -64,6 +67,13 @@ def _count(name, v):
         raise UsageError(f"{name} must be nonnegative, got {v!r}")
 
 
-def _check_rtol(rtol: float) -> None:
+# the relative tolerance of every evaluation that does not take one
+DEFAULT_RTOL = 1e-13
+
+
+def _check_rtol(rtol: float) -> float:
+    """``rtol`` admitted as a float, refused unless finite and positive."""
+    rtol = rtol if type(rtol) is float else _real("tolerance", rtol)
     if not 0.0 < rtol < math.inf:
         raise UsageError(f"tolerance must be finite and positive, got {rtol}")
+    return rtol

@@ -106,10 +106,10 @@ class IntegrandSpec(Frozen):
 
     ``lo_exponent``/``hi_exponent`` declare that the integrand behaves like
     (x - lo)**p resp. (hi - x)**p at the endpoint. Hints must be > -1
-    (integrable); None means the integrand is regular there. ``lo`` and
-    ``hi`` are stored as floats, whatever real type comes in. ``f`` is
-    called once per node with a float and must return a float; numpy
-    ufuncs work too, since they accept and return scalars.
+    (integrable); None means the integrand is regular there. ``lo``, ``hi``,
+    the hints and the tolerances are stored as floats, whatever real type
+    comes in. ``f`` is called once per node with a float and must return a
+    float; numpy ufuncs work too, since they accept and return scalars.
     """
 
     __slots__ = ("f", "lo", "hi", "lo_exponent", "hi_exponent", "rtol", "atol",
@@ -118,25 +118,25 @@ class IntegrandSpec(Frozen):
     def __init__(self, f: Callable[[float], float], lo: float, hi: float,
                  lo_exponent: float | None = None, hi_exponent: float | None = None,
                  rtol: float = 1e-10, atol: float = 1e-14, max_subdivisions: int = 4096):
-        _real("lo", lo)
-        _real("hi", hi)
-        lo, hi = float(lo), float(hi)
+        lo, hi = _real("lo", lo), _real("hi", hi)
         if not lo < hi:
             raise UsageError(f"empty or reversed interval [{lo}, {hi}]")
-        _check_rtol(rtol)
+        rtol = _check_rtol(rtol)
+        atol = _real("atol", atol)
         if not (math.isfinite(atol) and atol >= 0):
             raise UsageError(f"atol must be finite and nonnegative, got {atol}")
         _integer("max_subdivisions", max_subdivisions)
         if not max_subdivisions >= 1:
             raise UsageError(f"max_subdivisions must be at least 1, got {max_subdivisions}")
         for name, p in (("lo_exponent", lo_exponent), ("hi_exponent", hi_exponent)):
-            if p is not None and not p > -1:
-                raise UsageError(f"{name}={p} is not integrable (need > -1)")
+            if p is not None:
+                p = _real(name, p)
+                if not p > -1:
+                    raise UsageError(f"{name}={p} is not integrable (need > -1)")
+            set_field(self, name, p)
         set_field(self, "f", f)
         set_field(self, "lo", lo)
         set_field(self, "hi", hi)
-        set_field(self, "lo_exponent", lo_exponent)
-        set_field(self, "hi_exponent", hi_exponent)
         set_field(self, "rtol", rtol)
         set_field(self, "atol", atol)
         set_field(self, "max_subdivisions", max_subdivisions)
@@ -257,8 +257,7 @@ def integrate(spec: IntegrandSpec) -> tuple[float, float]:
 
 def _position(x, rod) -> float:
     """A position on the rod as a float; non-numbers, NaN and points off [0, L] are refused."""
-    _real("position x", x)
-    x = float(x)
+    x = _real("position x", x)
     if not 0.0 <= x <= rod.L:
         raise UsageError(f"position x={x} outside the rod [0, {rod.L}]")
     return x
@@ -277,9 +276,7 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10) -> float:
     NearCriticalLoadError when the relative margin is below 1e-6, where
     the integrand is numerically intractable.
     """
-    x = _position(x, rod)
-    _check_rtol(rtol)
-    return _deflection(load, rod, x, rtol)
+    return _deflection(load, rod, _position(x, rod), _check_rtol(rtol))
 
 
 def _deflection(load, rod, x: float, rtol: float) -> float:

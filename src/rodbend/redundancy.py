@@ -24,7 +24,8 @@ from functools import lru_cache
 from ._value import Frozen, set_field
 from .elastica import (_TIP_PARAMS, BuiltInCombined, RodProperties, TipShear, UniformLoad,
                        _require_feasible, _tip_argument, _tip_closed_form, feasibility_check)
-from .errors import BracketError, NearCriticalLoadError, UsageError, _check_rtol, _integer
+from .errors import (DEFAULT_RTOL, BracketError, NearCriticalLoadError, UsageError, _check_rtol,
+                     _integer)
 from .quadrature import _deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
 from .special_functions import _sum_ratios
@@ -118,7 +119,7 @@ def _check_load(load: UniformLoad | BuiltInCombined, rod: RodProperties) -> floa
 
 
 def roller_consistency(rod: RodProperties, q: float, X: float,
-                       kernel: str = "expansion", rtol: float = 1e-13) -> float:
+                       kernel: str = "expansion", rtol: float = DEFAULT_RTOL) -> float:
     """Residual 3Lq*F_load - 8X*F_reaction of the roller condition.
 
     Positive residual means the reaction X is too small; for X >= 0 it
@@ -133,8 +134,7 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     _check_kernel(kernel)
     q = _check_load(UniformLoad(q), rod)
     X = _require_feasible(TipShear(X), rod)
-    _check_rtol(rtol)
-    return _roller_residual(rod, q, kernel, rtol)(X)[0]
+    return _roller_residual(rod, q, kernel, _check_rtol(rtol))(X)[0]
 
 
 def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float):
@@ -289,7 +289,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
     undefined, and the residual is None.
     """
     _check_kernel(kernel)
-    _check_rtol(rtol)
+    rtol = _check_rtol(rtol)
     q = _check_load(UniformLoad(q), rod)
     if method == "series":
         _check_n_terms(n_terms)
@@ -297,7 +297,9 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         raise UsageError(f"method must be linearized, series or root_find, got {method!r}")
     L, EJ = rod.L, rod.EJ
     linearized = 3.0 * q * L / 8.0
-    residual = _roller_residual(rod, q, kernel, 1e-13)
+    # the residual sums the load side when built, so only the root finder builds
+    # it before X passes the tip-shear gate
+    residual = None
 
     if method == "linearized":
         X, trace, label = linearized, (), "linearized"
@@ -306,6 +308,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         trace = tuple(_series_trace(series, L ** 3 * q / EJ, EJ / L ** 2, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
     else:
+        residual = _roller_residual(rod, q, kernel, DEFAULT_RTOL)
         X = _find_roller_root(rod, q, kernel, residual, rtol)
         trace, label = (), "root_find"
 
@@ -313,7 +316,7 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         res = None
     else:
         _require_feasible(TipShear(X), rod)
-        res = residual(X)[0]
+        res = (residual or _roller_residual(rod, q, kernel, DEFAULT_RTOL))(X)[0]
     deviation = 0.0 if X == 0.0 else (linearized - X) / X * 100.0
     return RedundancySolution(problem="roller", rod=rod, q=q, method=label, X=X, units="N",
                               residual=res, deviation_pct=deviation, trace=trace)
@@ -332,7 +335,7 @@ def _check_mode(mode: str) -> None:
 
 
 def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
-                         rtol: float = 1e-13) -> float:
+                         rtol: float = DEFAULT_RTOL) -> float:
     """Tip integral of the clamped configuration, positive for q > 0.
 
     mode "quadrature" integrates the exact integrand; "hyp_approx" uses
@@ -342,7 +345,7 @@ def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
     passes 1.
     """
     _check_mode(mode)
-    _check_rtol(rtol)
+    rtol = _check_rtol(rtol)
     load = BuiltInCombined(q)
     _check_load(load, rod)
     return _tip_integral(load, rod, mode, rtol)
@@ -363,7 +366,7 @@ def _tip_integral(load: BuiltInCombined, rod: RodProperties, mode: str, rtol: fl
 
 def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
                   integral_mode: str = "quadrature",
-                  rtol: float = 1e-13) -> RedundancySolution:
+                  rtol: float = DEFAULT_RTOL) -> RedundancySolution:
     """Built-in end moment by 'linearized', 'series' (n_terms) or 'closed'.
 
     'closed' evaluates X = 2 EJ I / (L^2 + I^2) with the tip integral I
@@ -375,7 +378,7 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
     """
     _check_mode(integral_mode)
-    _check_rtol(rtol)
+    rtol = _check_rtol(rtol)
     load = BuiltInCombined(q)
     q = _check_load(load, rod)
     L, EJ = rod.L, rod.EJ
@@ -410,8 +413,10 @@ def stabilized_from(trace, tol: float = 1e-4) -> int | None:
     """Least n with all successive relative changes below tol from n on.
 
     The change at step m is |X_m - X_{m-1}| / |X_m|; returns None when
-    even the last step still moves more than tol.
+    even the last step still moves more than tol. ``tol`` is a tolerance
+    like every ``rtol``: a finite positive real number.
     """
+    tol = _check_rtol(tol)
     trace = list(trace)
     if len(trace) < 2:
         return None

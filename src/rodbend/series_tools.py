@@ -22,13 +22,14 @@ a time took 110 ms and 3.8 s.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
 from ._value import Frozen, set_field
-from .errors import DomainError, UsageError, _count, _integer
+from .errors import DomainError, UsageError, _count, _integer, _real
 
 __all__ = ["PowerSeries", "identity_series", "compose", "lagrange_revert", "hyp3f2_taylor"]
 
@@ -66,7 +67,10 @@ class PowerSeries(Frozen):
         return self.coefficients[n] if n < len(self.coefficients) else Fraction(0)
 
     def evaluate(self, x: float, n_terms: int | None = None) -> float:
-        """Horner evaluation in float; ``n_terms`` caps the powers used."""
+        """Horner evaluation in float at a finite real x; ``n_terms`` caps the powers used."""
+        x = _real("x", x)
+        if not math.isfinite(x):
+            raise UsageError(f"x must be finite, got {x}")
         coeffs = self.coefficients
         if n_terms is not None:
             _count("n_terms", n_terms)

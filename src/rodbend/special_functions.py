@@ -30,7 +30,7 @@ import functools
 import math
 from typing import Sequence
 
-from .errors import DomainError, UsageError, _check_rtol, _integer
+from .errors import DEFAULT_RTOL, DomainError, UsageError, _check_rtol, _integer, _real
 from .quadrature import _adaptive
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
 # gauss_2f1, hyp_3f2 and the roller residual share this loop (_sum_ratios).
 # Appell F1 and FD3 share the other one (_fd_series), the Lauricella FD shell
 # sum in two or three variables, which applies the same rule to whole shells.
-DEFAULT_RTOL = 1e-13
 _CONSECUTIVE = 3
 _MAX_TERMS = 10 ** 6
 _MAX_SHELLS = 10 ** 5
@@ -83,11 +82,16 @@ def _is_nonpositive_integer(v: float) -> bool:
     return v <= 0 and float(v).is_integer()
 
 
-def _check_finite(where: str, *values: float) -> None:
-    """Refuse NaN or infinite input once, before any term is summed."""
+def _finite(where: str, *values) -> tuple[float, ...]:
+    """``values`` admitted as floats by ``_real`` and refused if NaN or infinite,
+    once, before any term is summed; floats, the common case, skip ``_real``."""
     for v in values:
+        if type(v) is not float:
+            return _finite(where, *(_real(f"{where}: every parameter and argument", u)
+                                    for u in values))
         if not math.isfinite(v):
             raise UsageError(f"{where}: parameters and arguments must be finite, got {v}")
+    return values
 
 
 def _check_lower(params: Sequence[float], where: str) -> None:
@@ -99,12 +103,17 @@ def _check_lower(params: Sequence[float], where: str) -> None:
 def pochhammer(lam, n: int):
     """Rising factorial lam*(lam+1)*...*(lam+n-1); 1 when n = 0.
 
-    Exact for int/Fraction input, float otherwise; huge n may overflow
-    to inf for float input, which is accepted.
+    Exact for a rational lam (int, Fraction); any other real lam is admitted
+    as a finite float, and huge n may overflow the product to inf, which is
+    accepted.
     """
     _integer("pochhammer order", n)
     if n < 0:
         raise UsageError(f"pochhammer order must be a nonnegative integer, got {n}")
+    if isinstance(lam, bool) or not hasattr(type(lam), "denominator"):
+        lam = _real("pochhammer lam", lam)
+        if not math.isfinite(lam):
+            raise UsageError(f"pochhammer lam must be finite, got {lam}")
     result = lam ** 0  # 1 in the arithmetic of lam's type
     for k in range(n):
         result = result * (lam + k)
@@ -161,9 +170,8 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
     Direct series summation; the x = 1 value is the closed Gamma-ratio
     evaluation because the series converges too slowly there.
     """
-    _check_finite("2F1", a, b, c, x)
-    a, b, c, x = float(a), float(b), float(c), float(x)
-    _check_rtol(rtol)
+    a, b, c, x = _finite("2F1", a, b, c, x)
+    rtol = _check_rtol(rtol)
     _check_lower((c,), "2F1")
     if x == 0.0:
         return 1.0
@@ -179,7 +187,7 @@ def gauss_summation(a: float, b: float, c: float) -> float:
 
     A pole of G(c-a) or G(c-b) in the denominator makes the value exactly 0.
     """
-    _check_finite("Gauss summation", a, b, c)
+    _finite("Gauss summation", a, b, c)  # admitted; the arithmetic stays in the given types
     if not c > a + b:
         raise DomainError(f"Gauss summation needs c > a + b, got c={c}, a+b={a + b}")
     args = (c, c - a - b, c - a, c - b)
@@ -197,9 +205,8 @@ def gauss_summation(a: float, b: float, c: float) -> float:
 def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
             rtol: float = DEFAULT_RTOL) -> float:
     """3F2(a1, a2, a3; b1, b2; x) by series, |x| < 1."""
-    _check_finite("3F2", a1, a2, a3, b1, b2, x)
-    a1, a2, a3, b1, b2, x = float(a1), float(a2), float(a3), float(b1), float(b2), float(x)
-    _check_rtol(rtol)
+    a1, a2, a3, b1, b2, x = _finite("3F2", a1, a2, a3, b1, b2, x)
+    rtol = _check_rtol(rtol)
     _check_lower((b1, b2), "3F2")
     if x == 0.0:
         return 1.0
@@ -265,19 +272,18 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x1: float, x2: float,
     is valid and the series would cost more than ``_SHELL_BUDGET`` shells
     or has |b1 x1| + |b2 x2| > 1, the series otherwise.
     """
-    _check_fd_call("F1", method, rtol, a, b1, b2, c, x1, x2)
-    a, b1, b2, c, x1, x2 = (float(v) for v in (a, b1, b2, c, x1, x2))
+    (a, b1, b2, c, x1, x2), rtol = _check_fd_call("F1", method, rtol, a, b1, b2, c, x1, x2)
     if x1 == 1.0 or x2 == 1.0:
         raise DomainError(f"F1 is singular at a unit argument, got ({x1}, {x2})")
     return _fd_route("F1", method, a, (b1, b2), c, (x1, x2), rtol)
 
 
-def _check_fd_call(name: str, method: str, rtol: float, *values: float) -> None:
-    """The usage checks of F1 and FD3: method, finite input, rtol."""
+def _check_fd_call(name: str, method: str, rtol: float, *values) -> tuple[tuple, float]:
+    """The usage checks of F1 and FD3: method, finite input, rtol; returns the
+    input and rtol as floats."""
     if method not in ("auto", "integral", "series"):
         raise UsageError(f"unknown method {method!r}")
-    _check_finite(name, *values)
-    _check_rtol(rtol)
+    return _finite(name, *values), _check_rtol(rtol)
 
 
 def _fd_route(name: str, method: str, a: float, b: Sequence[float], c: float,
@@ -390,12 +396,11 @@ def lauricella_fd3(a: float, b: Sequence[float], c: float, x: Sequence[float],
     integral when it is valid and the series would cost more than
     ``_SHELL_BUDGET`` shells or has sum |b_i x_i| > 1, the series otherwise.
     """
-    b = tuple(float(v) for v in b)
-    x = tuple(float(v) for v in x)
+    b, x = tuple(b), tuple(x)
     if len(b) != 3 or len(x) != 3:
         raise UsageError("FD3 takes exactly three b parameters and three arguments")
-    _check_fd_call("FD3", method, rtol, a, *b, c, *x)
-    return _fd_route("FD3", method, float(a), b, float(c), x, rtol)
+    v, rtol = _check_fd_call("FD3", method, rtol, a, *b, c, *x)
+    return _fd_route("FD3", method, v[0], v[1:4], v[4], v[5:], rtol)
 
 
 def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,
@@ -408,8 +413,8 @@ def reduce_fd3_unit_arg(a: float, b1: float, b2: float, b3: float, c: float,
     independent route from the direct integral; otherwise it is the F1
     integral.
     """
-    _check_finite("FD3 reduction", a, b1, b2, b3, c, x, y)
-    _check_rtol(rtol)
+    _finite("FD3 reduction", a, b1, b2, b3, c, x, y)  # admitted; the arithmetic stays exact
+    rtol = _check_rtol(rtol)
     if not c > a + b3:
         raise DomainError(f"reduction needs c > a + b3, got c={c}, a+b3={a + b3}")
     if not c > a > 0:
@@ -428,8 +433,8 @@ def reduce_f1_to_3f2(a: float, b: float, c: float, x: float,
 
     Returns 3F2((a+1)/2, a/2, b; (c+1)/2, c/2; x^2).
     """
-    _check_finite("F1 reduction", a, b, c, x)
-    _check_rtol(rtol)
+    _finite("F1 reduction", a, b, c, x)
+    rtol = _check_rtol(rtol)
     if not abs(x) < 1:
         raise DomainError(f"reduction needs |x| < 1, got x={x}")
     return hyp_3f2((a + 1.0) / 2.0, a / 2.0, b, (c + 1.0) / 2.0, c / 2.0, x * x, rtol=rtol)

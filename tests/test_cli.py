@@ -565,6 +565,8 @@ def test_module_all_equals_its_names_in_the_package_table(module):
 
 
 def test_every_public_name_resolves():
+    # dir() lists each public name before its module is loaded
+    assert set(rodbend.__all__) <= set(dir(rodbend))
     for name in rodbend.__all__:
         module = importlib.import_module(f"rodbend.{rodbend._MODULE_OF[name]}")
         assert getattr(rodbend, name) is getattr(module, name)

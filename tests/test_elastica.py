@@ -32,7 +32,7 @@ from rodbend.elastica import (
 from rodbend.errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
 from rodbend.quadrature import IntegrandSpec, integrate, integrate_deflection
 from rodbend.redundancy import (builtin_tip_integral, roller_consistency, solve_builtin,
-                                solve_roller)
+                                solve_roller, stabilized_from)
 from rodbend.special_functions import appell_f1, gauss_2f1, hyp_3f2, lauricella_fd3
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
@@ -181,6 +181,34 @@ def test_magnitudes_that_are_not_numbers_refused(shape, v):
 def test_rod_dimensions_that_are_not_numbers_refused(field, v):
     with pytest.raises(UsageError, match=f"{field} must be a real number"):
         RodProperties(**{"L": 1.0, "E": 200.0, "J": 1.0, field: v})
+
+
+# every public tolerance outside the special functions (tests/
+# test_special_functions.py has theirs), as a call that ends at once
+TOLERANCES = {
+    "tip_deflection_uniform": lambda t: tip_deflection_uniform(ROD, 100.0, rtol=t),
+    "tip_deflection_shear": lambda t: tip_deflection_shear(ROD, 10.0, rtol=t),
+    "deflection_profile": lambda t: deflection_profile(UniformLoad(100.0), ROD, 3, rtol=t),
+    "integrate_deflection": lambda t: integrate_deflection(UniformLoad(100.0), ROD, 0.5, rtol=t),
+    "IntegrandSpec rtol": lambda t: IntegrandSpec(abs, 0.0, 1.0, rtol=t),
+    "IntegrandSpec atol": lambda t: IntegrandSpec(abs, 0.0, 1.0, atol=t),
+    "solve_roller": lambda t: solve_roller(ROD, 1000.0, "root_find", rtol=t),
+    "solve_builtin": lambda t: solve_builtin(ROD, 1000.0, "closed", rtol=t),
+    "builtin_tip_integral": lambda t: builtin_tip_integral(ROD, 1000.0, rtol=t),
+    "roller_consistency": lambda t: roller_consistency(ROD, 1000.0, 300.0, rtol=t),
+    "stabilized_from": lambda t: stabilized_from([(0, 1.0), (1, 1.0)], tol=t),
+}
+
+
+@pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+@pytest.mark.parametrize("name", sorted(TOLERANCES))
+def test_tolerances_that_are_not_numbers_refused(name, v):
+    # a bool rtol meant 1.0 and a string one escaped as a bare TypeError
+    call = TOLERANCES[name]
+    call(1e-10)
+    with pytest.raises(UsageError, match="must be a real number") as excinfo:
+        call(v)
+    assert isinstance(excinfo.value, TypeError)
 
 
 # the results that a real number given as load, reaction or position reaches
@@ -376,6 +404,11 @@ def test_tip_deflection_shear_sample():
 def test_tip_deflection_moment_sample():
     got = tip_deflection_moment(ROD, 95.0)
     assert abs(got - (-0.25266148349494305)) / 0.25266148349494305 < 1e-12
+
+
+def test_zero_loads_have_zero_tip_deflection():
+    for tip in (tip_deflection_uniform, tip_deflection_shear, tip_deflection_moment):
+        assert tip(ROD, 0.0) == 0.0
 
 
 def test_tip_deflection_moment_small_argument_branch():

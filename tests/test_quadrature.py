@@ -1,6 +1,7 @@
 """Adaptive quadrature: examples, error honesty, deflection integral."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from rodbend.redundancy import solve_builtin
 from rodbend.special_functions import appell_f1, lauricella_fd3
 
 from _oracle import gauss_kronrod
+from test_elastica import NOT_NUMBER_IDS, NOT_NUMBERS
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
 
@@ -100,6 +102,27 @@ def test_nonsense_tolerances_rejected(kwargs, message):
     # each of these used to integrate u^2 over [0, 1] as if nothing were wrong
     with pytest.raises(UsageError, match=message):
         IntegrandSpec(f=lambda u: u * u, lo=0.0, hi=1.0, **kwargs)
+
+
+# None is no hint, so it is no refusal there
+NOT_NUMBER_HINTS = [(v, i) for v, i in zip(NOT_NUMBERS, NOT_NUMBER_IDS) if v is not None]
+
+
+@pytest.mark.parametrize("v", [v for v, _ in NOT_NUMBER_HINTS],
+                         ids=[i for _, i in NOT_NUMBER_HINTS])
+@pytest.mark.parametrize("field", ["lo_exponent", "hi_exponent"])
+def test_hints_that_are_not_numbers_refused(field, v):
+    # a bool hint was taken as 1 or 0
+    with pytest.raises(UsageError, match=f"^{field} must be a real number") as excinfo:
+        IntegrandSpec(f=lambda u: u * u, lo=0.0, hi=1.0, **{field: v})
+    assert isinstance(excinfo.value, TypeError)
+
+
+def test_hints_and_tolerances_are_stored_as_floats():
+    spec = IntegrandSpec(abs, 0, 1, Fraction(-1, 2), np.float32(0.25), np.float64(1e-12), 0)
+    assert (spec.lo_exponent, spec.hi_exponent, spec.rtol, spec.atol) == (-0.5, 0.25, 1e-12, 0.0)
+    assert all(type(v) is float for v in (spec.lo_exponent, spec.hi_exponent, spec.rtol,
+                                          spec.atol))
 
 
 def test_zero_atol_and_one_subdivision_accepted():

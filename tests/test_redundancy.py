@@ -423,6 +423,9 @@ def test_stabilized_from_edge_cases():
     assert stabilized_from([(0, 1.0), (1, 1.0 + 1e-6)]) == 1
     # a late kick resets the stabilization point
     assert stabilized_from([(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0)]) == 3
+    # a step to zero moves infinitely far, a step from zero to zero not at all
+    assert stabilized_from([(0, 1.0), (1, 0.0)]) is None
+    assert stabilized_from([(0, 1.0), (1, 0.0), (2, 0.0)]) == 2
 
 
 def test_stabilized_from_respects_tolerance():
@@ -590,6 +593,27 @@ def test_solve_roller_refuses_usage_before_any_sum(monkeypatch, kwargs):
     monkeypatch.setattr(redundancy, "_sum_ratios", no_sum)
     with pytest.raises(UsageError):
         solve_roller(ROD, Q, **kwargs)
+
+
+def test_linearized_and_series_sum_nothing_they_do_not_report(monkeypatch):
+    # past q = 16EJ/(3L^3) the linearized 3qL/8 passes the tip-shear bound
+    # 2EJ/L^2 = 400 N, where the residual is not read: the load side was summed
+    # anyway, 10^6 terms near q = 1200 and then a DomainError
+    def no_sum(*args):
+        raise AssertionError("a 3F2 was summed")
+
+    monkeypatch.setattr(redundancy, "_sum_ratios", no_sum)
+    sol = solve_roller(ROD, 1199.999, method="linearized")
+    assert (sol.X, sol.residual) == (3.0 * 1199.999 / 8.0, None)
+    with pytest.raises(InfeasibleLoadError, match=re.escape("violates |P| < 2*EJ/L^2 = 400 N")):
+        solve_roller(ROD, 1199.999, method="series", n_terms=3)
+
+
+@pytest.mark.parametrize("kernel", ["expansion", "displacement"])
+@pytest.mark.parametrize("method", ["linearized", "series"])
+def test_linearized_and_series_report_the_consistency_residual(method, kernel):
+    sol = solve_roller(ROD, Q, method=method, kernel=kernel)
+    assert sol.residual.hex() == roller_consistency(ROD, Q, sol.X, kernel).hex()
 
 
 @pytest.mark.parametrize("kernel", ["expansion", "displacement"])

@@ -15,6 +15,8 @@ from rodbend.series_tools import (
     lagrange_revert,
 )
 
+from test_elastica import NOT_NUMBER_IDS, NOT_NUMBERS
+
 
 def odd_series(*coeffs, order=None):
     # build [0, c0, 0, c1, ...]
@@ -68,6 +70,14 @@ def test_evaluate_horner_matches_direct_sum():
     w = 0.37
     direct = w - w ** 3 + 3 * w ** 5
     assert abs(s.evaluate(w) - direct) < 1e-15
+
+
+@pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_evaluate_refuses_a_non_number(v):
+    # evaluate(True) on x + x^3 was 2.0
+    with pytest.raises(UsageError, match="^x must be a real number") as excinfo:
+        odd_series(1, 1).evaluate(v)
+    assert isinstance(excinfo.value, TypeError)
 
 
 def test_evaluate_partial_number_of_terms():

@@ -33,6 +33,7 @@ from rodbend.special_functions import (
 )
 
 from _oracle import gamma_ratio, hyp2f1, lauricella_fd, src_env
+from test_elastica import NOT_NUMBER_IDS, NOT_NUMBERS
 
 
 def rel_err(got, want):
@@ -60,6 +61,21 @@ def test_pochhammer_exact_for_fractions():
 def test_pochhammer_negative_integer_truncates_to_zero():
     assert pochhammer(-2, 3) == 0
     assert pochhammer(-2, 2) == (-2) * (-1)
+
+
+def test_pochhammer_takes_any_real_lam_as_a_float():
+    # a rational lam stays exact; any other real one is summed as its float
+    for lam in (np.float32(2.5), np.float64(2.5)):
+        got = pochhammer(lam, 3)
+        assert type(got) is float and got == 2.5 * 3.5 * 4.5
+
+
+@pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_pochhammer_refuses_a_non_number(v):
+    # pochhammer(True, 2) was 2
+    with pytest.raises(UsageError, match="^pochhammer lam must be a real number") as excinfo:
+        pochhammer(v, 2)
+    assert isinstance(excinfo.value, TypeError)
 
 
 def test_pochhammer_rejects_negative_order():
@@ -294,6 +310,15 @@ def test_shell_series_cap_error_names_the_function(monkeypatch):
         appell_f1(1.5, 0.6, 0.9, 2.8, 0.9, -0.9, method="series")
     with pytest.raises(DomainError, match="FD3 series did not converge within 5 shells"):
         lauricella_fd3(1.5, (0.6, 0.9, 0.5), 2.8, (0.9, -0.9, 0.5), method="series")
+
+
+def test_hyp_series_cap_raises_domain_error(monkeypatch):
+    # the 2F1/3F2 loop gives up at _MAX_TERMS, read at each call
+    monkeypatch.setattr(special_functions, "_MAX_TERMS", 64)
+    with pytest.raises(DomainError, match="^series did not converge within 64 terms$"):
+        gauss_2f1(0.5, 0.5, 1.5, 0.999)
+    with pytest.raises(DomainError, match="^series did not converge within 64 terms$"):
+        hyp_3f2(0.5, 1.0, 1.5, 1.25, 1.75, 0.999)
 
 
 def test_f1_identity_antisymmetric_arguments():
@@ -572,6 +597,22 @@ def test_reduce_fd3_unit_arg_dual_route_battery():
         assert rel_err(direct, reduced) < 1e-9
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0.5, 0.3, 0.3, 1.0, 1.5, 0.2, 0.1), "reduction needs c > a + b3, got c=1.5, a+b3=1.5"),
+    ((-0.5, 0.3, 0.3, 0.3, 1.5, 0.2, 0.1), "reduction needs c > a > 0, got a=-0.5, c=1.5"),
+], ids=["c-a-b3", "a"])
+def test_reduce_fd3_unit_arg_refuses_its_domain(args, message):
+    with pytest.raises(DomainError) as excinfo:
+        reduce_fd3_unit_arg(*args)
+    assert str(excinfo.value) == message
+
+
+def test_reduce_fd3_unit_arg_without_a_unit_slot_weight_is_its_f1():
+    # b3 = 0: the Gamma ratio is 1 and F1(a; b1, b2; c; x, y) is returned as summed
+    got = reduce_fd3_unit_arg(0.5, 0.3, 0.3, 0.0, 1.5, 0.2, 0.1)
+    assert got.hex() == appell_f1(0.5, 0.3, 0.3, 1.5, 0.2, 0.1, method="series").hex()
+
+
 def test_reduce_fd3_unit_arg_takes_the_integral_past_the_shell_cap():
     # ln(1e-13)/ln(0.99999) = 3.0e6 shells, past the 10^5-shell cap of the series
     start = time.perf_counter()
@@ -641,6 +682,18 @@ def test_non_finite_input_rejected_before_summing(name, bad):
             fn(*args[:i], bad, *args[i + 1:])
 
 
+@pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+@pytest.mark.parametrize("name", sorted(_FINITE_CALLS))
+def test_non_numbers_rejected_before_summing(name, v):
+    # FD3 parsed a string parameter, and 2F1 took True as 1.0
+    fn, args = _FINITE_CALLS[name]
+    for i in range(len(args)):
+        with pytest.raises(UsageError, match="every parameter and argument must be a real "
+                                             "number") as excinfo:
+            fn(*args[:i], v, *args[i + 1:])
+        assert isinstance(excinfo.value, TypeError)
+
+
 # ------------------------------------------------------------- bad tolerance
 
 # one call per function that takes rtol; each ends at once whatever rtol is
@@ -666,6 +719,14 @@ def test_bad_tolerance_rejected_before_summing(name, bad):
     with pytest.raises(UsageError) as excinfo:
         call(bad)
     assert str(excinfo.value) == f"tolerance must be finite and positive, got {bad}"
+
+
+@pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+@pytest.mark.parametrize("name", sorted(_RTOL_CALLS))
+def test_tolerance_that_is_not_a_number_rejected(name, v):
+    with pytest.raises(UsageError, match="^tolerance must be a real number") as excinfo:
+        _RTOL_CALLS[name](v)
+    assert isinstance(excinfo.value, TypeError)
 
 
 @pytest.mark.parametrize("bad", [0.0, math.inf], ids=["zero", "inf"])

@@ -19,10 +19,13 @@ from rodbend import (
     TipShear,
     UniformLoad,
     UsageError,
+    deflection_profile,
     hyp3f2_taylor,
     identity_series,
+    integrate,
     lagrange_revert,
     pochhammer,
+    stabilized_from,
 )
 
 ROD = RodProperties(1.0, 200.0, 1.0)
@@ -199,6 +202,15 @@ def test_power_series_stores_fractions():
      "order must be an integer, got 3.0"),
     (lambda: pochhammer(3.0, True), "pochhammer order must be an integer, got True"),
     (lambda: pochhammer(3.0, 2.5), "pochhammer order must be an integer, got 2.5"),
+    (lambda: pochhammer(math.nan, 2), "pochhammer lam must be finite, got nan"),
+    (lambda: PowerSeries((0, 1, 0, 1), 3).evaluate(math.nan), "x must be finite, got nan"),
+    (lambda: stabilized_from([(0, 1.0), (1, 1.0)], tol=math.nan),
+     "tolerance must be finite and positive, got nan"),
+    (lambda: deflection_profile(UniformLoad(1.0), ROD, n_points=1), "need at least 2 grid points"),
+    (lambda: integrate(IntegrandSpec(lambda u: 10.0 ** (400 * u), 0.0, 1.0)),
+     "integrand not finite inside [0.0, 1.0]"),
+    (lambda: lagrange_revert(PowerSeries((1, 1), 1)), "reversion needs f(0) = 0"),
+    (lambda: hyp3f2_taylor((1, 1, 1, 2, 2), 0), "order must be at least 1"),
 ], ids=["L", "E", "J", "EJ", "UniformLoad", "TipShear", "TipMoment", "BuiltInCombined",
         "profile-order", "profile-wall", "interval", "rtol-zero", "rtol-nan", "hint",
         "subdivisions-float", "subdivisions-bool",
@@ -206,7 +218,8 @@ def test_power_series_stores_fractions():
         "evaluate-negative", "evaluate-bool", "coefficient-last", "coefficient-first", "coefficient-past-start",
         "coefficient-float", "identity-negative", "identity-bool",
         "identity-float", "taylor-float", "revert-float", "pochhammer-bool",
-        "pochhammer-float"])
+        "pochhammer-float", "pochhammer-nan", "evaluate-nan", "stabilized-nan",
+        "profile-one-point", "integrand-overflow", "revert-constant", "taylor-zero"])
 def test_validation_messages(build, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$") as excinfo:
         build()
