@@ -251,15 +251,16 @@ def tip_deflection_shear(rod: RodProperties, X: float, rtol: float = DEFAULT_RTO
 
 
 def tip_deflection_moment(rod: RodProperties, X: float) -> float:
-    """Exact tip deflection under a constant tip couple X, elementary closed form."""
+    """Exact tip deflection under a constant tip couple X, elementary closed form.
+
+    (sqrt(EJ^2 - X^2 L^2) - EJ)/X, written without the difference, so no
+    digit cancels at any |X| < EJ/L.
+    """
     X = _require_feasible(TipMoment(X), rod)
     L, EJ = rod.L, rod.EJ
     if X == 0.0:
         return 0.0
-    if abs(X) * L ** 2 / EJ < 1e-6:
-        # two-term expansion; the closed form loses digits to cancellation here
-        return -X * L ** 2 / (2.0 * EJ) * (1.0 + X ** 2 * L ** 2 / (4.0 * EJ ** 2))
-    return (math.sqrt(EJ ** 2 - X ** 2 * L ** 2) - EJ) / X
+    return -X * L ** 2 / (EJ + math.sqrt(EJ ** 2 - X ** 2 * L ** 2))
 
 
 def linearized_deflection(load: LoadCase, rod: RodProperties, x: float) -> float:

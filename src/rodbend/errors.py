@@ -47,11 +47,29 @@ class _NotANumber(UsageError, TypeError):
 
 def _real(name, v) -> float:
     """``v`` as a float; refused unless it converts to float as a number does
-    (bools excluded). Every public real number is admitted here; a hot entry
-    skips the call for an input that is a float already."""
+    (bools excluded), and an int past the float range is +-inf. Every public
+    real number is admitted here; a hot entry skips the call for an input
+    that is a float already."""
     if type(v) is not float and (isinstance(v, bool) or not hasattr(type(v), "__float__")):
         raise _NotANumber(f"{name} must be a real number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # math.copysign overflows on such an int too
+        return math.inf if v > 0 else -math.inf
+
+
+def _exact(name, v):
+    """``v`` as an exact rational (a ``Fraction``), admitted by ``_real``'s
+    rule: an int or a ``Fraction`` stays exact, any other real is the exact
+    ``Fraction`` of its float, and NaN or an infinity is refused."""
+    from fractions import Fraction  # here, so that importing errors does not load fractions
+
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return Fraction(v)
+    x = _real(name, v)
+    if not math.isfinite(x):
+        raise UsageError(f"{name} must be finite, got {x}")
+    return Fraction(x)
 
 
 def _integer(name, v):

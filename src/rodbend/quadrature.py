@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from typing import Callable
 
 from ._value import Frozen, set_field
@@ -154,7 +155,7 @@ def _panel(f, lo, hi):
             k41 += wkg * v
             g20 += wg * v
         k41 += _KW[-1] * f(mid + half * _NODES[-1])
-    except OverflowError:  # float ** raises on overflow instead of returning inf
+    except ArithmeticError:  # float ** and / raise on overflow or a zero divisor, not give inf
         k41 = math.inf
     # every Kronrod weight is positive, so one non-finite node value shows here
     if not math.isfinite(k41):
@@ -211,13 +212,14 @@ def _absorb(f, end, width, p, direction):
     that |x - end|**p becomes ~t**2; ``direction`` is +1 when the piece
     lies above ``end`` (a lower endpoint) and -1 when below it.
 
-    Offsets below one ulp of the endpoint cannot be represented in x,
-    so evaluation is clamped there; the affected tail mass is returned
-    as an error floor instead of being silently trusted. Returns the
-    piece (g, 0.0, 1.0) and its floor for ``integrate``.
+    Offsets below the endpoint's own float spacing (the smallest normal
+    float at a zero endpoint) cannot be represented in x, so evaluation
+    is clamped there; the affected tail mass is returned as an error
+    floor instead of being silently trusted. Returns the piece
+    (g, 0.0, 1.0) and its floor for ``integrate``.
     """
     gamma = max(1.0, 3.0 / (1.0 + p))
-    d_min = math.ulp(1.0) * max(abs(end), width)  # machine epsilon times scale
+    d_min = max(math.ulp(end), sys.float_info.min)
 
     def g(t):
         d = max(width * t ** gamma, d_min)

@@ -370,7 +370,10 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     """Built-in end moment by 'linearized', 'series' (n_terms) or 'closed'.
 
     'closed' evaluates X = 2 EJ I / (L^2 + I^2) with the tip integral I
-    from ``integral_mode``; the series follows the 2F1-approximation
+    from ``integral_mode``: the tip couple whose deflection
+    ``tip_deflection_moment`` cancels I. That couple stays below its bound
+    EJ/L only while I < L (w = qL^3/EJ < 11.669), so a larger I is
+    refused with NearCriticalLoadError. The series follows the 2F1-approximation
     route, so its limit is the closed value with mode "hyp_approx", and
     like that route it is refused with NearCriticalLoadError from its
     radius w = qL^3/EJ = 6 on, half the feasible range.
@@ -399,6 +402,11 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
         X, label = trace[-1][1], f"series({n_terms})"
     elif method == "closed":
         i_val = _tip_integral(load, rod, integral_mode, rtol)
+        if i_val >= L:
+            raise NearCriticalLoadError(
+                f"tip integral I = {i_val:.6g} m reaches L = {L:.6g} m: the end moment "
+                f"cancelling it would pass the tip-couple bound EJ/L = {EJ / L:.6g} N m"
+            )
         X = 2.0 * EJ * i_val / (L ** 2 + i_val ** 2)
         trace, label = (), f"closed({integral_mode})"
     else:

@@ -29,7 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from ._value import Frozen, set_field
-from .errors import DomainError, UsageError, _count, _integer, _real
+from .errors import DomainError, UsageError, _count, _exact, _integer, _real
 
 __all__ = ["PowerSeries", "identity_series", "compose", "lagrange_revert", "hyp3f2_taylor"]
 
@@ -45,16 +45,18 @@ class PowerSeries(Frozen):
             raise UsageError(f"parity must be 'odd' or 'general', got {parity!r}")
         if order < len(coefficients) - 1:
             raise UsageError("truncation order below the highest stored power")
-        if parity == "odd" and any(c != 0 for c in coefficients[0::2]):
+        # the library's own series pass Fractions, which skip the call
+        coefficients = tuple(c if type(c) is Fraction else _exact("coefficient", c)
+                             for c in coefficients)
+        if parity == "odd" and any(coefficients[0::2]):
             raise UsageError("odd series has a nonzero even coefficient")
-        set_field(self, "coefficients", tuple(Fraction(c) for c in coefficients))
+        set_field(self, "coefficients", coefficients)
         set_field(self, "order", order)
         set_field(self, "parity", parity)  # "odd" | "general"
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence, order: int | None = None,
                           parity: str = "general") -> "PowerSeries":
-        coeffs = tuple(Fraction(c) for c in coeffs)
         if order is None:
             order = len(coeffs) - 1
         _count("order", order)  # before the slice, which takes no float or str
@@ -197,7 +199,7 @@ def hyp3f2_taylor(params: Sequence, order: int) -> PowerSeries:
     _integer("order", order)
     if order < 1:
         raise UsageError("order must be at least 1")
-    a1, a2, a3, b1, b2 = (Fraction(p) for p in params)
+    a1, a2, a3, b1, b2 = (_exact("3F2 Taylor series: every parameter", p) for p in params)
     for b in (b1, b2):
         if b <= 0 and b.denominator == 1:
             raise DomainError(f"3F2 Taylor series: lower parameter {b} is a nonpositive integer")

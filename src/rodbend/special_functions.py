@@ -73,8 +73,7 @@ _SHELL_BUDGET = 40
 # value depends on what is kept.
 _BLOCK = 32
 
-# quadrature tolerances for the integral representations
-_IRT_RTOL = 1e-12
+# the absolute tolerance of the integral representations
 _IRT_ATOL = 1e-15
 
 
@@ -312,7 +311,7 @@ def _fd_route(name: str, method: str, a: float, b: Sequence[float], c: float,
             raise DomainError(
                 f"unit argument needs c > a + b_i at the unit slots (c={c}, a+b={a + unit_b})"
             )
-        return _irt_integral(a, c, factors, rtol=min(rtol, _IRT_RTOL), unit_b=unit_b)
+        return _irt_integral(a, c, factors, rtol=rtol, unit_b=unit_b)
 
     if not series_ok:
         raise DomainError(f"{name} series needs all |x_i| < 1, got {x}")

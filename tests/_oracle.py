@@ -114,7 +114,11 @@ def builtin_end_moment(q):
 
     Near the critical load q = 12 EJ / L^3 the integrand peaks at the tip
     with width about sqrt((EJ - q L^3 / 12) / q), so the interval is split
-    at 1e-3, 1e-2 and 0.1."""
+    at 1e-3, 1e-2 and 0.1.
+
+    X is the tip couple whose tip deflection cancels I only while I < L;
+    past that the couple would pass its bound EJ/L, and the formula's value
+    is the mirror root, so ValueError is raised instead."""
     _precise()
     L, EJ, q = mp.mpf(1), mp.mpf(200), mp.mpf(q)
 
@@ -123,6 +127,8 @@ def builtin_end_moment(q):
         return h / mp.sqrt((EJ - h) * (EJ + h))
 
     tip = mp.quad(integrand, [0, mp.mpf("1e-3"), mp.mpf("1e-2"), mp.mpf("0.1"), L])
+    if tip >= L:
+        raise ValueError(f"tip integral {tip} reaches L: no end moment below EJ/L cancels it")
     return 2 * EJ * tip / (L ** 2 + tip ** 2)
 
 

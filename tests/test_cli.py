@@ -97,6 +97,17 @@ def test_solve_builtin_closed_near_critical_exits_2(capsys):
     assert "within 1.250e-06 of the curvature bound" in err
 
 
+def test_solve_builtin_closed_past_the_tip_couple_bound_exits_2(capsys):
+    # the closed map answers while the tip integral is below L (w < 11.669)
+    code, out, err = run(capsys, "solve", "builtin", *ROD_ARGS, "--q", "2330", "--method", "closed")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["X"] < 200.0
+    for q in ("2333.9", "2399.9", "2399.99"):
+        code, out, err = run(capsys, "solve", "builtin", *ROD_ARGS, "--q", q, "--method", "closed")
+        assert (code, out) == (2, "")
+        assert "tip-couple bound EJ/L = 200 N m" in err
+
+
 def test_solve_nan_load_exits_1(capsys):
     code, out, err = run(capsys, "solve", "builtin", *ROD_ARGS,
                          "--q", "nan", "--method", "series", "--n", "3")

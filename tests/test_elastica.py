@@ -8,6 +8,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -412,7 +413,7 @@ def test_zero_loads_have_zero_tip_deflection():
 
 
 def test_tip_deflection_moment_small_argument_branch():
-    # below the cancellation threshold the series expression takes over
+    # a small couple gives the linear deflection -X L^2 / (2 EJ)
     m0 = 1e-5
     got = tip_deflection_moment(ROD, m0)
     lead = -m0 * ROD.L ** 2 / (2.0 * ROD.EJ)
@@ -420,15 +421,32 @@ def test_tip_deflection_moment_small_argument_branch():
 
 
 def test_tip_deflection_moment_branches_agree_at_threshold():
-    # reference from the cancellation-free two-term expansion; the closed
-    # branch loses about eps/r^2 relative just above the switch, so the
-    # tolerance there is loose on purpose
+    # around X L^2 / EJ = 1e-6 the difference form (sqrt(EJ^2 - X^2 L^2) - EJ)/X
+    # would lose about eps/r^2 to cancellation; the two-term expansion is
+    # exact to r^4 here, and the cancellation-free form meets it to 1e-15
     ej, length = ROD.EJ, ROD.L
-    for scale, tol in ((0.9, 1e-12), (1.1, 2e-4)):
+    for scale, tol in ((0.9, 1e-15), (1.1, 1e-15)):
         m0 = scale * 1e-6 * ej / length ** 2
         r2 = (m0 * length / ej) ** 2
         reference = -m0 * length ** 2 / (2.0 * ej) * (1.0 + r2 / 4.0)
         assert abs(tip_deflection_moment(ROD, m0) - reference) < abs(reference) * tol
+
+
+@pytest.mark.parametrize("length, ej", [(1.0, 200.0), (10.0, 200.0), (0.1, 1e4)])
+def test_tip_deflection_moment_is_cancellation_free(length, ej):
+    # X L / EJ = m 10^(k/2) from 1e-15 to 0.5, against 50-digit mpmath
+    rod = RodProperties.from_stiffness(length, ej)
+    with mp.workdps(50):
+        for k in range(-30, 0):
+            for m in (1.0, 1.3, 2.0, 5.0):
+                ratio = m * 10.0 ** (k / 2)
+                if ratio >= 1.0:
+                    continue
+                X = ratio * ej / length
+                x, L, EJ = mp.mpf(X), mp.mpf(length), mp.mpf(ej)
+                want = (mp.sqrt(EJ ** 2 - x ** 2 * L ** 2) - EJ) / x
+                got = tip_deflection_moment(rod, X)
+                assert abs(got - want) <= 4e-16 * abs(want), (ratio, got)
 
 
 def test_closed_forms_match_quadrature_on_random_draws():

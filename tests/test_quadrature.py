@@ -1,6 +1,7 @@
 """Adaptive quadrature: examples, error honesty, deflection integral."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -42,6 +43,20 @@ def test_beta_function_both_endpoints():
     val, est = integrate(spec)
     assert abs(val - math.pi) < 1e-6
     assert abs(val - math.pi) <= 10.0 * est
+
+
+@pytest.mark.parametrize("p", [-0.5, -0.9])
+def test_hinted_power_at_a_zero_endpoint_within_1e_15(p):
+    # offsets from a zero endpoint are clamped only at the smallest normal
+    # float, so the substituted piece keeps its tail
+    val, _ = integrate(IntegrandSpec(f=lambda x: x ** p, lo=0.0, hi=1.0, lo_exponent=p))
+    assert abs(val - 1.0 / (1.0 + p)) <= 1e-15 / (1.0 + p)
+
+
+def test_hinted_power_near_minus_one_is_covered_by_its_estimate():
+    # x^-0.99: the clamped tail is not negligible, and the estimate says so
+    val, est = integrate(IntegrandSpec(f=lambda x: x ** -0.99, lo=0.0, hi=1.0, lo_exponent=-0.99))
+    assert abs(val - 100.0) <= est
 
 
 def test_additivity_over_split_interval():
@@ -140,12 +155,16 @@ def test_undeclared_nonintegrable_singularity_raises():
         integrate(spec)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-def test_one_non_finite_node_value_refused(bad):
+@pytest.mark.parametrize("f, where", [
     # 0.5 is the center node of the first panel on [0, 1]
-    spec = IntegrandSpec(f=lambda x: bad if x == 0.5 else 1.0, lo=0.0, hi=1.0)
-    with pytest.raises(UsageError, match="integrand not finite"):
-        integrate(spec)
+    (lambda x: math.nan if x == 0.5 else 1.0, "[0.0, 1.0]"),
+    (lambda x: math.inf if x == 0.5 else 1.0, "[0.0, 1.0]"),
+    # an unhinted pole: once a node rounds to 1.0, 0.0 ** -0.5 raises ZeroDivisionError
+    (lambda u: (1.0 - u) ** -0.5, "[0.9999999999999432, 1.0]"),
+], ids=["nan", "inf", "pole"])
+def test_one_non_finite_node_value_refused(f, where):
+    with pytest.raises(UsageError, match=re.escape(f"integrand not finite inside {where}")):
+        integrate(IntegrandSpec(f=f, lo=0.0, hi=1.0))
 
 
 # ------------------------------------------------------------- the rule

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodbend import redundancy, special_functions
-from rodbend.elastica import RodProperties, tip_deflection_shear, tip_deflection_uniform
+from rodbend.elastica import (
+    RodProperties,
+    tip_deflection_moment,
+    tip_deflection_shear,
+    tip_deflection_uniform,
+)
 from rodbend.errors import (
     BracketError,
     DomainError,
@@ -379,17 +384,39 @@ def test_builtin_closed_near_critical_quadrature_refused_with_exit_2_class():
     with pytest.raises(NearCriticalLoadError, match=re.escape("1.250e-06")) as info:
         solve_builtin(ROD, 2399.997, method="closed")
     assert "deflection quadrature stopped at error" in str(info.value)
-    assert solve_builtin(ROD, 2399.9, method="closed").X == pytest.approx(
-        143.992502312244, rel=1e-12)
+    # closer to critical than q = 2333.9 the tip integral passes L, and the
+    # closed map's value there would be its mirror root: refused too
+    with pytest.raises(NearCriticalLoadError, match=re.escape("tip-couple bound EJ/L = 200 N m")):
+        solve_builtin(ROD, 2399.9, method="closed")
 
 
-@pytest.mark.parametrize("q", [1000.0, 2399.9, 2399.99])
+@pytest.mark.parametrize("q", [1000.0, 2300.0, 2330.0])
 def test_builtin_closed_matches_mpmath_up_to_near_critical(q):
-    # 2399.99 lies 4.2e-6 inside the curvature bound, where the tip
-    # integrand peaks over about 1e-3 of the span
+    # 2330 is w = 11.65, just below w = 11.669, where the tip integral reaches L
     with mp.workdps(40):
         want = builtin_end_moment(q)
     assert abs(solve_builtin(ROD, q, method="closed").X - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("q", [2333.9, 2399.9, 2399.99])
+def test_builtin_closed_refused_where_the_tip_integral_passes_L(q):
+    # X = 2EJ I/(L^2 + I^2) peaks at EJ/L when I = L (w = 11.669) and falls
+    # past it: that value cancels no tip couple, so the route refuses it
+    with pytest.raises(NearCriticalLoadError, match=re.escape("tip-couple bound EJ/L = 200 N m")):
+        solve_builtin(ROD, q, method="closed")
+    with mp.workdps(40), pytest.raises(ValueError, match="reaches L"):
+        builtin_end_moment(q)
+
+
+def test_builtin_closed_moment_cancels_the_tip_integral():
+    # the closed X is the inverse of the tip-couple deflection: over 0.02-0.97
+    # of critical, tip_deflection_moment(X) gives back -I to 1e-12 of I
+    q_crit = 12.0 * ROD.EJ / ROD.L ** 3
+    for i in range(96):
+        q = (0.02 + 0.01 * i) * q_crit
+        X = solve_builtin(ROD, q, method="closed").X
+        tip = builtin_tip_integral(ROD, q)
+        assert abs(tip_deflection_moment(ROD, X) + tip) <= 1e-12 * tip, q
 
 
 def test_builtin_deviation_sign_is_negative():
@@ -526,13 +553,15 @@ def test_edge_of_the_3f2_domain_refused_at_once(case):
     assert time.perf_counter() - start < 0.1
 
 
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf],
-                         ids=["nan", "zero", "negative", "inf"])
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (0.0, "0.0"), (-1.0, "-1.0"),
+                                        (math.inf, "inf"), (10 ** 400, "inf")],
+                         ids=["nan", "zero", "negative", "inf", "huge-int"])
 @pytest.mark.parametrize("method", ["linearized", "series", "root_find"])
-def test_solve_roller_refuses_a_bad_tolerance(method, bad):
+def test_solve_roller_refuses_a_bad_tolerance(method, bad, shown):
+    # an int past the float range is admitted as inf, and refused by the range check
     with pytest.raises(UsageError) as excinfo:
         solve_roller(ROD, Q, method=method, rtol=bad)
-    assert str(excinfo.value) == f"tolerance must be finite and positive, got {bad}"
+    assert str(excinfo.value) == f"tolerance must be finite and positive, got {shown}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf],

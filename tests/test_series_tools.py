@@ -1,7 +1,9 @@
 """Exact-rational power series: composition, reversion, Taylor sources."""
 
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,6 +338,35 @@ def test_hyp3f2_taylor_refuses_a_nonpositive_integer_lower_parameter(params, low
     with pytest.raises(DomainError, match=f"^3F2 Taylor series: lower parameter {lower} is a "
                                           "nonpositive integer$"):
         hyp3f2_taylor(params, order=5)
+
+
+@pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_exact_inputs_that_are_not_numbers_refused(v):
+    # Fraction() took True as 1 and parsed "1/2"; both are usage errors now
+    for build, name in ((lambda: hyp3f2_taylor((v, 1, 1, 2, 2), 3),
+                         "3F2 Taylor series: every parameter"),
+                        (lambda: PowerSeries((F(0), v), 1), "coefficient"),
+                        (lambda: PowerSeries.from_coefficients([0, v]), "coefficient")):
+        with pytest.raises(UsageError, match=f"^{name} must be a real number") as excinfo:
+            build()
+        assert isinstance(excinfo.value, TypeError)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_exact_inputs_that_are_not_finite_refused(v):
+    with pytest.raises(UsageError, match="^3F2 Taylor series: every parameter must be finite"):
+        hyp3f2_taylor((1, 1, v, 2, 2), 3)
+    with pytest.raises(UsageError, match="^coefficient must be finite"):
+        PowerSeries((0, v), 1)
+
+
+def test_exact_inputs_keep_ints_and_fractions_and_take_floats_exactly():
+    s = PowerSeries((0, 3, F(1, 3), 0.1, np.float32(0.1)), 4)
+    assert s.coefficients == (F(0), F(3), F(1, 3), F(0.1), F(float(np.float32(0.1))))
+    assert all(type(c) is F for c in s.coefficients)
+    # a float32 parameter gives the series of its float, an int the exact one
+    assert hyp3f2_taylor((np.float32(0.5), 1, 1.5, 2, 2), 5) == hyp3f2_taylor((0.5, 1, 1.5, 2, 2), 5)
+    assert hyp3f2_taylor((F(1, 2), 1, F(3, 2), 2, 2), 3).coefficient(3) == F(3, 16)
 
 
 def test_hyp3f2_taylor_is_odd():

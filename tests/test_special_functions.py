@@ -672,7 +672,8 @@ _FINITE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400],
+                         ids=["nan", "inf", "-inf", "huge-int", "-huge-int"])
 @pytest.mark.parametrize("name", sorted(_FINITE_CALLS))
 def test_non_finite_input_rejected_before_summing(name, bad):
     fn, args = _FINITE_CALLS[name]
@@ -785,6 +786,26 @@ def test_auto_takes_the_cheaper_valid_route(monkeypatch, case):
     call, route = _AUTO_ROUTES[case]
     call()
     assert taken == [route]
+
+
+@pytest.mark.parametrize("rtol", [1e-6, None], ids=["1e-6", "default"])
+@pytest.mark.parametrize("call", [
+    lambda **kw: appell_f1(1.0, 0.5, 0.8, 2.0, 0.6, -0.2, method="integral", **kw),
+    lambda **kw: lauricella_fd3(1.0, (0.5, 0.8, 0.3), 2.0, (0.6, -0.2, 0.1), method="integral",
+                                **kw),
+], ids=["F1", "FD3"])
+def test_euler_integral_runs_at_the_callers_tolerance(monkeypatch, call, rtol):
+    # no preset tightens the request: the quadrature sees the rtol passed
+    seen = []
+    adaptive = special_functions._adaptive
+
+    def spy(pieces, rtol, atol, max_subdivisions):
+        seen.append(rtol)
+        return adaptive(pieces, rtol, atol, max_subdivisions)
+
+    monkeypatch.setattr(special_functions, "_adaptive", spy)
+    call() if rtol is None else call(rtol=rtol)
+    assert seen == [1e-13 if rtol is None else rtol]
 
 
 # F1 and FD3 values on each route, as float.hex: the route choice, the

@@ -163,6 +163,9 @@ def test_power_series_stores_fractions():
     (lambda: TipShear(math.inf), "P must be finite, got inf"),
     (lambda: TipMoment(-math.inf), "M0 must be finite, got -inf"),
     (lambda: BuiltInCombined(math.nan), "q must be finite, got nan"),
+    # an int past the float range is admitted as +-inf and refused by the range check
+    (lambda: RodProperties(10 ** 400, 1, 1), "L must be finite and positive, got inf"),
+    (lambda: UniformLoad(-10 ** 400), "q must be finite, got -inf"),
     (lambda: DeflectionProfile(((1.0, 0.5), (0.5, 0.0))),
      "sample positions must be strictly increasing"),
     (lambda: DeflectionProfile(((0.0, 0.5), (1.0, 0.1))),
@@ -212,7 +215,7 @@ def test_power_series_stores_fractions():
     (lambda: lagrange_revert(PowerSeries((1, 1), 1)), "reversion needs f(0) = 0"),
     (lambda: hyp3f2_taylor((1, 1, 1, 2, 2), 0), "order must be at least 1"),
 ], ids=["L", "E", "J", "EJ", "UniformLoad", "TipShear", "TipMoment", "BuiltInCombined",
-        "profile-order", "profile-wall", "interval", "rtol-zero", "rtol-nan", "hint",
+        "L-huge-int", "UniformLoad-huge-int", "profile-order", "profile-wall", "interval", "rtol-zero", "rtol-nan", "hint",
         "subdivisions-float", "subdivisions-bool",
         "parity", "order", "odd", "order-float", "order-bool", "order-negative",
         "evaluate-negative", "evaluate-bool", "coefficient-last", "coefficient-first", "coefficient-past-start",
