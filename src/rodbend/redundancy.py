@@ -28,7 +28,7 @@ from .errors import (DEFAULT_RTOL, BracketError, NearCriticalLoadError, UsageErr
                      _integer)
 from .quadrature import _deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import _sum_ratios
+from .special_functions import _MAX_TERMS, _shells_within, _sum_ratios
 
 __all__ = [
     "RedundancySolution",
@@ -60,6 +60,11 @@ _SEED_ORDER = 7  # the roller root finder starts from the series' sum through w^
 # 7/6 z/(1 - z); so their mean index z S'(z)/S(z) is at most that mean. At
 # (b1, b2) = (7/6, 5/3) the two cubics differ by 1/54 alone.
 _SLOPE_INDEX = 7.0 / 6.0
+
+
+# The float coefficients c_0, c_1, ... of the built-in tip integral's series
+# (_phi_series), built on demand and kept for the process.
+_PHI_COEFFICIENTS: list[float] = []
 
 
 class RedundancySolution(Frozen):
@@ -330,19 +335,82 @@ def _radius(rod: RodProperties, q: float, relation: str) -> str:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in ("quadrature", "hyp_approx"):
-        raise UsageError(f"mode must be 'quadrature' or 'hyp_approx', got {mode!r}")
+    if mode not in ("series", "quadrature", "hyp_approx"):
+        raise UsageError(f"mode must be 'series', 'quadrature' or 'hyp_approx', got {mode!r}")
 
 
-def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "quadrature",
+def _pfaff_j(n: int) -> float:
+    """J_n = int_0^1 (1 - 3s^2 + 2s^3)^n ds, by Pfaff's transformation
+
+        J_n = (1/(2n+1)) sum_(j<=n) 2^j n!/((n-j)! (2n+2)_j),
+
+    whose terms are positive with falling ratios 2(n-j)/(2n+2+j): after a
+    term t of ratio rho the rest is at most t rho/(1 - rho), and the sum
+    stops once that is below 2^-56 of it, after about 7 sqrt(n) terms."""
+    term = total = 1.0
+    for j in range(n):
+        rho = 2.0 * (n - j) / (2 * n + 2 + j)
+        term *= rho
+        total += term
+        if term * rho <= 2.0 ** -56 * total * (1.0 - rho):
+            break
+    return total / (2 * n + 1)
+
+
+def _phi_series(r: float) -> tuple[float, int]:
+    """phi = I/L, the built-in tip integral over L, as a sum of positive terms
+    in r = w/12 = qL^3/(12 EJ), 0 < r <= 1: (the sum, the terms summed).
+
+    With s = x/L, |H|/EJ = r (1 - 3s^2 + 2s^3), so expanding the integrand
+    h/sqrt(1 - h^2) binomially gives
+
+        phi = sum_k c_k r^(2k+1),   c_k = C(2k, k)/4^k J_(2k+1),
+
+    J_n from ``_pfaff_j``. 0 <= 1 - 3s^2 + 2s^3 <= 1 on [0, 1], so c_k falls
+    with k, and after a term t the rest is at most t r^2/(1 - r^2). The sum
+    stops once that bound is at most 2^-53 of it, whatever the caller's
+    rtol; it is compensated (Kahan), so its rounding stays near one ulp.
+    Every partial sum is a lower bound of phi, so the sum also stops as
+    soon as it reaches 1 (I >= L): near w = 12 after about 10 terms, and
+    just below w = 11.669, where phi = 1, after about 570. The coefficients
+    are built once per process, only as many as a call needs.
+    """
+    r2 = r * r
+    tail = r2 / (1.0 - r2) if r2 < 1.0 else math.inf
+    coefficients = _PHI_COEFFICIENTS
+    total = carry = 0.0
+    power = r
+    k = 0
+    while True:
+        if k == len(coefficients):
+            coefficients.append(math.comb(2 * k, k) / 4 ** k * _pfaff_j(2 * k + 1))
+        term = coefficients[k] * power
+        k += 1
+        step = term - carry
+        new = total + step
+        carry = (new - total) - step
+        total = new
+        if total >= 1.0 or term * tail <= 2.0 ** -53 * total:
+            return total, k
+        power *= r2
+
+
+def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "series",
                          rtol: float = DEFAULT_RTOL) -> float:
-    """Tip integral of the clamped configuration, positive for q > 0.
+    """Tip integral I = int_0^L |H|/sqrt(EJ^2 - H^2) dx of the clamped
+    configuration, positive for q > 0.
 
-    mode "quadrature" integrates the exact integrand; "hyp_approx" uses
+    mode "series" (the default) sums the exact integrand's binomial series
+    phi(w) = I/L = sum_k c_k (w/12)^(2k+1), w = qL^3/EJ, whose terms are
+    positive; it stops when the tail bound t (w/12)^2/(1 - (w/12)^2) of its
+    last term t is at most 2^-53 of the sum, not at ``rtol``, which is
+    checked but unused. It answers only I < L (w < 11.669): a partial sum
+    that reaches L is refused with NearCriticalLoadError. "quadrature"
+    integrates the exact integrand adaptively to ``rtol``; "hyp_approx" uses
     the closed 2F1 approximation, which is reliable only well below the
     critical load (leading order in q) and is refused with
-    NearCriticalLoadError past w = qL^3/EJ = 6, where its argument w^2/36
-    passes 1.
+    NearCriticalLoadError past w = 6, where its argument w^2/36 passes 1,
+    and below it where its series would need more than 10^6 terms.
     """
     _check_mode(mode)
     rtol = _check_rtol(rtol)
@@ -356,24 +424,46 @@ def _tip_integral(load: BuiltInCombined, rod: RodProperties, mode: str, rtol: fl
     q = load.q
     if q == 0.0:
         return 0.0
+    if mode == "series":
+        phi, terms = _phi_series(rod.L ** 3 * q / (12.0 * rod.EJ))
+        if phi >= 1.0:
+            raise NearCriticalLoadError(
+                f"tip integral I reaches L = {rod.L:.6g} m within the first {terms} terms of "
+                f"its series: the end moment cancelling it would pass the tip-couple bound "
+                f"EJ/L = {rod.EJ / rod.L:.6g} N m"
+            )
+        return rod.L * phi
     if mode == "quadrature":
         return _deflection(load, rod, 0.0, rtol)
+    # the 2F1 loop sums at most _MAX_TERMS terms, and its terms fall at least
+    # as x^k: refuse an argument that needs more before summing any
+    x = _tip_argument(BuiltInCombined, rod)(q)
+    if x < 1.0 and not _shells_within(x, rtol, _MAX_TERMS):
+        w, radius = rod.L ** 3 * q / rod.EJ, BuiltInCombined.tip[1]
+        raise NearCriticalLoadError(
+            f"the 2F1 approximation of the tip integral needs more than {_MAX_TERMS} terms "
+            f"to reach rtol={rtol:g} at w = qL^3/EJ = {w:.9g}, within {1.0 - w / radius:.2g} "
+            f"of its radius {radius}; use --method closed, whose tip integral is exact")
     return _tip_closed_form(BuiltInCombined, q, rod, rtol, lambda: (
         f"the 2F1 approximation of the tip integral diverges past "
         f"{_radius(rod, q, '>')}; use --method closed, whose tip integral "
-        f"is the exact quadrature"))
+        f"is exact"))
 
 
 def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
-                  integral_mode: str = "quadrature",
+                  integral_mode: str = "series",
                   rtol: float = DEFAULT_RTOL) -> RedundancySolution:
     """Built-in end moment by 'linearized', 'series' (n_terms) or 'closed'.
 
     'closed' evaluates X = 2 EJ I / (L^2 + I^2) with the tip integral I
-    from ``integral_mode``: the tip couple whose deflection
-    ``tip_deflection_moment`` cancels I. That couple stays below its bound
-    EJ/L only while I < L (w = qL^3/EJ < 11.669), so a larger I is
-    refused with NearCriticalLoadError. The series follows the 2F1-approximation
+    from ``integral_mode`` (see ``builtin_tip_integral``): the tip couple
+    whose deflection ``tip_deflection_moment`` cancels I. That couple
+    stays below its bound EJ/L only while I < L (w = qL^3/EJ < 11.669), so
+    a larger I is refused with NearCriticalLoadError. The default mode
+    "series" sums the exact integral's positive series to its tail bound
+    2^-53, not to ``rtol``, and refuses as soon as a partial sum reaches
+    L, after at most about 570 terms; "quadrature" is its dual route, at
+    ``rtol``. The series method follows the 2F1-approximation
     route, so its limit is the closed value with mode "hyp_approx", and
     like that route it is refused with NearCriticalLoadError from its
     radius w = qL^3/EJ = 6 on, half the feasible range.

@@ -333,7 +333,9 @@ def _series_is_cheaper(b: Sequence[float], x: Sequence[float], rtol: float) -> b
 
 def _shells_within(top: float, rtol: float, budget: int) -> bool:
     """Whether ln(rtol)/ln(top) shells, about what an FD series whose largest
-    |x_i| is top < 1 sums to reach rtol, are at most ``budget``."""
+    |x_i| is top < 1 sums to reach rtol, are at most ``budget``; the same
+    count bounds the terms of a 2F1 series at x = top whose coefficients do
+    not rise, such as the built-in tip kernel's."""
     return top == 0.0 or math.log(rtol) >= budget * math.log(top)
 
 

@@ -17,8 +17,8 @@ import os
 
 import mpmath as mp
 
-__all__ = ["builtin_end_moment", "gamma_ratio", "gauss_kronrod", "hyp2f1", "hyp3f2",
-           "lauricella_fd", "roller_root", "src_env"]
+__all__ = ["builtin_end_moment", "builtin_tip_integral", "gamma_ratio", "gauss_kronrod",
+           "hyp2f1", "hyp3f2", "lauricella_fd", "roller_root", "src_env"]
 
 # the lower parameters of the roller's reaction-side 3F2 per kernel; both
 # kernels share the load side's (7/6, 5/3)
@@ -106,19 +106,15 @@ def roller_root(kernel: str, q: float):
     return mp.findroot(residual, (mp.mpf(0), top), solver="anderson")
 
 
-def builtin_end_moment(q):
-    """End moment X = 2 EJ I / (L^2 + I^2) of the built-in reference rod
-    (L = 1 m, EJ = 200 N m^2) under the load q, with the exact tip integral
+def builtin_tip_integral(q):
+    """The exact tip integral of the built-in reference rod (L = 1 m,
+    EJ = 200 N m^2) under the load q,
 
         I = int_0^L |H| / sqrt(EJ^2 - H^2) dx,   |H| = q (L - x)^2 (L + 2x) / 12.
 
     Near the critical load q = 12 EJ / L^3 the integrand peaks at the tip
     with width about sqrt((EJ - q L^3 / 12) / q), so the interval is split
-    at 1e-3, 1e-2 and 0.1.
-
-    X is the tip couple whose tip deflection cancels I only while I < L;
-    past that the couple would pass its bound EJ/L, and the formula's value
-    is the mirror root, so ValueError is raised instead."""
+    at 1e-3, 1e-2 and 0.1."""
     _precise()
     L, EJ, q = mp.mpf(1), mp.mpf(200), mp.mpf(q)
 
@@ -126,10 +122,20 @@ def builtin_end_moment(q):
         h = q * (L - x) ** 2 * (L + 2 * x) / 12
         return h / mp.sqrt((EJ - h) * (EJ + h))
 
-    tip = mp.quad(integrand, [0, mp.mpf("1e-3"), mp.mpf("1e-2"), mp.mpf("0.1"), L])
-    if tip >= L:
+    return mp.quad(integrand, [0, mp.mpf("1e-3"), mp.mpf("1e-2"), mp.mpf("0.1"), L])
+
+
+def builtin_end_moment(q):
+    """End moment X = 2 EJ I / (L^2 + I^2) of the built-in reference rod
+    under the load q, with the exact tip integral I of ``builtin_tip_integral``.
+
+    X is the tip couple whose tip deflection cancels I only while I < L;
+    past that the couple would pass its bound EJ/L, and the formula's value
+    is the mirror root, so ValueError is raised instead."""
+    tip = builtin_tip_integral(q)
+    if tip >= 1:
         raise ValueError(f"tip integral {tip} reaches L: no end moment below EJ/L cancels it")
-    return 2 * EJ * tip / (L ** 2 + tip ** 2)
+    return 400 * tip / (1 + tip ** 2)
 
 
 def gauss_kronrod(n: int):

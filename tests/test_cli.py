@@ -90,11 +90,21 @@ def test_solve_infeasible_load_exits_2(capsys):
 
 
 def test_solve_builtin_closed_near_critical_exits_2(capsys):
+    # the tip integral's series passes L within its first 10 terms
     code, out, err = run(capsys, "solve", "builtin", *ROD_ARGS,
                          "--q", "2399.997", "--method", "closed")
     assert code == 2
     assert out == ""
-    assert "within 1.250e-06 of the curvature bound" in err
+    assert "tip integral I reaches L = 1 m within the first 10 terms" in err
+
+
+def test_table_builtin_just_below_the_radius_exits_2(capsys):
+    # the reference closed(hyp_approx) would need more than 10^6 2F1 terms:
+    # refused before summing, not summed to the loop's budget (exit 3)
+    code, out, err = run(capsys, "table", "builtin", *ROD_ARGS, "--q", "1199.99988", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "more than 1000000 terms" in err and "use --method closed" in err
 
 
 def test_solve_builtin_closed_past_the_tip_couple_bound_exits_2(capsys):

@@ -12,8 +12,8 @@ Each ``tests/golden/<name>.err`` holds the exit code and the exact
 standard error of one refused command in ``ERRORS``: infeasible and
 near-critical loads at every gate, a failed reaction bracket, the
 built-in 2F1-approximation routes at and past their radius, and a
-built-in load that passes the gates but whose deflection quadrature
-cannot reach the tolerance.
+built-in load that passes the gates but whose tip integral's series
+passes L within its first terms.
 Each ``tests/golden/<name>.json`` holds the exact numerator/denominator
 coefficients (``PowerSeries.json_obj``) of one reaction series to order
 41, which any change to the exact-rational series layer must reproduce.

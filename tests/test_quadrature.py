@@ -191,13 +191,14 @@ def test_one_panel_pairs_the_mirrored_nodes_with_their_weights():
 
 
 # integrand evaluations, counted as panels x 41 nodes: the built-in closed
-# solve at q = 1000, the F1/FD3 integral-route cases of
+# solve at q = 1000 on its quadrature route, the F1/FD3 integral-route cases of
 # test_special_functions._FD_ROUTE_BITS and a two-piece hinted integral.
 # The two halves of an Euler integral, and the two pieces of integrate(),
 # share one error budget: the unit-argument FD3, the 0.8 cases and the
 # two-piece integral took 164 when each piece met rtol on its own
 EVALUATIONS = {
-    "built-in closed": (lambda: solve_builtin(ROD, 1000.0, method="closed"), 41),
+    "built-in closed": (
+        lambda: solve_builtin(ROD, 1000.0, method="closed", integral_mode="quadrature"), 41),
     "F1 auto, integral": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, -0.4), 82),
     "F1 auto, integral at 0.8": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.8, -0.4), 82),
     "FD3 auto, integral": (lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.7, -0.4, 0.3)), 82),

@@ -37,6 +37,7 @@ from rodbend.redundancy import (
 )
 
 from _oracle import builtin_end_moment
+from _oracle import builtin_tip_integral as exact_tip_integral
 
 ROD = RodProperties.from_stiffness(1.0, 200.0)
 Q = 1000.0
@@ -382,8 +383,11 @@ def test_builtin_closed_near_critical_quadrature_refused_with_exit_2_class():
     # deflection quadrature cannot reach rtol 1e-13 within its subdivision
     # budget; that is a near-critical load, not a usage error
     with pytest.raises(NearCriticalLoadError, match=re.escape("1.250e-06")) as info:
-        solve_builtin(ROD, 2399.997, method="closed")
+        solve_builtin(ROD, 2399.997, method="closed", integral_mode="quadrature")
     assert "deflection quadrature stopped at error" in str(info.value)
+    # the default series route refuses it sooner: its partial sum passes L
+    with pytest.raises(NearCriticalLoadError, match=re.escape("within the first 10 terms")):
+        solve_builtin(ROD, 2399.997, method="closed")
     # closer to critical than q = 2333.9 the tip integral passes L, and the
     # closed map's value there would be its mirror root: refused too
     with pytest.raises(NearCriticalLoadError, match=re.escape("tip-couple bound EJ/L = 200 N m")):
@@ -417,6 +421,97 @@ def test_builtin_closed_moment_cancels_the_tip_integral():
         X = solve_builtin(ROD, q, method="closed").X
         tip = builtin_tip_integral(ROD, q)
         assert abs(tip_deflection_moment(ROD, X) + tip) <= 1e-12 * tip, q
+
+
+# ------------------------------------------------ built-in tip-integral series
+
+def _exact_j(n):
+    """J_n = int_0^1 (1 - 3s^2 + 2s^3)^n ds exactly, from the integer
+    coefficients of the expanded power; independent of Pfaff's sum."""
+    power = [1]
+    for _ in range(n):
+        nxt = [0] * (len(power) + 3)
+        for i, a in enumerate(power):
+            nxt[i] += a
+            nxt[i + 2] -= 3 * a
+            nxt[i + 3] += 2 * a
+        power = nxt
+    den = math.lcm(*range(1, len(power) + 1))
+    return F(sum(a * (den // (i + 1)) for i, a in enumerate(power)), den)
+
+
+def test_tip_series_coefficients_match_exact_rationals():
+    # c_k = C(2k, k)/4^k J_(2k+1); the float build sums Pfaff's positive
+    # terms in order, and stays within 16 ulps of the exact value (11.3 here)
+    redundancy._phi_series(0.9)  # w = 10.8 builds c_0 .. c_152
+    for k in range(40):
+        exact = F(math.comb(2 * k, k), 4 ** k) * _exact_j(2 * k + 1)
+        assert abs(F(redundancy._PHI_COEFFICIENTS[k]) - exact) <= 2 ** -49 * exact, k
+
+
+@pytest.mark.parametrize("w, terms", [(1.0, 7), (5.0, 19), (8.0, 41), (10.8, 153), (11.669, 567)])
+def test_tip_series_term_counts_are_pinned(w, terms):
+    # the work of the series route: terms summed before the tail bound stops it
+    assert redundancy._phi_series(w / 12.0)[1] == terms
+
+
+@pytest.mark.parametrize("rod", [ROD, RodProperties.from_stiffness(1.3, 350.0)], ids=str)
+def test_tip_series_agrees_with_the_quadrature_below_w_star(rod):
+    # the dual route over w = qL^3/EJ in (0, 11.669): the series, stopped at
+    # 2^-53 of its sum, against the quadrature at rtol 1e-13
+    for w in [0.1 * i for i in range(1, 117)] + [11.65, 11.669]:
+        q = w * rod.EJ / rod.L ** 3
+        series = builtin_tip_integral(rod, q)
+        quad = builtin_tip_integral(rod, q, mode="quadrature")
+        assert abs(series - quad) <= 1e-13 * quad, w
+        x_series = solve_builtin(rod, q, "closed").X
+        x_quad = solve_builtin(rod, q, "closed", integral_mode="quadrature").X
+        assert abs(x_series - x_quad) <= 1e-13 * x_quad, w
+
+
+@pytest.mark.parametrize("w", [0.05, 1.0, 3.0, 6.0, 9.0, 10.8, 11.5, 11.669])
+def test_tip_series_matches_mpmath(w):
+    # the tail bound leaves at most one ulp and the compensated sum about one
+    # more; the float r = qL^3/(12 EJ) and the coefficients add a few: the
+    # worst of 180 random loads in (0, 11.669) was 4.9e-16, the quadrature's 8.0e-16
+    q = w * ROD.EJ / ROD.L ** 3
+    with mp.workdps(40):
+        want = exact_tip_integral(q)
+    assert abs(builtin_tip_integral(ROD, q) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("q", [2333.866341032603, 2333.87, 2334.0, 2360.0, 2399.9,
+                               2399.999999, math.nextafter(2400.0, 0.0)])
+def test_tip_series_refuses_past_w_star_in_bounded_time(monkeypatch, q):
+    # past w = 11.669, where I = L, a partial sum reaches L and the route
+    # refuses at once: after 437 terms at the first load here, within
+    # 1e-10 N/m above it, and after 10 near w = 12. The coefficients are
+    # built afresh, so the time includes the cold build
+    monkeypatch.setattr(redundancy, "_PHI_COEFFICIENTS", [])
+    start = time.perf_counter()
+    with pytest.raises(NearCriticalLoadError, match=re.escape("tip-couple bound EJ/L = 200 N m")):
+        solve_builtin(ROD, q, method="closed")
+    with pytest.raises(NearCriticalLoadError, match=r"reaches L = 1 m within the first \d+ terms"):
+        builtin_tip_integral(ROD, q)
+    assert time.perf_counter() - start < 0.5
+    assert len(redundancy._PHI_COEFFICIENTS) < 600
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-5])
+def test_hyp_approx_refused_before_summing_near_its_radius(gap):
+    # ln(rtol)/ln(x) terms, x = (w/6)^2, pass the loop's 10^6 budget from
+    # 1 - w/6 = 1.5e-5 on at rtol 1e-13: refused as near-critical before any
+    # term is summed, not summed to the budget and failed as a domain error
+    q = 1200.0 * (1.0 - gap)
+    start = time.perf_counter()
+    with pytest.raises(NearCriticalLoadError, match=r"more than 1000000 terms.*--method closed"):
+        builtin_tip_integral(ROD, q, mode="hyp_approx")
+    with pytest.raises(NearCriticalLoadError, match=r"more than 1000000 terms.*--method closed"):
+        solve_builtin(ROD, q, "closed", integral_mode="hyp_approx")
+    assert time.perf_counter() - start < 0.1
+    # the budget is the caller's rtol's: 6.9e5 terms reach rtol 1e-6 at 1e-5
+    if gap == 1e-5:
+        assert 0.0 < builtin_tip_integral(ROD, q, mode="hyp_approx", rtol=1e-6) < ROD.L
 
 
 def test_builtin_deviation_sign_is_negative():
@@ -592,7 +687,7 @@ def test_builtin_refuses_a_bad_tolerance(call, q, bad):
 ], ids=["linearized", "series", "closed", "integral", "integral-bad-rtol"])
 def test_builtin_refuses_an_unknown_integral_mode(call, q):
     with pytest.raises(UsageError, match=re.escape(
-            "mode must be 'quadrature' or 'hyp_approx', got 'bogus'")):
+            "mode must be 'series', 'quadrature' or 'hyp_approx', got 'bogus'")):
         call(q)
 
 
@@ -604,7 +699,7 @@ def test_unknown_method_and_kernel_rejected():
     with pytest.raises(UsageError):
         solve_builtin(ROD, Q, method="root_find")
     with pytest.raises(UsageError):
-        builtin_tip_integral(ROD, Q, mode="series")
+        builtin_tip_integral(ROD, Q, mode="exact")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -790,9 +885,9 @@ REPORT_BITS = [
         '0x0.0p+0', '0x0.0p+0',
     )),
     ('builtin', 1.0, 200.0, 0.3, (
-        '0x1.dffffffffffffp+5', '0x1.e28397fccb8dep+5', '-0x1.dfffffffffffep+4',
-        '-0x1.daf8d00668e40p+4', '0x1.dffffffffffffp+5', '0x1.e28397fccb8dep+5',
-        '0x1.0c29feaa25cebp-1', '0x1.0ac44ef50fb2dp-1',
+        '0x1.dffffffffffffp+5', '0x1.e28397fccb8dap+5', '-0x1.dfffffffffffep+4',
+        '-0x1.daf8d00668e48p+4', '0x1.dffffffffffffp+5', '0x1.e28397fccb8dap+5',
+        '0x1.0c29feaa25b41p-1', '0x1.0ac44ef50f987p-1',
     )),
     ('builtin', 1.0, 200.0, 0.8, (
         '0x1.4000000000001p+7', '0x1.4ce5b4eacdb0ap+7', '-0x1.4000000000000p+6',
@@ -817,9 +912,9 @@ REPORT_BITS = [
         '0x0.0p+0', '0x0.0p+0',
     )),
     ('builtin', 1.3, 350.0, 0.3, (
-        '0x1.4313b13b13b13p+6', '0x1.44c4e1604dee5p+6', '-0x1.4313b13b13b14p+5',
-        '-0x1.3fb150f09f370p+5', '0x1.4313b13b13b13p+6', '0x1.44c4e1604dee5p+6',
-        '0x1.0c29feaa25d6ep-1', '0x1.0ac44ef50fbaep-1',
+        '0x1.4313b13b13b13p+6', '0x1.44c4e1604dee2p+6', '-0x1.4313b13b13b14p+5',
+        '-0x1.3fb150f09f376p+5', '0x1.4313b13b13b13p+6', '0x1.44c4e1604dee2p+6',
+        '0x1.0c29feaa25b93p-1', '0x1.0ac44ef50f9d8p-1',
     )),
     ('builtin', 1.3, 350.0, 0.8, (
         '0x1.aec4ec4ec4ec7p+7', '0x1.c021873c14e3fp+7', '-0x1.aec4ec4ec4ec6p+6',
