@@ -2,11 +2,13 @@
 
 A 20-point Gauss rule nested in a 41-point Kronrod rule (QUADPACK's qk41)
 drives adaptive interval bisection; the difference between the two rules
-is the panel error estimate. A panel calls the integrand once per node
-with a float and sums the weighted values left to right, the Gauss sum
-over its own 20 nodes only. Integrable algebraic endpoint singularities
-are absorbed by a power substitution before any panel is evaluated, so
-the adaptive stage only ever sees a smooth integrand. An integral made of
+is the panel error estimate. A panel hands its integrand the list of its
+41 nodes and takes back the list of the values there, which it sums
+weighted left to right, the Gauss sum over its own 20 nodes only;
+``integrate()`` calls the user's integrand once per node with a float.
+Integrable algebraic endpoint singularities are absorbed by a power
+substitution before any panel is evaluated, so the adaptive stage only
+ever sees a smooth integrand. An integral made of
 several pieces (the substituted pieces beside two hinted endpoints, or
 the two halves of an Euler integral) is integrated on one error budget:
 one heap holds the panels of every piece, and the worst of them is
@@ -94,12 +96,10 @@ _WG = (
 
 # the 41 mirrored nodes with their Kronrod weights. G20 has no center node,
 # so the Gauss nodes are the odd indices 1, 3, ..., 39 and their weights
-# mirror without a shared middle. A panel walks the nodes left to right in
-# (Kronrod-only, Gauss) pairs, then the last Kronrod-only node.
+# mirror without a shared middle.
 _NODES = tuple(-x for x in _XK[:0:-1]) + _XK
 _KW = _WK[:0:-1] + _WK
 _GW = _WG[::-1] + _WG
-_PAIRS = tuple(zip(_NODES[:-1:2], _KW[:-1:2], _NODES[1::2], _KW[1::2], _GW))
 
 
 class IntegrandSpec(Frozen):
@@ -144,19 +144,25 @@ class IntegrandSpec(Frozen):
 
 
 def _panel(f, lo, hi):
-    """Gauss-Kronrod panel: returns (K41 value, error estimate |K41 - G20|)."""
+    """Gauss-Kronrod panel: returns (K41 value, error estimate |K41 - G20|).
+
+    ``f`` maps the list of the 41 nodes, left to right, to the list of its
+    values there. Each rule sums its weighted values left to right in an
+    explicit loop, whose rounding does not change with the Python version
+    as ``sum()``'s did in 3.12.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     k41 = g20 = 0.0
     try:
-        for xk, wk, xg, wkg, wg in _PAIRS:
-            k41 += wk * f(mid + half * xk)
-            v = f(mid + half * xg)
-            k41 += wkg * v
-            g20 += wg * v
-        k41 += _KW[-1] * f(mid + half * _NODES[-1])
+        values = f([mid + half * x for x in _NODES])
     except ArithmeticError:  # float ** and / raise on overflow or a zero divisor, not give inf
         k41 = math.inf
+    else:
+        for w, v in zip(_KW, values):
+            k41 += w * v
+        for w, v in zip(_GW, values[1::2]):
+            g20 += w * v
     # every Kronrod weight is positive, so one non-finite node value shows here
     if not math.isfinite(k41):
         raise UsageError(f"integrand not finite inside [{lo}, {hi}]")
@@ -174,9 +180,10 @@ class _NotConverged(UsageError):
 
 
 def _adaptive(pieces, rtol, atol, max_subdivisions):
-    """Integrate the sum over ``pieces``, a list of (f, lo, hi), on one error
-    budget: bisect the worst panel among all pieces until the summed error
-    estimate is at most max(atol, rtol * |summed value|).
+    """Integrate the sum over ``pieces``, a list of (f, lo, hi) with ``f`` a
+    list-in, list-out integrand as ``_panel`` takes it, on one error budget:
+    bisect the worst panel among all pieces until the summed error estimate
+    is at most max(atol, rtol * |summed value|).
 
     The panel budget is ``max_subdivisions`` per piece. Returns the summed
     (value, error estimate).
@@ -221,12 +228,12 @@ def _absorb(f, end, width, p, direction):
     gamma = max(1.0, 3.0 / (1.0 + p))
     d_min = max(math.ulp(end), sys.float_info.min)
 
-    def g(t):
-        d = max(width * t ** gamma, d_min)
-        return f(end + direction * d) * width * gamma * t ** (gamma - 1.0)
+    def g(ts):
+        return [f(end + direction * max(width * t ** gamma, d_min)) * width * gamma
+                * t ** (gamma - 1.0) for t in ts]
 
     t_clamp = (d_min / width) ** (1.0 / gamma)
-    return (g, 0.0, 1.0), abs(g(t_clamp)) * t_clamp / 3.0
+    return (g, 0.0, 1.0), abs(g([t_clamp])[0]) * t_clamp / 3.0
 
 
 def integrate(spec: IntegrandSpec) -> tuple[float, float]:
@@ -241,7 +248,7 @@ def integrate(spec: IntegrandSpec) -> tuple[float, float]:
     p_lo, p_hi = spec.lo_exponent, spec.hi_exponent
     pieces, floor = [], 0.0
     if p_lo is None and p_hi is None:
-        pieces.append((f, lo, hi))
+        pieces.append((lambda xs: [f(x) for x in xs], lo, hi))
     else:
         # one substituted piece per hinted endpoint, meeting at the midpoint
         mid = lo if p_lo is None else hi if p_hi is None else 0.5 * (lo + hi)
@@ -300,9 +307,8 @@ def _deflection(load, rod, x: float, rtol: float) -> float:
             f"load within {margin:.3e} of the curvature bound (safety margin {_CRITICAL_MARGIN:g})"
         )
 
-    def integrand(xi):
-        h = load.H(xi, L)
-        return h / math.sqrt((EJ - h) * (EJ + h))
+    def integrand(xis):
+        return [h / math.sqrt((EJ - h) * (EJ + h)) for h in [load.H(xi, L) for xi in xis]]
 
     try:
         value, _ = _adaptive([(integrand, x, L)], rtol, 1e-14, 4096)

@@ -49,10 +49,31 @@ __all__ = [
 # which makes the equation the exact zero-displacement closure.
 _KERNEL_SHAPES = {"expansion": UniformLoad, "displacement": TipShear}
 
+# The roller root finder's seed, per kernel: the [7/7] Pade approximant
+# P(t)/Q(t) in t = w^2 of the reaction series sum_k a_k t^k, from its exact
+# a_0 ... a_14 (roller_reaction_series(29, kernel)), with the coefficients
+# p_0 ... p_7 and q_0 ... q_7 of P and Q rounded to floats. Stored, so that
+# no process builds a series to seed; the tests rebuild both exactly.
+_SEED_PADE = {
+    "expansion": (
+        (0.375, -0.030601748339330808, 0.0009561699044012352, -1.427609852907373e-05,
+         1.0310049452025608e-07, -3.1588902694718935e-10, 2.575273551901453e-13,
+         3.8690149659393007e-17),
+        (1.0, -0.07875868009535834, 0.0023261124812637792, -3.1425443317152e-05,
+         1.8255602240391042e-07, -2.432505410189826e-10, -8.423754524670551e-13,
+         9.327530318188548e-16)),
+    "displacement": (
+        (0.375, -0.03483230406907548, 0.001284940515932392, -2.3925665420515176e-05,
+         2.3584379029359936e-07, -1.1743948363833045e-09, 2.514602014319551e-12,
+         -1.482264651322931e-15),
+        (1.0, -0.09154685846991559, 0.003319128160767581, -6.051735378712802e-05,
+         5.811752316128509e-07, -2.798654297048516e-09, 5.727091134310082e-12,
+         -3.154661844463582e-15)),
+}
+
 # highest order of a reaction series, n_terms <= 50: the cold cost of a
 # build grows about as order^4, to about 0.4 s for the roller series at 101
 _MAX_ORDER = 101
-_SEED_ORDER = 7  # the roller root finder starts from the series' sum through w^7
 
 # The weights u_k = (2k + 1) t_k z^k of the slope S of either roller kernel
 # 3F2(1/2, 1, 3/2; b1, b2; z) have ratios z (k + 3/2)^2 / ((k + b1) (k + b2))
@@ -221,20 +242,17 @@ def _series_trace(series: PowerSeries, w: float, scale: float, n_terms: int):
     return trace
 
 
-@lru_cache(maxsize=None)
-def _seed_coefficients(kernel: str) -> tuple[float, ...]:
-    """a_0, ..., a_3 of the roller reaction series as floats, once per kernel."""
-    return tuple(float(c) for c in roller_reaction_series(_SEED_ORDER, kernel).coefficients[1::2])
-
-
 def _roller_seed(rod: RodProperties, q: float, kernel: str) -> float:
-    """The reaction series' sum through w^7 [N]: at most 3qL/8, as every
-    coefficient past a_0 is negative."""
+    """The reaction series' [7/7] Pade approximant (EJ/L^2) w P(w^2)/Q(w^2) [N],
+    the Horner sums of P and Q in one loop."""
     w = rod.L ** 3 * q / rod.EJ
-    seed = 0.0
-    for c in reversed(_seed_coefficients(kernel)):
-        seed = seed * (w * w) + c
-    return rod.EJ / rod.L ** 2 * w * seed
+    t = w * w
+    numerator, denominator = _SEED_PADE[kernel]
+    num = den = 0.0
+    for p, d in zip(reversed(numerator), reversed(denominator)):
+        num = num * t + p
+        den = den * t + d
+    return rod.EJ / rod.L ** 2 * w * (num / den)
 
 
 def _find_roller_root(rod: RodProperties, q: float, kernel: str, residual, rtol: float) -> float:
@@ -242,14 +260,17 @@ def _find_roller_root(rod: RodProperties, q: float, kernel: str, residual, rtol:
     # Newton steps; solve_roller has checked the load and every iterate lies
     # inside the tip-shear bound. The residual r(X) = load side - 8 g(X), with
     # g(X) = X F(c X^2), is concave and falls, and r'(X) = -8 S, S = F + 2zF'
-    # from the same loop as F. The first iterate is the seed, above the root
-    # as every coefficient past a_0 is negative, or the top when the seed
-    # passes it; the top, where a 3F2 sums thousands of terms, is summed only
-    # then (from about 0.99 of critical), and a positive residual there leaves
-    # no root below it. From above the root each step lands above it again,
-    # the tangent lying above a concave residual, so the iterates fall to the
-    # root. The 3F2 sums keep the residual's tolerance; ``rtol`` bounds the
-    # returned iterate's error, by the stop below.
+    # from the same loop as F. The first iterate is the Pade seed, or the top
+    # when the seed passes it; the top, where a 3F2 sums thousands of terms,
+    # is summed only then (from 0.9981 of critical for the expansion kernel,
+    # 0.9898 for the displacement one), and a positive residual there leaves
+    # no root below it. The seed may lie on either side of the root: the
+    # tangent lies above a concave residual, so a step from below lands above
+    # the root, and from above each step lands above it again, so the
+    # iterates fall to the root after at most one step. The 3F2 sums keep the
+    # residual's tolerance; ``rtol`` bounds the returned iterate's error, by
+    # the stop below. From 0.02 to 0.9 of critical the seed is within 4e-8
+    # of the root, so one step meets the stop (tests/test_redundancy.py).
     if q == 0.0:
         return 0.0
     hi = 2.0 * rod.EJ / rod.L ** 2 * 0.999
@@ -269,18 +290,21 @@ def _find_roller_root(rod: RodProperties, q: float, kernel: str, residual, rtol:
         # at e = 2d/(1 + sqrt(1 - 4Kd)): the root lies within e of x_n, and
         # x_n + step above it by at most e - d = 4K d^2/(1 + sqrt(1 - 4Kd))^2,
         # at most 4K d^2. The curvature: K x_n = z S'(z)/S(z), at most
-        # _SLOPE_INDEX z/(1 - z). Below the root (r > 0, from rounding alone)
-        # the step overshoots it by at most its own length. The sums' own
-        # errors are not in the bound.
+        # _SLOPE_INDEX z/(1 - z). Below the root (r > 0: a seed below it, or
+        # rounding) the step overshoots it by at most its own length. The
+        # sums' own errors are not in the bound.
         if r > 0.0:
             bound = step
         else:
             k4 = 4.0 * _SLOPE_INDEX * z / ((1.0 - z) * x)
             bound = k4 * step * step if -k4 * step <= 1.0 else math.inf
         x += step
-        if bound <= rtol * x:
-            break
-    return x
+        # the second stop: a step within one ulp of x can no longer move it,
+        # so an rtol below the rounding of the sums ends here
+        if bound <= rtol * x or abs(step) <= math.ulp(x):
+            return x
+    raise BracketError(f"the Newton steps did not settle on a root within 60 steps "
+                       f"(last iterate {x:.17g} N)")
 
 
 def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,

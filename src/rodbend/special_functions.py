@@ -7,10 +7,10 @@ depends on the parameters and the index only, so the blocks used last
 are kept in one bounded memo; beside the value it sums the slope weight
 S = F + 2xF' that the roller root finder steps by. Appell F1 is
 Lauricella's FD in two variables, so F1 and FD3 share the other, a sum
-over total-degree shells that takes any number of variables; the shells
-come from an (n+1)-term recurrence, n products per shell for n
-variables. Integral evaluation goes through the
-one-dimensional Euler-type representation
+over total-degree shells in up to three variables; the shells come from
+a recurrence on a window of three coefficients, three products per
+shell, with zero steps past the live variables. Integral evaluation goes
+through the one-dimensional Euler-type representation
 
     G(c) / (G(a) G(c-a)) * int_0^1 u^(a-1) (1-u)^(c-a-1) prod (1-x_i u)^(-b_i) du,
 
@@ -217,8 +217,9 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     """Euler-type integral for F1/FD values.
 
     prefactor(a, c) * int_0^1 u^(a-1) (1-u)^(beta-1) prod (1-x_i u)^(-b_i) du
-    with beta = c - a - unit_b; ``factors`` lists (b_i, x_i) pairs with
-    x_i < 1, and unit arguments are folded into ``unit_b`` by the caller.
+    with beta = c - a - unit_b; ``factors`` lists at most three (b_i, x_i)
+    pairs with x_i < 1, and unit arguments are folded into ``unit_b`` by the
+    caller.
 
     The interval is split at 1/2 and on each half the distance from the
     endpoint is substituted by a power of t carrying the endpoint factor
@@ -237,17 +238,19 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
 
         ``own``/``other`` are the endpoint powers (plus one) at this and
         the far endpoint; each (b_i, c_i, d_i) in ``terms`` contributes
-        (c_i + d_i e)^(-b_i).
+        (c_i + d_i e)^(-b_i). The terms are padded to three with
+        (1 + 0 e)^(-0), which is 1 exactly, so one expression serves every
+        count of live factors.
         """
         s = max(1.0, 3.0 / own)
         lead, p_own, p_other = s * 0.5 ** own, s * own - 1.0, other - 1.0
+        (n1, c1, d1), (n2, c2, d2), (n3, c3, d3) = (
+            [(-bi, ci, di) for bi, ci, di in terms] + [(-0.0, 1.0, 0.0)] * (3 - len(terms)))
 
-        def g(t):
-            e = 0.5 * t ** s
-            val = lead * t ** p_own * (1.0 - e) ** p_other
-            for bi, ci, di in terms:
-                val *= (ci + di * e) ** -bi
-            return val
+        def g(ts):
+            return [lead * t ** p_own * (1.0 - e) ** p_other * (c1 + d1 * e) ** n1
+                    * (c2 + d2 * e) ** n2 * (c3 + d3 * e) ** n3
+                    for t in ts for e in [0.5 * t ** s]]
 
         return g, 0.0, 1.0
 
@@ -341,7 +344,7 @@ def _shells_within(top: float, rtol: float, budget: int) -> bool:
 
 def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[float],
                rtol: float) -> float:
-    """Lauricella FD series in len(x) variables, summed by total-degree shells.
+    """Lauricella FD series in len(x) <= 3 variables, summed by total-degree shells.
 
     Shell s is (a)_s/(c)_s times the degree-s Taylor coefficient c_s of
     P(t) = prod (1 - x_i t)^(-b_i). P satisfies Q P' = R P, with
@@ -349,9 +352,12 @@ def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[fl
     R = sum b_i x_i prod_(j != i) (1 - x_j t) = sum r_k t^k, so for the
     n factors with b_i != 0 and x_i != 0 (the others are 1)
 
-        (s + 1) c_(s+1) = sum_(k < n) (r_k - (s - k) q_(k+1)) c_(s-k),
+        (s + 1) c_(s+1) = sum_(k < n) (r_k - (s - k) q_(k+1)) c_(s-k).
 
-    n products per shell. Each of the recurrence's modes decays like
+    The loop keeps c_s, c_(s-1), c_(s-2) alone and takes three products
+    per shell, its steps past the n live factors r_k = q_(k+1) = 0: their
+    products are zeros, which leave the sum's bits as they are, so F1 and
+    FD3 run one expression. Each of the recurrence's modes decays like
     |x_i|^s, so rounding stays of the order of a direct convolution.
     Appell's F1 is the two-variable case and FD3 the three-variable one;
     ``name`` ("F1" or "FD3") labels the error.
@@ -362,15 +368,16 @@ def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[fl
             # R <- R (1 - x_i t) + b_i x_i Q, then Q <- Q (1 - x_i t)
             r = [u - xi * v + bi * xi * w for u, v, w in zip(r + [0.0], [0.0] + r, q)]
             q = [u - xi * v for u, v in zip(q + [0.0], [0.0] + q)]
-    steps = list(zip(r, q[1:]))  # (r_k, q_(k+1)), k = 0, ..., n-1
-    coeffs = [1.0]  # c_0, ..., c_s
+    # (r_k, q_(k+1)), k = 0, 1, 2, padded with zero steps past the n factors
+    (r0, q1), (r1, q2), (r2, q3) = list(zip(r, q[1:])) + [(0.0, 0.0)] * (3 - len(r))
+    c0, c1, c2 = 1.0, 0.0, 0.0  # the window c_s, c_(s-1), c_(s-2); c_k = 0 for k < 0
     ratio_sc = 1.0  # (a)_s / (c)_s
     total = 0.0
     quiet = 0
     for s in range(_MAX_SHELLS):
         if s > 0:
             ratio_sc *= (a + s - 1) / (c + s - 1)
-        shell = ratio_sc * coeffs[s]
+        shell = ratio_sc * c0
         total += shell
         if abs(shell) <= rtol * abs(total):
             quiet += 1
@@ -378,12 +385,8 @@ def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[fl
                 return total
         else:
             quiet = 0
-        following = 0.0
-        for k, (rk, qk1) in enumerate(steps):
-            if k > s:
-                break
-            following += (rk - (s - k) * qk1) * coeffs[s - k]
-        coeffs.append(following / (s + 1))
+        following = (r0 - s * q1) * c0 + (r1 - (s - 1) * q2) * c1 + (r2 - (s - 2) * q3) * c2
+        c0, c1, c2 = following / (s + 1), c0, c1
     raise DomainError(f"{name} series did not converge within {_MAX_SHELLS} shells")
 
 

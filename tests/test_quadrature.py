@@ -182,12 +182,36 @@ def test_rule_is_g20_k41_to_the_last_bit():
 
 
 def test_one_panel_pairs_the_mirrored_nodes_with_their_weights():
-    # an entire integrand: both rules agree to rounding
-    value, est = quadrature._panel(math.exp, 0.0, 1.0)
+    # a panel's integrand maps the list of its 41 nodes to the list of values
+    # there. An entire integrand: both rules agree to rounding
+    value, est = quadrature._panel(lambda xs: [math.exp(x) for x in xs], 0.0, 1.0)
     assert abs(value - (math.e - 1.0)) < 1e-15 and est < 1e-15
     # poles at +-0.2i: G20 is off by about 4e-4, K41 by 1e-7, inside the estimate
-    value, est = quadrature._panel(lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0)
+    value, est = quadrature._panel(lambda xs: [1.0 / (1.0 + 25.0 * x * x) for x in xs], -1.0, 1.0)
     assert abs(value - 0.4 * math.atan(5.0)) < 1e-6 < est < 1e-3
+
+
+def _panel_node_by_node(f, lo, hi):
+    """A G20/K41 panel written out: f called at one node at a time, left to
+    right, and each rule's weighted values added in that order."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    k41 = g20 = 0.0
+    for i, (x, w) in enumerate(zip(quadrature._NODES, quadrature._KW)):
+        v = f(mid + half * x)
+        k41 += w * v
+        if i % 2:
+            g20 += quadrature._GW[i // 2] * v
+    return half * k41, abs(half * k41 - half * g20)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (math.exp, 0.0, 1.0),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
+    (lambda x: math.sqrt(x) * math.cos(7.0 * x), 0.25, 3.5),
+], ids=["exp", "runge", "sqrt-cos"])
+def test_panel_is_the_node_by_node_sum_to_the_bit(f, lo, hi):
+    got = quadrature._panel(lambda xs: [f(x) for x in xs], lo, hi)
+    assert [v.hex() for v in got] == [v.hex() for v in _panel_node_by_node(f, lo, hi)]
 
 
 # integrand evaluations, counted as panels x 41 nodes: the built-in closed

@@ -842,6 +842,55 @@ def test_fd_route_bits_unchanged(case):
     assert call().hex() == bits
 
 
+# F1 and FD3 with 0 to 3 live factors (a zero b_i or x_i drops its factor),
+# as float.hex on the series and the integral route, recorded when the
+# shell recurrence kept a growing list of coefficients and the Euler
+# integrand multiplied in one factor per live slot. Both loops now run a
+# fixed three-factor expression padded with exact ones and zero steps, so
+# every count of live factors must give the same bits
+_LIVE_FACTOR_BITS = {
+    "F1, 0 live": (lambda m: appell_f1(1.0, 0.0, 0.6, 2.3, 0.4, 0.0, method=m),
+                   ("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+    "F1, 1 live": (lambda m: appell_f1(1.0, 0.6, 0.4, 2.3, 0.4, 0.0, method=m),
+                   ("0x1.21a1b2a1b11b2p+0", "0x1.21a1b2a1b11c7p+0")),
+    "F1, 2 live": (lambda m: appell_f1(1.0, 0.6, 0.4, 2.3, 0.4, -0.3, method=m),
+                   ("0x1.13856b0c4c33cp+0", "0x1.13856b0c4c366p+0")),
+    "FD3, 0 live": (lambda m: lauricella_fd3(1.0, (0.0, 0.5, 0.7), 2.3, (0.4, 0.0, 0.0), method=m),
+                    ("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+    "FD3, 1 live": (lambda m: lauricella_fd3(1.0, (0.6, 0.0, 0.7), 2.3, (0.4, -0.3, 0.0), method=m),
+                    ("0x1.21a1b2a1b11b2p+0", "0x1.21a1b2a1b11c7p+0")),
+    "FD3, 2 live": (lambda m: lauricella_fd3(1.0, (0.6, 0.4, 0.0), 2.3, (0.4, -0.3, 0.2), method=m),
+                    ("0x1.13856b0c4c33cp+0", "0x1.13856b0c4c366p+0")),
+    "FD3, 3 live": (lambda m: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.4, -0.3, 0.2), method=m),
+                    ("0x1.21340b1adb30ap+0", "0x1.21340b1adb31fp+0")),
+}
+
+# the integral route alone: a unit slot folded into the (1-u) power, beside
+# 0 to 2 live factors, and the reduction of the same FD3 to an F1 series
+_UNIT_SLOT_BITS = {
+    "FD3 unit slot, 0 live": (lambda: lauricella_fd3(0.5, (0.0, 0.4, 0.6), 2.5, (0.4, 0.0, 1.0)),
+                              "0x1.39f308cc40517p+0"),
+    "FD3 unit slot, 1 live": (lambda: lauricella_fd3(0.5, (0.3, 0.0, 0.6), 2.5, (0.4, -0.3, 1.0)),
+                              "0x1.458b1f7ed08fbp+0"),
+    "FD3 unit slot, 2 live": (lambda: lauricella_fd3(0.5, (0.3, 0.4, 0.6), 2.5, (0.4, -0.3, 1.0)),
+                              "0x1.3be7ce8a07cadp+0"),
+    "reduce_fd3_unit_arg": (
+        lambda: reduce_fd3_unit_arg(0.5, 0.3, 0.4, 0.6, 2.5, 0.4, -0.3), "0x1.3be7ce8a07c99p+0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIVE_FACTOR_BITS))
+def test_live_factor_counts_keep_their_bits_on_both_routes(case):
+    call, bits = _LIVE_FACTOR_BITS[case]
+    assert (call("series").hex(), call("integral").hex()) == bits
+
+
+@pytest.mark.parametrize("case", sorted(_UNIT_SLOT_BITS))
+def test_unit_slot_bits_unchanged(case):
+    call, bits = _UNIT_SLOT_BITS[case]
+    assert call().hex() == bits
+
+
 # F1 input -> error class; a usage error wins over a domain error
 _F1_ERRORS = {
     "unit x1 on auto": ({"x1": 1.0}, DomainError),
