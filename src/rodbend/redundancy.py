@@ -257,20 +257,22 @@ def _roller_seed(rod: RodProperties, q: float, kernel: str) -> float:
 
 def _find_roller_root(rod: RodProperties, q: float, kernel: str, residual, rtol: float) -> float:
     # Solves roller_consistency = 0 below the bracket top 0.999 * 2EJ/L^2 by
-    # Newton steps; solve_roller has checked the load and every iterate lies
-    # inside the tip-shear bound. The residual r(X) = load side - 8 g(X), with
-    # g(X) = X F(c X^2), is concave and falls, and r'(X) = -8 S, S = F + 2zF'
-    # from the same loop as F. The first iterate is the Pade seed, or the top
-    # when the seed passes it; the top, where a 3F2 sums thousands of terms,
-    # is summed only then (from 0.9981 of critical for the expansion kernel,
-    # 0.9898 for the displacement one), and a positive residual there leaves
-    # no root below it. The seed may lie on either side of the root: the
-    # tangent lies above a concave residual, so a step from below lands above
-    # the root, and from above each step lands above it again, so the
-    # iterates fall to the root after at most one step. The 3F2 sums keep the
-    # residual's tolerance; ``rtol`` bounds the returned iterate's error, by
-    # the stop below. From 0.02 to 0.9 of critical the seed is within 4e-8
-    # of the root, so one step meets the stop (tests/test_redundancy.py).
+    # Newton steps; solve_roller has checked the load. The residual r(X) =
+    # load side - 8 g(X), with g(X) = X F(c X^2), is concave and falls, and
+    # r'(X) = -8 S, S = F + 2zF' from the same loop as F. The first iterate is
+    # the Pade seed, or the top when the seed passes it; the top, where a 3F2
+    # sums thousands of terms, is summed only then (from 0.9981 of critical
+    # for the expansion kernel, 0.9898 for the displacement one), and a
+    # positive residual there leaves no root below it. The seed lies below the
+    # root only at loads under 0.65 of critical, there by at most 7e-15 of it,
+    # far below the top; the tangent lies above a concave residual, so a step
+    # from below lands above the root, and from above each step lands above it
+    # again, so the iterates fall to the root after at most one step and none
+    # passes the top (tests/test_redundancy.py sweeps 0 < q < critical). The
+    # 3F2 sums keep the residual's tolerance; ``rtol`` bounds the returned
+    # iterate's error, by the stop below. From 0.02 to 0.9 of critical the
+    # seed is within 4e-8 of the root, so one step meets the stop
+    # (tests/test_redundancy.py).
     if q == 0.0:
         return 0.0
     hi = 2.0 * rod.EJ / rod.L ** 2 * 0.999

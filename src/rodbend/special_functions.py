@@ -242,6 +242,7 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
         (1 + 0 e)^(-0), which is 1 exactly, so one expression serves every
         count of live factors.
         """
+        assert len(terms) <= 3, f"the padded integrand holds three factors, got {len(terms)}"
         s = max(1.0, 3.0 / own)
         lead, p_own, p_other = s * 0.5 ** own, s * own - 1.0, other - 1.0
         (n1, c1, d1), (n2, c2, d2), (n3, c3, d3) = (
@@ -368,6 +369,7 @@ def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[fl
             # R <- R (1 - x_i t) + b_i x_i Q, then Q <- Q (1 - x_i t)
             r = [u - xi * v + bi * xi * w for u, v, w in zip(r + [0.0], [0.0] + r, q)]
             q = [u - xi * v for u, v in zip(q + [0.0], [0.0] + q)]
+    assert len(r) <= 3, f"{name}: the window holds three live factors, got {len(r)}"
     # (r_k, q_(k+1)), k = 0, 1, 2, padded with zero steps past the n factors
     (r0, q1), (r1, q2), (r2, q3) = list(zip(r, q[1:])) + [(0.0, 0.0)] * (3 - len(r))
     c0, c1, c2 = 1.0, 0.0, 0.0  # the window c_s, c_(s-1), c_(s-2); c_k = 0 for k < 0

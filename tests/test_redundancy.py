@@ -209,7 +209,7 @@ def test_root_find_from_the_series_seeds_takes_few_sums(monkeypatch, kernel):
     args = _count_3f2_sums(monkeypatch)
     for rod in (ROD, RodProperties.from_stiffness(1.7, 350.0)):
         critical = 6.0 * rod.EJ / rod.L ** 3
-        for f in (0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             args.clear()
             solve_roller(rod, f * critical, method="root_find", kernel=kernel)
             assert len(args) == 3, (rod.L, f)
@@ -228,6 +228,34 @@ def test_root_find_from_the_cap_takes_few_sums(monkeypatch, kernel, q):
     solve_roller(ROD, q, method="root_find", kernel=kernel)
     assert max(args) == ROD.L ** 4 * (2.0 * ROD.EJ / ROD.L ** 2 * 0.999) ** 2 / (4.0 * ROD.EJ ** 2)
     assert len(args) <= 10
+
+
+@pytest.mark.parametrize("kernel", ["expansion", "displacement"])
+def test_root_find_iterates_stay_below_the_bracket_top(monkeypatch, kernel):
+    # the seed lies below the root only at loads under 0.65 of critical (by at
+    # most 7e-15 of it); from 0.65 on it lies at or above the root, so the
+    # steps fall from min(seed, top) and no iterate passes the top
+    hi = 2.0 * ROD.EJ / ROD.L ** 2 * 0.999
+    critical = 6.0 * ROD.EJ / ROD.L ** 3
+    find = redundancy._find_roller_root
+    iterates = []
+
+    def watched(rod, q, kernel, residual, rtol):
+        def r(x):
+            iterates.append(x)
+            return residual(x)
+        return find(rod, q, kernel, r, rtol)
+
+    monkeypatch.setattr(redundancy, "_find_roller_root", watched)
+    for i in range(1, 2000):
+        q = i / 2000 * critical
+        try:
+            X = solve_roller(ROD, q, method="root_find", kernel=kernel).X
+        except BracketError:
+            continue  # no root below the top: refused from the top itself
+        if i >= 1300:
+            assert redundancy._roller_seed(ROD, q, kernel) >= X, i
+    assert iterates and max(iterates) <= hi
 
 
 def test_root_find_stops_where_a_step_no_longer_moves_the_iterate(monkeypatch):
