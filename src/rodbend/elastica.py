@@ -87,7 +87,8 @@ class LoadCase(Frozen):
     bound: tuple[str, float, int, str]
 
     def _set_magnitude(self, name, value):
-        value = _real(name, value)
+        if type(value) is not float:  # a float, the common case, skips _real
+            value = _real(name, value)
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value}")
         set_field(self, name, value)

@@ -18,6 +18,7 @@ tabulated.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,8 +85,10 @@ _SLOPE_INDEX = 7.0 / 6.0
 
 
 # The float coefficients c_0, c_1, ... of the built-in tip integral's series
-# (_phi_series), built on demand and kept for the process.
+# (_phi_series), built on demand and kept for the process; a coefficient is
+# appended under the lock, at its own index only.
 _PHI_COEFFICIENTS: list[float] = []
+_PHI_LOCK = threading.Lock()
 
 
 class RedundancySolution(Frozen):
@@ -403,22 +406,24 @@ def _phi_series(r: float) -> tuple[float, int]:
     """
     r2 = r * r
     tail = r2 / (1.0 - r2) if r2 < 1.0 else math.inf
-    coefficients = _PHI_COEFFICIENTS
     total = carry = 0.0
     power = r
     k = 0
     while True:
-        if k == len(coefficients):
-            coefficients.append(math.comb(2 * k, k) / 4 ** k * _pfaff_j(2 * k + 1))
-        term = coefficients[k] * power
-        k += 1
-        step = term - carry
-        new = total + step
-        carry = (new - total) - step
-        total = new
-        if total >= 1.0 or term * tail <= 2.0 ** -53 * total:
-            return total, k
-        power *= r2
+        # the kept coefficients from c_k on; when they run out, one more is built and kept
+        for coefficient in _PHI_COEFFICIENTS[k:] if k else _PHI_COEFFICIENTS:
+            k += 1
+            term = coefficient * power
+            step = term - carry
+            new = total + step
+            carry = (new - total) - step
+            total = new
+            if total >= 1.0 or term * tail <= 2.0 ** -53 * total:
+                return total, k
+            power *= r2
+        with _PHI_LOCK:  # another thread may have built c_k meanwhile
+            if len(_PHI_COEFFICIENTS) == k:
+                _PHI_COEFFICIENTS.append(math.comb(2 * k, k) / 4 ** k * _pfaff_j(2 * k + 1))
 
 
 def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "series",

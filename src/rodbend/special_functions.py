@@ -56,12 +56,14 @@ _MAX_SHELLS = 10 ** 5
 # method="auto" of F1 and FD3 sums the shell series, not the Euler
 # integral, when the ln(rtol)/ln(max|x_i|) shells that reach rtol are
 # within this budget: max|x_i| <= 0.47 at rtol 1e-13. There the series is
-# the cheaper route: 16-38 us against 47-173 us for the 41-point integral
-# (10th to 90th percentile of 40 random draws per max|x_i|, F1 and FD3;
-# 2-vCPU Xeon, Python 3.11). The budget is not raised, because the
-# three-strikes stop leaves a truncation error that grows with max|x_i|.
-# Median relative error against mpmath, series vs integral, over 1000
-# random draws with sum |b_i x_i| <= 1: 4.7e-15 vs 5.3e-16 at max|x_i|
+# the cheaper route: 11-20 us against 64-142 us for the integral (10th to
+# 90th percentile of 40 random draws at each max|x_i| of 0.1, 0.2, 0.3,
+# 0.4 and 0.47, F1 and FD3; 2-vCPU Xeon, Python 3.11). Cost alone would
+# allow more: the median series still costs less than the integral at
+# max|x_i| = 0.9 (94 against 103 us). The budget stays at 40 for accuracy:
+# the three-strikes stop leaves a truncation error that grows with
+# max|x_i|. Median relative error against mpmath, series vs integral, over
+# 1000 random draws with sum |b_i x_i| <= 1: 4.7e-15 vs 5.3e-16 at max|x_i|
 # 0.45-0.50, 6.6e-14 vs 7.0e-16 at 0.70-0.75, 1.5e-13 vs 7.8e-16 at
 # 0.85-0.90. Raising it waits for a tail bound on the stop (ROADMAP item 3).
 _SHELL_BUDGET = 40
@@ -153,8 +155,10 @@ def _sum_ratios(params: tuple, x: float, rtol: float) -> tuple[float, float]:
             partial += term
             odd += 2.0
             slope += odd * term
-            # <=, so that a terminating sum that is exactly 0 stops too
-            if abs(term) <= rtol * abs(partial):
+            # |term| <= rtol |partial|, with <= so that a terminating sum
+            # that is exactly 0 stops too; the magnitudes are written out,
+            # as abs() calls cost more, and a NaN fails the test either way
+            if (term if term >= 0.0 else -term) <= rtol * (partial if partial >= 0.0 else -partial):
                 quiet += 1
                 if quiet >= _CONSECUTIVE:
                     return partial, slope
@@ -237,29 +241,36 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
         """The half next to one endpoint as a piece for _adaptive, e = distance from it.
 
         ``own``/``other`` are the endpoint powers (plus one) at this and
-        the far endpoint; each (b_i, c_i, d_i) in ``terms`` contributes
-        (c_i + d_i e)^(-b_i). The terms are padded to three with
-        (1 + 0 e)^(-0), which is 1 exactly, so one expression serves every
-        count of live factors.
+        the far endpoint; each (n_i, c_i, d_i) in ``terms`` contributes
+        (c_i + d_i e)^n_i, n_i = -b_i. Up to two live factors take the
+        two-factor expression, padded with (1 + 0 e)^(-0), which is 1
+        exactly; three take the three-factor one.
         """
-        assert len(terms) <= 3, f"the padded integrand holds three factors, got {len(terms)}"
+        assert len(terms) <= 3, f"the integrand holds three factors, got {len(terms)}"
         s = max(1.0, 3.0 / own)
         lead, p_own, p_other = s * 0.5 ** own, s * own - 1.0, other - 1.0
-        (n1, c1, d1), (n2, c2, d2), (n3, c3, d3) = (
-            [(-bi, ci, di) for bi, ci, di in terms] + [(-0.0, 1.0, 0.0)] * (3 - len(terms)))
+        if len(terms) == 3:
+            (n1, c1, d1), (n2, c2, d2), (n3, c3, d3) = terms
 
-        def g(ts):
-            return [lead * t ** p_own * (1.0 - e) ** p_other * (c1 + d1 * e) ** n1
-                    * (c2 + d2 * e) ** n2 * (c3 + d3 * e) ** n3
-                    for t in ts for e in [0.5 * t ** s]]
+            def g(ts):
+                return [lead * t ** p_own * (1.0 - e) ** p_other * (c1 + d1 * e) ** n1
+                        * (c2 + d2 * e) ** n2 * (c3 + d3 * e) ** n3
+                        for t in ts for e in [0.5 * t ** s]]
+        else:
+            (n1, c1, d1), (n2, c2, d2) = terms + [(-0.0, 1.0, 0.0)] * (2 - len(terms))
+
+            def g(ts):
+                return [lead * t ** p_own * (1.0 - e) ** p_other * (c1 + d1 * e) ** n1
+                        * (c2 + d2 * e) ** n2
+                        for t in ts for e in [0.5 * t ** s]]
 
         return g, 0.0, 1.0
 
     # left half: e = u; right half: e = 1 - u, with 1 - x_i u written
     # as (1 - x_i) + x_i e to avoid cancellation. Both halves are positive,
     # so rtol * |sum| is no looser than the two bounds rtol * |half| added.
-    pieces = [half(alpha1, beta1, [(bi, 1.0, -xi) for bi, xi in comp]),
-              half(beta1, alpha1, [(bi, 1.0 - xi, xi) for bi, xi in comp])]
+    pieces = [half(alpha1, beta1, [(-bi, 1.0, -xi) for bi, xi in comp]),
+              half(beta1, alpha1, [(-bi, 1.0 - xi, xi) for bi, xi in comp])]
     total = _adaptive(pieces, rtol, _IRT_ATOL, 4096)[0]
     # G(c) / (G(a) G(c-a)) with c > a > 0: all arguments positive
     return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * total
@@ -293,11 +304,10 @@ def _fd_route(name: str, method: str, a: float, b: Sequence[float], c: float,
               x: Sequence[float], rtol: float) -> float:
     """An FD value in len(x) variables on the route ``method`` names, by the
     rules ``lauricella_fd3`` states; ``name`` labels the domain errors."""
-    series_ok = all(abs(xi) < 1 for xi in x)
+    top = max(max(x), -min(x))  # max |x_i|
     if method == "auto":
-        integral_ok = c > a > 0 and all(xi <= 1 for xi in x)
-        cheap = series_ok and _series_is_cheaper(b, x, rtol)
-        method = "integral" if integral_ok and not cheap else "series"
+        cheap = top < 1.0 and _series_is_cheaper(b, x, top, rtol)
+        method = "integral" if c > a > 0 and max(x) <= 1.0 and not cheap else "series"
 
     if method == "integral":
         if not c > a > 0:
@@ -317,22 +327,29 @@ def _fd_route(name: str, method: str, a: float, b: Sequence[float], c: float,
             )
         return _irt_integral(a, c, factors, rtol=rtol, unit_b=unit_b)
 
-    if not series_ok:
+    if not top < 1.0:
         raise DomainError(f"{name} series needs all |x_i| < 1, got {x}")
     _check_lower((c,), name)
     return _fd_series(name, a, b, c, x, rtol)
 
 
-def _series_is_cheaper(b: Sequence[float], x: Sequence[float], rtol: float) -> bool:
-    """Whether the shell series of an FD value with all |x_i| < 1 is the cheaper route.
+def _series_is_cheaper(b: Sequence[float], x: Sequence[float], top: float,
+                       rtol: float) -> bool:
+    """Whether the shell series of an FD value with top = max|x_i| < 1 is the
+    cheaper route.
 
-    Shell s is about max|x_i|^s, so ln(rtol)/ln(max|x_i|) shells reach
-    rtol; the series is cheaper while that count is within _SHELL_BUDGET.
-    With sum |b_i x_i| > 1 the shells grow before they fall and terms of
-    mixed sign cancel, so the series is not taken whatever the count.
+    Shell s is about top^s, so ln(rtol)/ln(top) shells reach rtol; the
+    series is cheaper while that count is within _SHELL_BUDGET. With
+    sum |b_i x_i| > 1 the shells grow before they fall and terms of mixed
+    sign cancel, so the series is not taken whatever the count. The sum is
+    added left to right in a loop: built-in sum() compensates its rounding
+    from Python 3.12 on, which moved a sum near 1 across the test, and so
+    the route and the bits, with the Python version.
     """
-    return (sum(abs(bi * xi) for bi, xi in zip(b, x)) <= 1.0
-            and _shells_within(max(abs(xi) for xi in x), rtol, _SHELL_BUDGET))
+    weight = 0.0
+    for bi, xi in zip(b, x):
+        weight += abs(bi * xi)
+    return weight <= 1.0 and _shells_within(top, rtol, _SHELL_BUDGET)
 
 
 def _shells_within(top: float, rtol: float, budget: int) -> bool:
@@ -355,40 +372,45 @@ def _fd_series(name: str, a: float, b: Sequence[float], c: float, x: Sequence[fl
 
         (s + 1) c_(s+1) = sum_(k < n) (r_k - (s - k) q_(k+1)) c_(s-k).
 
-    The loop keeps c_s, c_(s-1), c_(s-2) alone and takes three products
-    per shell, its steps past the n live factors r_k = q_(k+1) = 0: their
-    products are zeros, which leave the sum's bits as they are, so F1 and
-    FD3 run one expression. Each of the recurrence's modes decays like
-    |x_i|^s, so rounding stays of the order of a direct convolution.
+    The window is scalar: R and Q are built in the float slots r_0..r_2
+    and q_1..q_3 (q_0 = 1), one update per live factor, and the loop keeps
+    c_s, c_(s-1), c_(s-2) alone and takes three products per shell on a
+    float index s. The slots past the n live factors stay r_k = q_(k+1) = 0,
+    so their steps add zeros, which leave the sum's bits as they are, and
+    F1 and FD3 run one expression. Each of the recurrence's modes decays
+    like |x_i|^s, so rounding stays of the order of a direct convolution.
     Appell's F1 is the two-variable case and FD3 the three-variable one;
     ``name`` ("F1" or "FD3") labels the error.
     """
-    q, r = [1.0], []
+    assert len(x) <= 3, f"{name}: the window holds three factors, got {len(x)}"
+    # R <- R (1 - x_i t) + b_i x_i Q, then Q <- Q (1 - x_i t). A slot past
+    # the factors taken so far stays +0.0, since each product into it has a
+    # zero factor
+    r0 = r1 = r2 = q1 = q2 = q3 = 0.0
     for bi, xi in zip(b, x):
         if bi != 0.0 and xi != 0.0:
-            # R <- R (1 - x_i t) + b_i x_i Q, then Q <- Q (1 - x_i t)
-            r = [u - xi * v + bi * xi * w for u, v, w in zip(r + [0.0], [0.0] + r, q)]
-            q = [u - xi * v for u, v in zip(q + [0.0], [0.0] + q)]
-    assert len(r) <= 3, f"{name}: the window holds three live factors, got {len(r)}"
-    # (r_k, q_(k+1)), k = 0, 1, 2, padded with zero steps past the n factors
-    (r0, q1), (r1, q2), (r2, q3) = list(zip(r, q[1:])) + [(0.0, 0.0)] * (3 - len(r))
+            bx = bi * xi
+            r0, r1, r2 = r0 + bx, r1 - xi * r0 + bx * q1, r2 - xi * r1 + bx * q2
+            q1, q2, q3 = q1 - xi, q2 - xi * q1, q3 - xi * q2
     c0, c1, c2 = 1.0, 0.0, 0.0  # the window c_s, c_(s-1), c_(s-2); c_k = 0 for k < 0
     ratio_sc = 1.0  # (a)_s / (c)_s
     total = 0.0
     quiet = 0
-    for s in range(_MAX_SHELLS):
-        if s > 0:
-            ratio_sc *= (a + s - 1) / (c + s - 1)
+    s = 0.0  # the shell index, kept as a float: every use of it is float arithmetic
+    for _ in range(_MAX_SHELLS):
         shell = ratio_sc * c0
         total += shell
-        if abs(shell) <= rtol * abs(total):
+        # |shell| <= rtol |total|, the magnitudes written out as in _sum_ratios
+        if (shell if shell >= 0.0 else -shell) <= rtol * (total if total >= 0.0 else -total):
             quiet += 1
             if quiet >= _CONSECUTIVE:
                 return total
         else:
             quiet = 0
-        following = (r0 - s * q1) * c0 + (r1 - (s - 1) * q2) * c1 + (r2 - (s - 2) * q3) * c2
-        c0, c1, c2 = following / (s + 1), c0, c1
+        following = (r0 - s * q1) * c0 + (r1 - (s - 1.0) * q2) * c1 + (r2 - (s - 2.0) * q3) * c2
+        s += 1.0
+        c0, c1, c2 = following / s, c0, c1
+        ratio_sc *= (a + s - 1.0) / (c + s - 1.0)
     raise DomainError(f"{name} series did not converge within {_MAX_SHELLS} shells")
 
 

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import time
 from fractions import Fraction as F
 
@@ -552,6 +554,49 @@ def test_tip_series_coefficients_match_exact_rationals():
     for k in range(40):
         exact = F(math.comb(2 * k, k), 4 ** k) * _exact_j(2 * k + 1)
         assert abs(F(redundancy._PHI_COEFFICIENTS[k]) - exact) <= 2 ** -49 * exact, k
+
+
+# phi's value as float.hex and its term count, recorded before the loop
+# read its kept coefficients by iteration
+@pytest.mark.parametrize("r, bits, terms", [
+    (0.1, "0x1.9add8ebf26709p-5", 8),
+    (0.5, "0x1.1727fbd07d100p-2", 24),
+    (0.9, "0x1.6a00d71a585e4p-1", 153),
+])
+def test_tip_series_bits_are_pinned(r, bits, terms):
+    phi, summed = redundancy._phi_series(r)
+    assert (phi.hex(), summed) == (bits, terms)
+
+
+def test_tip_series_coefficients_built_by_threads(monkeypatch):
+    # more threads than cores, switching often, all building one fresh list:
+    # each coefficient is appended once, at its own index
+    rs = (0.1, 0.5, 0.9, 0.95)
+    monkeypatch.setattr(redundancy, "_PHI_COEFFICIENTS", [])
+    want = {r: redundancy._phi_series(r) for r in rs}
+    built = list(redundancy._PHI_COEFFICIENTS)
+    monkeypatch.setattr(redundancy, "_PHI_COEFFICIENTS", [])
+    wrong = []
+
+    def work(offset):
+        for i in range(2 * len(rs)):
+            r = rs[(offset + i) % len(rs)]
+            if redundancy._phi_series(r) != want[r]:
+                wrong.append(r)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert redundancy._PHI_COEFFICIENTS == built
 
 
 @pytest.mark.parametrize("w, terms", [(1.0, 7), (5.0, 19), (8.0, 41), (10.8, 153), (11.669, 567)])

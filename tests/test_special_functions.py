@@ -455,6 +455,28 @@ def test_hyp_series_bits_unchanged(fn, params, z, bits):
     assert fn(*params, z).hex() == bits
 
 
+# the summation loop's (F, S) as float.hex, recorded before its stop test
+# lost its abs() calls: negative arguments and mixed-sign parameters, so
+# that terms (and, in the 2F1 rows, partial sums) take both signs, and a
+# terminating 2F1 whose sum is exactly 0 (1 - 2 * 0.5), stopped by the
+# test's <= on three zero terms
+_SUM_RATIOS_BITS = [
+    ((-2.5, 1.3, 0.7, -1.5, 2.2), -0.6, "0x1.3607b9a06a99ap+0", "0x1.97ba339c8a12fp+1"),
+    ((-4.5, 1.5, 0.8, -0.5, 1.2), -0.7, "-0x1.7047c80526050p+6", "-0x1.2c19fb87cdd58p+9"),
+    (_UNIFORM, -0.95, "0x1.88d29179b1286p-1", "0x1.d9b103e277846p-2"),
+    ((-3.5, 2.0, 0.5), 0.9, "0x1.c2d6bd564ce7ep-3", "-0x1.ce58a3f3cc26dp-1"),
+    ((2.5, -1.7, -0.3), 0.8, "-0x1.a79b9cd385eb3p+3", "-0x1.4a3f0e5d47b2dp+7"),
+    ((-2.7, 1.9, -1.3), 0.85, "-0x1.500904d5b8fb1p+3", "-0x1.c92c0ec85f63ep+7"),
+    ((-1.0, 2.0, 1.0), 0.5, "0x0.0p+0", "-0x1.0000000000000p+1"),
+]
+
+
+@pytest.mark.parametrize("params, x, f_bits, s_bits", _SUM_RATIOS_BITS)
+def test_sum_ratios_bits_unchanged(params, x, f_bits, s_bits):
+    f, s = special_functions._sum_ratios(params, x, 1e-13)
+    assert (f.hex(), s.hex()) == (f_bits, s_bits)
+
+
 def test_ratio_tables_stay_bounded():
     # many parameter tuples, then two long sums: more blocks than are kept
     calls = [("hyp_3f2", (0.25 + i / 8, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, 0.5)) for i in range(16)]
@@ -768,6 +790,21 @@ _AUTO_ROUTES = {
 }
 
 
+# sum |b_i x_i| within an ulp of 1: added left to right it is 1.0 on the
+# first input, so "auto" sums the series, and 1.0000000000000002 on the
+# second, so it takes the integral. Built-in sum() compensates from Python
+# 3.12 on and found the reverse; the routes differ by 36 and 12 ulps here
+@pytest.mark.parametrize("b, x, route", [
+    ((1.2, 1.6, 2.7), (0.02, 0.07, 0.32), "series"),
+    ((2.9, 0.8, 0.4), (-0.28, -0.1, 0.27), "integral"),
+], ids=["sum 1.0", "sum 1.0000000000000002"])
+def test_auto_route_at_a_unit_weight_sum_is_the_same_on_every_python(b, x, route):
+    other = {"series": "integral", "integral": "series"}[route]
+    got = lauricella_fd3(1.0, b, 2.5, x)
+    assert got.hex() == lauricella_fd3(1.0, b, 2.5, x, method=route).hex()
+    assert got != lauricella_fd3(1.0, b, 2.5, x, method=other)
+
+
 @pytest.mark.parametrize("case", sorted(_AUTO_ROUTES))
 def test_auto_takes_the_cheaper_valid_route(monkeypatch, case):
     taken = []
@@ -845,8 +882,9 @@ def test_fd_route_bits_unchanged(case):
 # F1 and FD3 with 0 to 3 live factors (a zero b_i or x_i drops its factor),
 # as float.hex on the series and the integral route, recorded when the
 # shell recurrence kept a growing list of coefficients and the Euler
-# integrand multiplied in one factor per live slot. Both loops now run a
-# fixed three-factor expression padded with exact ones and zero steps, so
+# integrand multiplied in one factor per live slot. The shell loop now runs
+# a fixed three-slot window with zero steps past the live factors, and the
+# integrand a two- or three-factor expression padded with exact ones, so
 # every count of live factors must give the same bits
 _LIVE_FACTOR_BITS = {
     "F1, 0 live": (lambda m: appell_f1(1.0, 0.0, 0.6, 2.3, 0.4, 0.0, method=m),
@@ -877,6 +915,82 @@ _UNIT_SLOT_BITS = {
     "reduce_fd3_unit_arg": (
         lambda: reduce_fd3_unit_arg(0.5, 0.3, 0.4, 0.6, 2.5, 0.4, -0.3), "0x1.3be7ce8a07c99p+0"),
 }
+
+
+# Live factors in every slot order, as float.hex on the series and the
+# integral route, recorded before the shell window and the Euler integrand
+# were set up in scalars. A pattern names each slot: a digit is the live
+# factor _SLOT_LIVE[digit], "b" a factor with b_i = 0, "x" one with x_i = 0,
+# "u" a unit argument (the integral route alone); three slots are an FD3,
+# two an F1. The live factors are chosen so that their order moves the last
+# bits, so a slot read out of turn shows
+_SLOT_LIVE = ((0.62, 0.41), (-0.73, -0.24), (1.41, 0.32))
+_SLOT_DEAD = {"b": (0.0, 0.5), "x": (0.7, 0.0), "u": (0.6, 1.0)}
+
+
+def _slot_call(pattern, method="auto"):
+    bx = [_SLOT_LIVE[int(ch)] if ch.isdigit() else _SLOT_DEAD[ch] for ch in pattern]
+    b, x = tuple(v[0] for v in bx), tuple(v[1] for v in bx)
+    if len(pattern) == 3:
+        return lauricella_fd3(1.0, b, 2.3, x, method=method)
+    return appell_f1(1.0, *b, 2.3, *x, method=method)
+
+
+_SLOT_BITS = {
+    "012": ("0x1.941dfe786f810p+0", "0x1.941dfe786f833p+0"),
+    "021": ("0x1.941dfe786f810p+0", "0x1.941dfe786f833p+0"),
+    "102": ("0x1.941dfe786f810p+0", "0x1.941dfe786f833p+0"),
+    "120": ("0x1.941dfe786f80fp+0", "0x1.941dfe786f833p+0"),
+    "201": ("0x1.941dfe786f810p+0", "0x1.941dfe786f832p+0"),
+    "210": ("0x1.941dfe786f80fp+0", "0x1.941dfe786f832p+0"),
+    "x01": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
+    "0b1": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
+    "01x": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
+    "b02": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
+    "0x2": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
+    "02b": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
+    "x10": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
+    "1b0": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
+    "10x": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
+    "x12": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
+    "1b2": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
+    "12x": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
+    "b20": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
+    "2x0": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
+    "20b": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
+    "x21": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
+    "2b1": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
+    "21x": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
+    "0bx": ("0x1.23fc50723e63cp+0", "0x1.23fc50723e667p+0"),
+    "b0x": ("0x1.23fc50723e63cp+0", "0x1.23fc50723e667p+0"),
+    "bx0": ("0x1.23fc50723e63cp+0", "0x1.23fc50723e667p+0"),
+    "1bx": ("0x1.13246b2b10f53p+0", "0x1.13246b2b10f52p+0"),
+    "b1x": ("0x1.13246b2b10f53p+0", "0x1.13246b2b10f52p+0"),
+    "bx1": ("0x1.13246b2b10f53p+0", "0x1.13246b2b10f52p+0"),
+    "2bx": ("0x1.420833b643b0ap+0", "0x1.420833b643b20p+0"),
+    "b2x": ("0x1.420833b643b0ap+0", "0x1.420833b643b20p+0"),
+    "bx2": ("0x1.420833b643b0ap+0", "0x1.420833b643b20p+0"),
+    "01": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
+    "10": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
+    "0b": ("0x1.23fc50723e63cp+0", "0x1.23fc50723e667p+0"),
+    "x1": ("0x1.13246b2b10f53p+0", "0x1.13246b2b10f52p+0"),
+    "2x": ("0x1.420833b643b0ap+0", "0x1.420833b643b20p+0"),
+    "b2": ("0x1.420833b643b0ap+0", "0x1.420833b643b20p+0"),
+}
+_UNIT_SLOT_PATTERN_BITS = {
+    "u01": "0x1.3bf84c1834716p+1",
+    "0u1": "0x1.3bf84c1834716p+1",
+    "10u": "0x1.3bf84c1834716p+1",
+    "u2b": "0x1.466fecb865771p+1",
+    "xu0": "0x1.1dc0acfaabe34p+1",
+    "b1u": "0x1.05ab1a2380399p+1",
+    "2ux": "0x1.466fecb865771p+1",
+    "uxb": "0x1.db6db6db6db6dp+0",
+}
+_LIVE_FACTOR_BITS.update({f"slots {p}": (lambda m, p=p: _slot_call(p, m), bits)
+                          for p, bits in _SLOT_BITS.items()})
+_UNIT_SLOT_BITS.update({f"slots {p}": (lambda p=p: _slot_call(p), bits)
+                        for p, bits in _UNIT_SLOT_PATTERN_BITS.items()})
 
 
 @pytest.mark.parametrize("case", sorted(_LIVE_FACTOR_BITS))
