@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 
 from ._value import Frozen, set_field
-from .errors import (DEFAULT_RTOL, InfeasibleLoadError, NearCriticalLoadError, UsageError,
-                     _integer, _real)
+from .errors import DEFAULT_RTOL, InfeasibleLoadError, UsageError, _integer, _real
 from .quadrature import _position, integrate_deflection
 from .special_functions import gauss_2f1, hyp_3f2
 
@@ -189,12 +188,9 @@ def _tip_argument(shape, rod: RodProperties):
     return lambda m: Lp * m ** 2 / den
 
 
-def _tip_closed_form(shape, m: float, rod: RodProperties, rtol: float, past_one=None) -> float:
-    """``shape``'s tip closed form at a gated magnitude m. Given ``past_one``, an
-    argument past 1 raises NearCriticalLoadError with the message ``past_one()``."""
+def _tip_closed_form(shape, m: float, rod: RodProperties, rtol: float) -> float:
+    """``shape``'s tip closed form at a gated magnitude m."""
     x, params = _tip_argument(shape, rod)(m), _TIP_PARAMS[shape]
-    if x > 1.0 and past_one is not None:
-        raise NearCriticalLoadError(past_one())
     pfq = gauss_2f1 if len(params) == 3 else hyp_3f2
     return (rod.L ** (shape.bound[2] + 1) * m / (shape.tip[0] * rod.EJ)) * pfq(*params, x, rtol)
 

@@ -191,7 +191,7 @@ def _tip_series(d: int, r: int, params, order: int) -> PowerSeries:
     a 2F1 is padded to a 3F2 with a 1 above and below, which is exact in rationals only."""
     a = [Fraction(n, m) for n, m in params]
     u = hyp3f2_taylor(a[:2] + [1, 1] + a[2:] if len(a) == 3 else a, order).coefficients
-    return PowerSeries(tuple(Fraction(r, d) * c / r ** k for k, c in enumerate(u)), order, "odd")
+    return PowerSeries(tuple(Fraction(r, d) * c / r ** k for k, c in enumerate(u)), order)
 
 
 @lru_cache(maxsize=32)
@@ -228,7 +228,7 @@ def builtin_reaction_series(order: int = 19) -> PowerSeries:
     # phi(w) = I/L, the 2F1 approximation of the tip integral over L
     phi = _tip_series(*BuiltInCombined.tip, order)
     # 2 t / (1 + t^2) = 2 sum (-1)^m t^(2m+1)
-    outer = PowerSeries(tuple(k % 2 * 2 * (-1) ** (k // 2) for k in range(order + 1)), order, "odd")
+    outer = PowerSeries(tuple(k % 2 * 2 * (-1) ** (k // 2) for k in range(order + 1)), order)
     return compose(outer, phi)
 
 
@@ -466,19 +466,20 @@ def _tip_integral(load: BuiltInCombined, rod: RodProperties, mode: str, rtol: fl
         return rod.L * phi
     if mode == "quadrature":
         return _deflection(load, rod, 0.0, rtol)
+    x = _tip_argument(BuiltInCombined, rod)(q)
+    if x > 1.0:
+        raise NearCriticalLoadError(
+            f"the 2F1 approximation of the tip integral diverges past "
+            f"{_radius(rod, q, '>')}; use --method closed, whose tip integral is exact")
     # the 2F1 loop sums at most _MAX_TERMS terms, and its terms fall at least
     # as x^k: refuse an argument that needs more before summing any
-    x = _tip_argument(BuiltInCombined, rod)(q)
     if x < 1.0 and not _shells_within(x, rtol, _MAX_TERMS):
         w, radius = rod.L ** 3 * q / rod.EJ, BuiltInCombined.tip[1]
         raise NearCriticalLoadError(
             f"the 2F1 approximation of the tip integral needs more than {_MAX_TERMS} terms "
             f"to reach rtol={rtol:g} at w = qL^3/EJ = {w:.9g}, within {1.0 - w / radius:.2g} "
             f"of its radius {radius}; use --method closed, whose tip integral is exact")
-    return _tip_closed_form(BuiltInCombined, q, rod, rtol, lambda: (
-        f"the 2F1 approximation of the tip integral diverges past "
-        f"{_radius(rod, q, '>')}; use --method closed, whose tip integral "
-        f"is exact"))
+    return _tip_closed_form(BuiltInCombined, q, rod, rtol)
 
 
 def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,

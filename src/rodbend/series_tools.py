@@ -2,18 +2,18 @@
 
 Coefficients are exact rationals, `Fraction` in every series, and only
 become floats at evaluation time, so reversion results can be compared
-for exact equality. Series carry a parity tag: odd series (only odd
-powers) revert to odd series, which is what the reaction expansions rely
-on.
+for exact equality. Every series is odd (only odd powers), because the
+reaction expansions are: their kernels Y 3F2(Y^2) and load-side series
+are odd, and so are their reversions and compositions.
 
 Composition and reversion run on integer vectors: the coefficients over
 one common denominator. A product is one integer convolution, and the
 common factor of a vector is divided out once per step, not by a gcd per
-coefficient product. Composition is Horner over the outer coefficients;
-an odd outer series of an odd inner one runs in the square of the inner
-series, at half the length. Reversion is Lagrange inversion: the n-th
-coefficient of the inverse is read off the n-th power of y/f(y), and
-each power is the last one times one more factor. Both cost O(N^3)
+coefficient product. Composition is Horner over the outer coefficients
+in the square of the inner series, at half the length. Reversion is
+Lagrange inversion: the n-th coefficient of the inverse is read off the
+n-th power of y/f(y), an even series, and each power is the last one
+times its square. Both cost O(N^3)
 integer products at order N. A cold roller reaction series (one
 reversion, one composition) takes about 15 ms at order 41 and 0.4 s at
 order 101 (Python 3.11, 2 shared vCPUs), where one `Fraction` product at
@@ -35,32 +35,28 @@ __all__ = ["PowerSeries", "identity_series", "compose", "lagrange_revert", "hyp3
 
 
 class PowerSeries(Frozen):
-    """Coefficients indexed by power, valid through ``order`` inclusive."""
+    """Odd series: coefficients indexed by power, valid through ``order`` inclusive."""
 
-    __slots__ = ("coefficients", "order", "parity")
+    __slots__ = ("coefficients", "order")
 
-    def __init__(self, coefficients: Sequence, order: int, parity: str = "general"):
+    def __init__(self, coefficients: Sequence, order: int):
         _count("order", order)
-        if parity not in ("odd", "general"):
-            raise UsageError(f"parity must be 'odd' or 'general', got {parity!r}")
         if order < len(coefficients) - 1:
             raise UsageError("truncation order below the highest stored power")
         # the library's own series pass Fractions, which skip the call
         coefficients = tuple(c if type(c) is Fraction else _exact("coefficient", c)
                              for c in coefficients)
-        if parity == "odd" and any(coefficients[0::2]):
+        if any(coefficients[0::2]):
             raise UsageError("odd series has a nonzero even coefficient")
         set_field(self, "coefficients", coefficients)
         set_field(self, "order", order)
-        set_field(self, "parity", parity)  # "odd" | "general"
 
     @classmethod
-    def from_coefficients(cls, coeffs: Sequence, order: int | None = None,
-                          parity: str = "general") -> "PowerSeries":
+    def from_coefficients(cls, coeffs: Sequence, order: int | None = None) -> "PowerSeries":
         if order is None:
             order = len(coeffs) - 1
         _count("order", order)  # before the slice, which takes no float or str
-        return cls(coefficients=coeffs[: order + 1], order=order, parity=parity)
+        return cls(coefficients=coeffs[: order + 1], order=order)
 
     def coefficient(self, n: int) -> Fraction:
         _count("coefficient index", n)
@@ -68,17 +64,13 @@ class PowerSeries(Frozen):
             raise UsageError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coefficients[n] if n < len(self.coefficients) else Fraction(0)
 
-    def evaluate(self, x: float, n_terms: int | None = None) -> float:
-        """Horner evaluation in float at a finite real x; ``n_terms`` caps the powers used."""
+    def evaluate(self, x: float) -> float:
+        """Horner evaluation in float at a finite real x."""
         x = _real("x", x)
         if not math.isfinite(x):
             raise UsageError(f"x must be finite, got {x}")
-        coeffs = self.coefficients
-        if n_terms is not None:
-            _count("n_terms", n_terms)
-            coeffs = coeffs[:n_terms]
         total = 0.0
-        for c in reversed(coeffs):
+        for c in reversed(self.coefficients):
             total = total * x + float(c)
         return total
 
@@ -86,7 +78,6 @@ class PowerSeries(Frozen):
         """Coefficients as exact numerator/denominator pairs."""
         return {
             "order": self.order,
-            "parity": self.parity,
             "coefficients": [
                 {"power": k, "numerator": c.numerator, "denominator": c.denominator}
                 for k, c in enumerate(self.coefficients)
@@ -94,12 +85,12 @@ class PowerSeries(Frozen):
         }
 
 
-def identity_series(order: int, parity: str = "odd") -> PowerSeries:
+def identity_series(order: int) -> PowerSeries:
     _count("order", order)
     coeffs = [Fraction(0)] * (order + 1)
     if order >= 1:
         coeffs[1] = Fraction(1)
-    return PowerSeries(tuple(coeffs), order, parity)
+    return PowerSeries(tuple(coeffs), order)
 
 
 def _integers(coeffs: Sequence[Fraction], n: int) -> tuple[list[int], int]:
@@ -134,60 +125,51 @@ def _horner(outer: tuple[list[int], int], inner: tuple[list[int], int]) -> tuple
 
 
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """outer(inner(x)) truncated to the common order; inner(0) must be 0."""
-    if inner.coefficient(0) != 0:
-        raise UsageError("inner series must have zero constant term")
+    """outer(inner(x)) truncated to the common order."""
     order = min(outer.order, inner.order)
-    if outer.parity == inner.parity == "odd":
-        # outer(y) = y P(y^2) and inner(x) = x I(t) with t = x^2, so
-        # outer(inner(x)) = x I(t) P(t I(t)^2): Horner in t, at half the length
-        n = (order + 1) // 2
-        inner_t, i_den = _integers(inner.coefficients[1::2], n)
-        square = [0] + _convolve(inner_t, inner_t)[: n - 1]
-        acc, den = _horner(_integers(outer.coefficients[1::2], n), (square, i_den * i_den))
-        den *= i_den
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[1::2] = (Fraction(c, den) for c in _convolve(acc, inner_t))
-        return PowerSeries(tuple(coeffs), order, "odd")
-    nums, den = _horner(_integers(outer.coefficients, order + 1),
-                        _integers(inner.coefficients, order + 1))
-    return PowerSeries(tuple(Fraction(c, den) for c in nums), order, "general")
+    # outer(y) = y P(y^2) and inner(x) = x I(t) with t = x^2, so
+    # outer(inner(x)) = x I(t) P(t I(t)^2): Horner in t, at half the length
+    n = (order + 1) // 2
+    inner_t, i_den = _integers(inner.coefficients[1::2], n)
+    square = [0] + _convolve(inner_t, inner_t)[: n - 1]
+    acc, den = _horner(_integers(outer.coefficients[1::2], n), (square, i_den * i_den))
+    den *= i_den
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[1::2] = (Fraction(c, den) for c in _convolve(acc, inner_t))
+    return PowerSeries(tuple(coeffs), order)
 
 
 def lagrange_revert(f: PowerSeries) -> PowerSeries:
     """Series g with f(g(x)) = x through the truncation order.
 
     Lagrange inversion: g_n = [y^(n-1)] h(y)^n / n with h = y/f(y).
-    h is the reciprocal of f(y)/y, and its powers come one from the last,
-    h^(n+step) = h^n h^step, as integer vectors through degree order - 1,
-    so the whole reversion costs O(order^3) integer operations. Odd
-    input has even h and yields odd output; h is then a series in y^2
-    (step 2), and only the odd coefficients of g are computed.
+    h is the reciprocal of f(y)/y, even because f is odd, so a series in
+    u = y^2. Its odd powers come one from the last, h^(m+2) = h^m h^2, as
+    integer vectors through degree order - 1, so the whole reversion costs
+    O(order^3) integer operations, and only the odd coefficients of g are
+    computed.
     """
-    if f.coefficient(0) != 0:
-        raise UsageError("reversion needs f(0) = 0")
     if f.order < 1 or f.coefficient(1) == 0:
         raise UsageError("reversion needs a nonzero linear coefficient")
     order = f.order
-    step = 2 if f.parity == "odd" else 1
-    # f(y)/y = fu/fu_den and its reciprocal h, both in u = y^step through u^(n-1);
+    # f(y)/y = fu/fu_den and its reciprocal h, both in u = y^2 through u^(n-1);
     # h_k = -sum_j fu_j h_(k-j) / fu_0 over one denominator that grows by fu_0
-    n = (order - 1) // step + 1
-    fu, fu_den = _integers(f.coefficients[1::step], n)
+    n = (order + 1) // 2
+    fu, fu_den = _integers(f.coefficients[1::2], n)
     h, h_den = [fu_den], fu[0]
     for k in range(1, n):
         s = sum(map(mul, fu[1:k + 1], reversed(h)))
         h, h_den = _reduce([c * fu[0] for c in h] + [-s], h_den * fu[0])
-    h_step = (h, h_den) if step == 1 else _reduce(_convolve(h, h), h_den * h_den)
+    square, square_den = _reduce(_convolve(h, h), h_den * h_den)
     g = [Fraction(0)] * (order + 1)
     power, den = h, h_den
     for k in range(n):
-        # power/den = h^m with m = step k + 1, and [y^(m-1)] h^m = [u^k] h^m
-        m = step * k + 1
+        # power/den = h^m with m = 2k + 1, and [y^(m-1)] h^m = [u^k] h^m
+        m = 2 * k + 1
         g[m] = Fraction(power[k], den * m)
         if k + 1 < n:
-            power, den = _reduce(_convolve(power, h_step[0]), den * h_step[1])
-    return PowerSeries(tuple(g), order, f.parity)
+            power, den = _reduce(_convolve(power, square), den * square_den)
+    return PowerSeries(tuple(g), order)
 
 
 def hyp3f2_taylor(params: Sequence, order: int) -> PowerSeries:
@@ -212,4 +194,4 @@ def hyp3f2_taylor(params: Sequence, order: int) -> PowerSeries:
         term /= (b1 + k) * (b2 + k) * (1 + k)
         k += 1
         coeffs[2 * k + 1] = term
-    return PowerSeries(tuple(coeffs), order, "odd")
+    return PowerSeries(tuple(coeffs), order)

@@ -519,6 +519,18 @@ def test_builtin_closed_refused_where_the_tip_integral_passes_L(q):
         builtin_end_moment(q)
 
 
+def test_builtin_closed_quadrature_refused_where_the_tip_integral_passes_L():
+    # the quadrature mode integrates past I = L without complaint, so the
+    # closed map's own I >= L check refuses it
+    for q, i_val in ((2334.0, "1.00044"), (2380.0, "1.25741"), (2399.9, "2.35292")):
+        with pytest.raises(NearCriticalLoadError, match=f"^tip integral I = {re.escape(i_val)} m "
+                                                        "reaches L = 1 m: "):
+            solve_builtin(ROD, q, method="closed", integral_mode="quadrature")
+    # q = 2333 is w = 11.665, where I = 0.99714 L: X = 199.9992 N m
+    X = solve_builtin(ROD, 2333.0, method="closed", integral_mode="quadrature").X
+    assert 199.999 < X < ROD.EJ / ROD.L
+
+
 def test_builtin_closed_moment_cancels_the_tip_integral():
     # the closed X is the inverse of the tip-couple deflection: over 0.02-0.97
     # of critical, tip_deflection_moment(X) gives back -I to 1e-12 of I

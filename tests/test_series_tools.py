@@ -26,8 +26,7 @@ def odd_series(*coeffs, order=None):
     for c in coeffs:
         flat.append(F(0))
         flat.append(F(c))
-    return PowerSeries.from_coefficients(flat, parity="odd",
-                                         order=order if order is not None else len(flat) - 1)
+    return PowerSeries.from_coefficients(flat, order=order if order is not None else len(flat) - 1)
 
 
 # ----------------------------------------------------------------- container
@@ -35,7 +34,6 @@ def odd_series(*coeffs, order=None):
 def test_coefficients_are_fractions():
     s = odd_series(1, -2)
     assert all(isinstance(c, F) for c in s.coefficients)
-    assert s.parity == "odd"
 
 
 def test_coefficient_beyond_truncation_rejected():
@@ -47,16 +45,16 @@ def test_coefficient_beyond_truncation_rejected():
 
 def test_parity_violation_rejected():
     with pytest.raises(UsageError):
-        PowerSeries.from_coefficients([F(1), F(1)], parity="odd", order=1)
+        PowerSeries.from_coefficients([F(1), F(1)], order=1)
 
 
 def test_order_shorter_than_coefficients_rejected():
     with pytest.raises(UsageError):
-        PowerSeries((F(0), F(1), F(0), F(1)), order=2, parity="odd")
+        PowerSeries((F(0), F(1), F(0), F(1)), order=2)
 
 
 def test_from_coefficients_slices_to_requested_order():
-    s = PowerSeries.from_coefficients([F(0), F(1), F(0), F(1)], order=2, parity="odd")
+    s = PowerSeries.from_coefficients([F(0), F(1), F(0), F(1)], order=2)
     assert s.order == 2
     assert s.coefficients == (F(0), F(1), F(0))
 
@@ -82,13 +80,6 @@ def test_evaluate_refuses_a_non_number(v):
     assert isinstance(excinfo.value, TypeError)
 
 
-def test_evaluate_partial_number_of_terms():
-    # n_terms counts stored powers starting at the constant
-    s = odd_series(1, -1, 3)
-    w = 0.5
-    assert s.evaluate(w, n_terms=4) == w - w ** 3
-
-
 def test_json_object_uses_numerator_denominator_pairs():
     s = odd_series(F(3, 8))
     obj = s.json_obj()
@@ -96,13 +87,6 @@ def test_json_object_uses_numerator_denominator_pairs():
 
 
 # ---------------------------------------------------------------- compose
-
-def test_compose_requires_zero_constant_inner():
-    outer = odd_series(1, 1)
-    inner = PowerSeries.from_coefficients([F(1), F(1)], parity="general", order=1)
-    with pytest.raises(UsageError):
-        compose(outer, inner)
-
 
 def test_compose_linear_identity():
     s = odd_series(2, -5, 7)
@@ -115,7 +99,6 @@ def test_compose_odd_with_odd_is_odd():
     f = odd_series(1, 1)
     g = odd_series(1, -2)
     h = compose(f, g)
-    assert h.parity == "odd"
     assert all(h.coefficient(k) == 0 for k in range(0, h.order + 1, 2))
 
 
@@ -142,14 +125,14 @@ def test_revert_round_trip_is_identity():
     f = odd_series(1, F(1, 3), F(-2, 7), F(5, 11))
     g = lagrange_revert(f)
     h = compose(f, g)
-    assert h.coefficients == identity_series(h.order, parity="odd").coefficients
+    assert h.coefficients == identity_series(h.order).coefficients
 
 
 def test_revert_round_trip_other_direction():
     f = odd_series(1, F(-3, 5), F(1, 2), 0)
     g = lagrange_revert(f)
     h = compose(g, f)
-    assert h.coefficients == identity_series(h.order, parity="odd").coefficients
+    assert h.coefficients == identity_series(h.order).coefficients
 
 
 def test_revert_requires_unit_linear_term_scaling():
@@ -162,51 +145,14 @@ def test_revert_requires_unit_linear_term_scaling():
     assert round_trip.coefficient(3) == 0
 
 
-def test_revert_general_catalan_example():
-    # f(y) = y - y^2 reverts to the Catalan generating series
-    f = PowerSeries.from_coefficients([0, 1, -1], order=6)
-    g = lagrange_revert(f)
-    assert g.parity == "general"
-    assert g.coefficients == (0, 1, 1, 2, 5, 14, 42)
-
-
 # coefficient 1 is any nonzero rational; the others are zero about half
 # the time, so interior gaps and short stored tails both occur
 _LINEAR = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambda c: c != 0)
 _COEFF = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7))
 
 
-@st.composite
-def general_series(draw):
-    order = draw(st.integers(min_value=1, max_value=9))
-    tail = draw(st.lists(_COEFF, min_size=0, max_size=order - 1))
-    return PowerSeries.from_coefficients([0, draw(_LINEAR), *tail], order=order)
-
-
-@settings(max_examples=60, deadline=None)
-@given(general_series())
-def test_revert_general_round_trip_is_identity(f):
-    g = lagrange_revert(f)
-    assert g.parity == "general"
-    identity = identity_series(f.order, parity="general").coefficients
-    assert compose(f, g).coefficients == identity
-    assert compose(g, f).coefficients == identity
-
-
-@settings(max_examples=30, deadline=None)
-@given(general_series())
-def test_revert_odd_path_matches_general_path(f):
-    # dropping the even powers makes f odd; the step-2 (odd) reversion
-    # must give exactly the coefficients of the step-1 (general) one
-    odd = [c if k % 2 else F(0) for k, c in enumerate(f.coefficients)]
-    g_odd = lagrange_revert(PowerSeries.from_coefficients(odd, order=f.order, parity="odd"))
-    g_gen = lagrange_revert(PowerSeries.from_coefficients(odd, order=f.order))
-    assert g_odd.parity == "odd"
-    assert g_odd.coefficients == g_gen.coefficients
-
-
 def test_revert_rejects_vanishing_linear_term():
-    f = PowerSeries.from_coefficients([F(0), F(0), F(0), F(1)], parity="odd", order=3)
+    f = PowerSeries.from_coefficients([F(0), F(0), F(0), F(1)], order=3)
     with pytest.raises(UsageError):
         lagrange_revert(f)
 
@@ -237,55 +183,48 @@ def reference_compose(outer, inner):
 
 def reference_revert(f):
     """Lagrange inversion with each power of h = y/f(y) from Miller's recurrence
-    (Knuth, TAOCP vol. 2, 4.7): p_0 = h_0^n, k h_0 p_k = sum_j ((n+1) j - k) h_j p_(k-j)."""
+    (Knuth, TAOCP vol. 2, 4.7): p_0 = h_0^n, k h_0 p_k = sum_j ((n+1) j - k) h_j p_(k-j).
+    h is even, so only its even coefficients are summed."""
     order = f.order
-    step = 2 if f.parity == "odd" else 1
     f1 = f.coefficient(1)
     h = [1 / f1] + [F(0)] * (order - 1)
-    for k in range(step, order, step):
-        h[k] = -sum(f.coefficient(j + 1) * h[k - j] for j in range(step, k + 1, step)) / f1
+    for k in range(2, order, 2):
+        h[k] = -sum(f.coefficient(j + 1) * h[k - j] for j in range(2, k + 1, 2)) / f1
     g = [F(0)] * (order + 1)
-    for n in range(1, order + 1, step):
+    for n in range(1, order + 1, 2):
         p = [h[0] ** n] + [F(0)] * (n - 1)
-        for k in range(step, n, step):
+        for k in range(2, n, 2):
             p[k] = sum(((n + 1) * j - k) * h[j] * p[k - j]
-                       for j in range(step, k + 1, step)) / (k * h[0])
+                       for j in range(2, k + 1, 2)) / (k * h[0])
         g[n] = p[n - 1] / n
     return tuple(g)
 
 
 @st.composite
-def any_series(draw, parity, head=st.just(())):
-    """A series of ``parity``, order 0 to 15, whose coefficients start with a
-    draw of ``head`` and go on with a stored tail of any length."""
+def odd_series_draw(draw, head=st.just(())):
+    """An odd series, order 0 to 15, whose coefficients start with a draw of
+    ``head`` and go on with a stored tail of any length; the draws at even
+    powers are zeroed."""
     head = list(draw(head))
     order = draw(st.integers(min_value=max(len(head) - 1, 0), max_value=15))
     coeffs = head + draw(st.lists(_COEFF, max_size=order + 1 - len(head)))
-    if parity == "odd":
-        coeffs = [c if k % 2 else F(0) for k, c in enumerate(coeffs)]
-    return PowerSeries.from_coefficients(coeffs, order=order, parity=parity)
-
-
-_PARITY = st.sampled_from(["odd", "general"])
-_NO_CONSTANT = st.just((F(0),))
+    coeffs = [c if k % 2 else F(0) for k, c in enumerate(coeffs)]
+    return PowerSeries.from_coefficients(coeffs, order=order)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_PARITY.flatmap(any_series),
-       _PARITY.flatmap(lambda p: any_series(p, head=_NO_CONSTANT)))
+@given(odd_series_draw(), odd_series_draw())
 def test_compose_equals_fraction_reference(outer, inner):
     got = compose(outer, inner)
     assert got.coefficients == reference_compose(outer, inner)
     assert got.order == min(outer.order, inner.order)
-    assert got.parity == ("odd" if outer.parity == inner.parity == "odd" else "general")
 
 
 @settings(max_examples=150, deadline=None)
-@given(_PARITY.flatmap(lambda p: any_series(p, head=st.tuples(st.just(F(0)), _LINEAR))))
+@given(odd_series_draw(head=st.tuples(st.just(F(0)), _LINEAR)))
 def test_revert_equals_fraction_reference(f):
     g = lagrange_revert(f)
     assert g.coefficients == reference_revert(f)
-    assert g.parity == f.parity
 
 
 def test_reaction_series_at_order_61_equal_fraction_reference():
@@ -297,13 +236,13 @@ def test_reaction_series_at_order_61_equal_fraction_reference():
     d, r, _ = TipShear.tip
     for kernel, shape in redundancy._KERNEL_SHAPES.items():
         reaction = redundancy._tip_series(-d, r, shape.tip[2], order)
-        inverse = PowerSeries(reference_revert(reaction), order, "odd")
+        inverse = PowerSeries(reference_revert(reaction), order)
         assert lagrange_revert(reaction).coefficients == inverse.coefficients
         expected = reference_compose(inverse, load)
         assert redundancy.roller_reaction_series(order, kernel).coefficients == expected
     phi = redundancy._tip_series(*BuiltInCombined.tip, order)
     outer = PowerSeries.from_coefficients(
-        [k % 2 * 2 * (-1) ** (k // 2) for k in range(order + 1)], parity="odd")
+        [k % 2 * 2 * (-1) ** (k // 2) for k in range(order + 1)])
     assert redundancy.builtin_reaction_series(order).coefficients == reference_compose(outer, phi)
 
 
@@ -361,8 +300,9 @@ def test_exact_inputs_that_are_not_finite_refused(v):
 
 
 def test_exact_inputs_keep_ints_and_fractions_and_take_floats_exactly():
-    s = PowerSeries((0, 3, F(1, 3), 0.1, np.float32(0.1)), 4)
-    assert s.coefficients == (F(0), F(3), F(1, 3), F(0.1), F(float(np.float32(0.1))))
+    s = PowerSeries((0, 3, 0, F(1, 3), 0.0, 0.1, 0, np.float32(0.1)), 7)
+    assert s.coefficients == (F(0), F(3), F(0), F(1, 3), F(0), F(0.1), F(0),
+                              F(float(np.float32(0.1))))
     assert all(type(c) is F for c in s.coefficients)
     # a float32 parameter gives the series of its float, an int the exact one
     assert hyp3f2_taylor((np.float32(0.5), 1, 1.5, 2, 2), 5) == hyp3f2_taylor((0.5, 1, 1.5, 2, 2), 5)
@@ -372,7 +312,6 @@ def test_exact_inputs_keep_ints_and_fractions_and_take_floats_exactly():
 def test_hyp3f2_taylor_is_odd():
     params = (F(1, 2), F(1), F(3, 2), F(7, 6), F(5, 3))
     s = hyp3f2_taylor(params, order=9)
-    assert s.parity == "odd"
     assert all(s.coefficient(k) == 0 for k in (0, 2, 4, 6, 8))
 
 
