@@ -179,16 +179,18 @@ class _NotConverged(UsageError):
         self.error = error
 
 
-def _adaptive(pieces, rtol, atol, max_subdivisions):
+def _adaptive(pieces, rtol, atol, max_subdivisions, start=0.0):
     """Integrate the sum over ``pieces``, a list of (f, lo, hi) with ``f`` a
     list-in, list-out integrand as ``_panel`` takes it, on one error budget:
     bisect the worst panel among all pieces until the summed error estimate
     is at most max(atol, rtol * |summed value|).
 
+    ``start`` is a part of the value known exactly, added to the sum before
+    the first panel, so that the stop test is relative to the whole value.
     The panel budget is ``max_subdivisions`` per piece. Returns the summed
     (value, error estimate).
     """
-    total = total_err = 0.0
+    total, total_err = start, 0.0
     # max-heap on panel error; a counter breaks ties deterministically
     heap = []
     for f, lo, hi in pieces:

@@ -29,7 +29,7 @@ from .errors import (DEFAULT_RTOL, BracketError, NearCriticalLoadError, UsageErr
                      _integer)
 from .quadrature import _deflection
 from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
-from .special_functions import _MAX_TERMS, _shells_within, _sum_ratios
+from .special_functions import _MAX_TERMS, _shells_within, _sum_ratios, _sum_value
 
 __all__ = [
     "RedundancySolution",
@@ -157,33 +157,38 @@ def roller_consistency(rod: RodProperties, q: float, X: float,
     pair (7/6, 5/3); "displacement" uses the tip-shear pair (5/4, 7/4),
     which makes the zero of the residual agree with the quadrature
     zero-displacement closure exactly. It is the gates, the rtol check
-    after them, and one call of ``_roller_residual``, the function that
-    ``solve_roller``'s root finder and reported residual call too.
+    after them, and one call of the residual that ``_roller_residual``
+    builds, the one that ``solve_roller`` reports too.
     """
     _check_kernel(kernel)
     q = _check_load(UniformLoad(q), rod)
     X = _require_feasible(TipShear(X), rod)
-    return _roller_residual(rod, q, kernel, _check_rtol(rtol))(X)[0]
+    return _roller_residual(rod, q, kernel, _check_rtol(rtol))[0](X)
 
 
 def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float):
-    """X -> (r, S, z): the residual r = 3Lq*F_load - 8X*F_reaction, with its load
-    side summed once here, the slope weight S = F + 2zF' of the reaction 3F2,
-    and its argument z; r'(X) = -8S.
+    """The residual r = 3Lq*F_load - 8X*F_reaction, its load side summed once
+    here, as two functions of X: ``residual``, X -> r, sums the reaction 3F2's
+    value alone; ``newton``, X -> (r, S, z), sums its value and its slope
+    weight S = F + 2zF' in one loop and returns its argument z; r'(X) = -8S.
+    Both give r the same bits.
 
     Checks nothing: the caller gates the kernel, the load, X and rtol. The
-    summation loop refuses an argument that rounds to 1 at once.
+    summation loops refuse an argument that rounds to 1 at once.
     """
-    load_side = 3.0 * rod.L * q * _sum_ratios(_TIP_PARAMS[UniformLoad],
-                                              _tip_argument(UniformLoad, rod)(q), rtol)[0]
+    load_side = 3.0 * rod.L * q * _sum_value(_TIP_PARAMS[UniformLoad],
+                                             _tip_argument(UniformLoad, rod)(q), rtol)
     params, argument = _TIP_PARAMS[_KERNEL_SHAPES[kernel]], _tip_argument(TipShear, rod)
 
     def residual(X):
+        return load_side - 8.0 * X * _sum_value(params, argument(X), rtol)
+
+    def newton(X):
         z = argument(X)
         f, s = _sum_ratios(params, z, rtol)
         return load_side - 8.0 * X * f, s, z
 
-    return residual
+    return residual, newton
 
 
 def _tip_series(d: int, r: int, params, order: int) -> PowerSeries:
@@ -258,14 +263,15 @@ def _roller_seed(rod: RodProperties, q: float, kernel: str) -> float:
     return rod.EJ / rod.L ** 2 * w * (num / den)
 
 
-def _find_roller_root(rod: RodProperties, q: float, kernel: str, residual, rtol: float) -> float:
+def _find_roller_root(rod: RodProperties, q: float, kernel: str, newton, rtol: float) -> float:
     # Solves roller_consistency = 0 below the bracket top 0.999 * 2EJ/L^2 by
     # Newton steps; solve_roller has checked the load. The residual r(X) =
     # load side - 8 g(X), with g(X) = X F(c X^2), is concave and falls, and
-    # r'(X) = -8 S, S = F + 2zF' from the same loop as F. The first iterate is
-    # the Pade seed, or the top when the seed passes it; the top, where a 3F2
-    # sums thousands of terms, is summed only then (from 0.9981 of critical
-    # for the expansion kernel, 0.9898 for the displacement one), and a
+    # r'(X) = -8 S, S = F + 2zF' from the same sum as F (_roller_residual's
+    # ``newton``). The first iterate is the Pade seed, or the top when the
+    # seed passes it; the top, where a 3F2 sums thousands of terms, is summed
+    # only then (from 0.9981 of critical for the expansion kernel, 0.9898 for
+    # the displacement one), and a
     # positive residual there leaves no root below it. The seed lies below the
     # root only at loads under 0.65 of critical, there by at most 7e-15 of it,
     # far below the top; the tangent lies above a concave residual, so a step
@@ -281,7 +287,7 @@ def _find_roller_root(rod: RodProperties, q: float, kernel: str, residual, rtol:
     hi = 2.0 * rod.EJ / rod.L ** 2 * 0.999
     x = min(_roller_seed(rod, q, kernel), hi)
     for _ in range(60):
-        r, s, z = residual(x)
+        r, s, z = newton(x)
         if x == hi and r > 0.0:
             raise BracketError(
                 f"no sign change on (0, {hi:.6g}); the load is too close to critical "
@@ -342,15 +348,15 @@ def solve_roller(rod: RodProperties, q: float, method: str, n_terms: int = 7,
         trace = tuple(_series_trace(series, L ** 3 * q / EJ, EJ / L ** 2, n_terms))
         X, label = trace[-1][1], f"series({n_terms})"
     else:
-        residual = _roller_residual(rod, q, kernel, DEFAULT_RTOL)
-        X = _find_roller_root(rod, q, kernel, residual, rtol)
+        residual, newton = _roller_residual(rod, q, kernel, DEFAULT_RTOL)
+        X = _find_roller_root(rod, q, kernel, newton, rtol)
         trace, label = (), "root_find"
 
     if method == "linearized" and feasibility_check(TipShear(X), rod) >= 1.0:
         res = None
     else:
         _require_feasible(TipShear(X), rod)
-        res = (residual or _roller_residual(rod, q, kernel, DEFAULT_RTOL))(X)[0]
+        res = (residual or _roller_residual(rod, q, kernel, DEFAULT_RTOL)[0])(X)
     deviation = 0.0 if X == 0.0 else (linearized - X) / X * 100.0
     return RedundancySolution(problem="roller", rod=rod, q=q, method=label, X=X, units="N",
                               residual=res, deviation_pct=deviation, trace=trace)

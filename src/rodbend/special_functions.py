@@ -1,12 +1,13 @@
 """Hypergeometric machinery: 2F1, 3F2, Appell F1, Lauricella FD(3).
 
 Series evaluation uses term-ratio recurrences with a three-strikes stop
-rule, in two loops. 2F1 and 3F2 share one, on float parameters, which
-multiplies each term by a term ratio read in fixed blocks: a ratio
-depends on the parameters and the index only, so the blocks used last
-are kept in one bounded memo; beside the value it sums the slope weight
-S = F + 2xF' that the roller root finder steps by. Appell F1 is
-Lauricella's FD in two variables, so F1 and FD3 share the other, a sum
+rule. 2F1 and 3F2 share one loop, on float parameters, which multiplies
+each term by a term ratio read in fixed blocks: a ratio depends on the
+parameters and the index only, so the blocks used last are kept in one
+bounded memo. It sums the value alone; its twin sums beside the same
+value the slope weight S = F + 2xF' that the roller root finder's Newton
+step reads. Appell F1 is
+Lauricella's FD in two variables, so F1 and FD3 share another, a sum
 over total-degree shells in up to three variables; the shells come from
 a recurrence on a window of three coefficients, three products per
 shell, with zero steps past the live variables. Integral evaluation goes
@@ -15,7 +16,8 @@ through the one-dimensional Euler-type representation
     G(c) / (G(a) G(c-a)) * int_0^1 u^(a-1) (1-u)^(c-a-1) prod (1-x_i u)^(-b_i) du,
 
 valid for c > a > 0, split at u = 1/2 with each endpoint power carried
-analytically, and both halves integrated on one error budget. Gamma
+analytically (a power near 0 with its leading part integrated exactly),
+and both halves integrated on one error budget. Gamma
 ratios are computed in the log domain only, from the standard library's
 ``math.lgamma`` (which returns log|G(v)|) and the sign rule G(v) < 0
 exactly when v < 0 and floor(v) is odd.
@@ -46,8 +48,9 @@ __all__ = [
 
 # Series stop policy: a term counts as negligible when |term| <= rtol*|partial|;
 # summation stops after three negligible terms in a row or fails at the cap.
-# gauss_2f1, hyp_3f2 and the roller residual share this loop (_sum_ratios).
-# Appell F1 and FD3 share the other one (_fd_series), the Lauricella FD shell
+# gauss_2f1, hyp_3f2 and the roller residual share this loop (_sum_value),
+# and the roller's Newton step its twin with the slope (_sum_ratios).
+# Appell F1 and FD3 share another one (_fd_series), the Lauricella FD shell
 # sum in two or three variables, which applies the same rule to whole shells.
 _CONSECUTIVE = 3
 _MAX_TERMS = 10 ** 6
@@ -56,27 +59,32 @@ _MAX_SHELLS = 10 ** 5
 # method="auto" of F1 and FD3 sums the shell series, not the Euler
 # integral, when the ln(rtol)/ln(max|x_i|) shells that reach rtol are
 # within this budget: max|x_i| <= 0.47 at rtol 1e-13. There the series is
-# the cheaper route: 11-20 us against 64-142 us for the integral (10th to
+# the cheaper route: 8-21 us against 41-87 us for the integral (10th to
 # 90th percentile of 40 random draws at each max|x_i| of 0.1, 0.2, 0.3,
-# 0.4 and 0.47, F1 and FD3; 2-vCPU Xeon, Python 3.11). Cost alone would
-# allow more: the median series still costs less than the integral at
-# max|x_i| = 0.9 (94 against 103 us). The budget stays at 40 for accuracy:
-# the three-strikes stop leaves a truncation error that grows with
-# max|x_i|. Median relative error against mpmath, series vs integral, over
-# 1000 random draws with sum |b_i x_i| <= 1: 4.7e-15 vs 5.3e-16 at max|x_i|
-# 0.45-0.50, 6.6e-14 vs 7.0e-16 at 0.70-0.75, 1.5e-13 vs 7.8e-16 at
-# 0.85-0.90. Raising it waits for a tail bound on the stop (ROADMAP item 3).
+# 0.4 and 0.47, F1 and FD3, over three runs; shared 2-vCPU Xeon, Python
+# 3.11). Cost alone would allow more: at max|x_i| = 0.9 the median series
+# still costs about what the integral does (56-79 against 48-73 us). The
+# budget stays at 40 for accuracy: the three-strikes stop leaves a
+# truncation error that grows with max|x_i|. Median relative error against
+# mpmath, series vs integral, over 1000 random draws with sum |b_i x_i| <= 1:
+# 4.7e-15 vs 5.3e-16 at max|x_i| 0.45-0.50, 6.6e-14 vs 7.0e-16 at 0.70-0.75,
+# 1.5e-13 vs 7.8e-16 at 0.85-0.90. Raising it waits for a tail bound on the
+# stop (ROADMAP item 3).
 _SHELL_BUDGET = 40
 
 # Term-ratio blocks. The ratio r_k = t_(k+1) / (t_k x) of a 2F1 or 3F2
-# series depends on the parameters and k only, so _sum_ratios reads it in
-# blocks of _BLOCK from _ratio_block, which keeps the 1024 blocks used
-# last (32 768 ratios). A kept ratio is the same float as a new one, so no
-# value depends on what is kept.
+# series depends on the parameters and k only, so _sum_value and _sum_ratios
+# read it in blocks of _BLOCK from _ratio_block, which keeps the 1024 blocks
+# used last (32 768 ratios). A kept ratio is the same float as a new one, so
+# no value depends on what is kept.
 _BLOCK = 32
 
 # the absolute tolerance of the integral representations
 _IRT_ATOL = 1e-15
+
+# An endpoint power (plus one) below this has the endpoint value of the
+# Euler integrand's smooth factor integrated exactly (_irt_integral)
+_SMALL_POWER = 1.0 / 26.0
 
 
 def _is_nonpositive_integer(v: float) -> bool:
@@ -167,6 +175,27 @@ def _sum_ratios(params: tuple, x: float, rtol: float) -> tuple[float, float]:
     raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
 
 
+def _sum_value(params: tuple, x: float, rtol: float) -> float:
+    """F of ``_sum_ratios`` alone: the same float operations in the same
+    order, so the same bits and the same refusals, without the slope weight
+    that only the roller root finder's Newton step reads."""
+    if not abs(x) < 1.0:
+        raise DomainError(f"{'2F1' if len(params) == 3 else '3F2'} series needs |x| < 1, got x={x}")
+    partial = term = 1.0
+    quiet = 0
+    for start in range(0, _MAX_TERMS, _BLOCK):
+        for r in _ratio_block(params, start):
+            term *= r * x
+            partial += term
+            if (term if term >= 0.0 else -term) <= rtol * (partial if partial >= 0.0 else -partial):
+                quiet += 1
+                if quiet >= _CONSECUTIVE:
+                    return partial
+            else:
+                quiet = 0
+    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
+
+
 def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL) -> float:
     """2F1(a, b; c; x) for |x| < 1, or x = 1 under the condition c > a + b.
 
@@ -182,7 +211,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float, rtol: float = DEFAULT_RTOL
         if c > a + b:
             return gauss_summation(a, b, c)
         raise DomainError(f"2F1 diverges at x=1 unless c > a + b (c={c}, a+b={a + b})")
-    return _sum_ratios((a, b, c), x, rtol)[0]
+    return _sum_value((a, b, c), x, rtol)
 
 
 def gauss_summation(a: float, b: float, c: float) -> float:
@@ -213,7 +242,7 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
     _check_lower((b1, b2), "3F2")
     if x == 0.0:
         return 1.0
-    return _sum_ratios((a1, a2, a3, b1, b2), x, rtol)[0]
+    return _sum_value((a1, a2, a3, b1, b2), x, rtol)
 
 
 def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
@@ -225,10 +254,18 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     pairs with x_i < 1, and unit arguments are folded into ``unit_b`` by the
     caller.
 
-    The interval is split at 1/2 and on each half the distance from the
-    endpoint is substituted by a power of t carrying the endpoint factor
-    analytically, so the adaptive stage sees a bounded smooth integrand
-    and endpoint powers arbitrarily close to -1 cost no accuracy.
+    The interval is split at 1/2. On each half, with e the distance from
+    the endpoint and own its power plus one, the integrand is e^(own-1) G(e)
+    with G smooth, and e = t^s / 2 turns it into a power of t times G. For
+    own < 4, s = 4/own makes that power exactly t^3, so the adaptive stage
+    sees a smooth integrand that vanishes at t = 0; from 4 on, s = 1 and the
+    power is t^(own-1). For own below
+    _SMALL_POWER that s is so large that every node but the last few has
+    e = 0 and the rule sees G(0) alone; there the integral of
+    e^(own-1) G(0), G(0) 0.5^own / own, is added exactly, and what is left,
+    e^(own-1) (G(e) - G(0)), vanishes like e^own, so s = 4/(own + 1) makes it
+    start at t^3. Both halves are integrated on one error budget, relative
+    to the whole value, exact parts included.
     """
     alpha1 = a              # exponent of u, plus one
     beta1 = c - a - unit_b  # exponent of (1-u), plus one
@@ -238,7 +275,8 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
         return 1.0
 
     def half(own, other, terms):
-        """The half next to one endpoint as a piece for _adaptive, e = distance from it.
+        """The half next to one endpoint as a piece for _adaptive, e = distance
+        from it, and the part of it that is integrated exactly.
 
         ``own``/``other`` are the endpoint powers (plus one) at this and
         the far endpoint; each (n_i, c_i, d_i) in ``terms`` contributes
@@ -247,31 +285,54 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
         exactly; three take the three-factor one.
         """
         assert len(terms) <= 3, f"the integrand holds three factors, got {len(terms)}"
-        s = max(1.0, 3.0 / own)
-        lead, p_own, p_other = s * 0.5 ** own, s * own - 1.0, other - 1.0
-        if len(terms) == 3:
-            (n1, c1, d1), (n2, c2, d2), (n3, c3, d3) = terms
+        padded = terms + [(-0.0, 1.0, 0.0)] * (3 - len(terms))
+        (n1, c1, d1), (n2, c2, d2), (n3, c3, d3) = padded
+        if own < _SMALL_POWER:
+            s = 4.0 / (own + 1.0)
+            try:
+                g0 = math.prod([ci ** ni for ni, ci, _ in padded])  # G(0)
+                exact = g0 * 0.5 ** own / own
+            except ArithmeticError:  # float ** raises on overflow, not give inf
+                exact = math.inf
+            # a G(0) that overflows, or an own so small that 1/own does, is
+            # refused as the panels refuse a node value that is not finite
+            if not math.isfinite(exact):
+                raise UsageError("integrand not finite inside [0.0, 1.0]")
+        else:
+            s = max(1.0, 4.0 / own)
+            g0 = exact = 0.0
+        lead, p_other = s * 0.5 ** own, other - 1.0
 
+        # lead t^3 G(e): the integrand itself for _SMALL_POWER <= own < 4
+        if len(terms) == 3:
             def g(ts):
-                return [lead * t ** p_own * (1.0 - e) ** p_other * (c1 + d1 * e) ** n1
+                return [lead * t * t * t * (1.0 - e) ** p_other * (c1 + d1 * e) ** n1
                         * (c2 + d2 * e) ** n2 * (c3 + d3 * e) ** n3
                         for t in ts for e in [0.5 * t ** s]]
         else:
-            (n1, c1, d1), (n2, c2, d2) = terms + [(-0.0, 1.0, 0.0)] * (2 - len(terms))
-
             def g(ts):
-                return [lead * t ** p_own * (1.0 - e) ** p_other * (c1 + d1 * e) ** n1
+                return [lead * t * t * t * (1.0 - e) ** p_other * (c1 + d1 * e) ** n1
                         * (c2 + d2 * e) ** n2
                         for t in ts for e in [0.5 * t ** s]]
+        if _SMALL_POWER <= own < 4.0:
+            return (g, 0.0, 1.0), exact
 
-        return g, 0.0, 1.0
+        # elsewhere the power of t is s own - 1, and G(0) is taken out below
+        # _SMALL_POWER: lead t^(s own - 1) (G(e) - G(0))
+        q, lead_g0 = s * own - 4.0, lead * g0
+
+        def rescaled(ts):
+            return [t ** q * (v - lead_g0 * t * t * t) for t, v in zip(ts, g(ts))]
+
+        return (rescaled, 0.0, 1.0), exact
 
     # left half: e = u; right half: e = 1 - u, with 1 - x_i u written
     # as (1 - x_i) + x_i e to avoid cancellation. Both halves are positive,
-    # so rtol * |sum| is no looser than the two bounds rtol * |half| added.
-    pieces = [half(alpha1, beta1, [(-bi, 1.0, -xi) for bi, xi in comp]),
-              half(beta1, alpha1, [(-bi, 1.0 - xi, xi) for bi, xi in comp])]
-    total = _adaptive(pieces, rtol, _IRT_ATOL, 4096)[0]
+    # exact parts included, so rtol * |sum| is no looser than the two bounds
+    # rtol * |half| added.
+    left, exact_left = half(alpha1, beta1, [(-bi, 1.0, -xi) for bi, xi in comp])
+    right, exact_right = half(beta1, alpha1, [(-bi, 1.0 - xi, xi) for bi, xi in comp])
+    total = _adaptive([left, right], rtol, _IRT_ATOL, 4096, exact_left + exact_right)[0]
     # G(c) / (G(a) G(c-a)) with c > a > 0: all arguments positive
     return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * total
 

@@ -333,6 +333,7 @@ def test_gate_verdicts_at_the_bound(monkeypatch, rod, gate):
     # reaction 3qL/8 would not
     monkeypatch.setattr(elastica, "hyp_3f2", lambda *args, **kwargs: 1.0)
     monkeypatch.setattr(redundancy, "_sum_ratios", lambda *args, **kwargs: (1.0, 1.0))
+    monkeypatch.setattr(redundancy, "_sum_value", lambda *args, **kwargs: 1.0)
     monkeypatch.setattr(redundancy, "_find_roller_root", lambda *args, **kwargs: 0.0)
     shape, call = GATES[gate]
     bound = BOUNDS[shape](rod)

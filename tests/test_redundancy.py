@@ -112,23 +112,27 @@ def test_roller_root_displacement_kernel():
 
 
 def _count_3f2_sums(monkeypatch):
-    """The argument of every 3F2 a solve sums, as it passes the one summation
-    loop, which sums the slope beside the value."""
+    """The argument of every 3F2 a solve sums, as it passes either summation
+    loop: the one that sums the value alone, or the one that sums the slope
+    beside it."""
     args = []
-    loop = special_functions._sum_ratios
 
-    def counting(params, x, rtol):
-        args.append(x)
-        return loop(params, x, rtol)
+    def counted(loop):
+        def counting(params, x, rtol):
+            args.append(x)
+            return loop(params, x, rtol)
+        return counting
 
-    monkeypatch.setattr(special_functions, "_sum_ratios", counting)
-    monkeypatch.setattr(redundancy, "_sum_ratios", counting)
+    for name in ("_sum_ratios", "_sum_value"):
+        counting = counted(getattr(special_functions, name))
+        monkeypatch.setattr(special_functions, name, counting)
+        monkeypatch.setattr(redundancy, name, counting)
     return args
 
 
 def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     # the bracket top is the cap 0.999 * 2EJ/L^2; every 3F2 the solve sums
-    # goes through the summation loop, the load side through the one
+    # goes through a summation loop, the load side through the one
     # _roller_residual that serves the root finder and the reported residual
     args = _count_3f2_sums(monkeypatch)
     solve_roller(ROD, Q, method="root_find")
@@ -141,6 +145,24 @@ def test_root_find_sums_the_load_side_once_and_never_at_the_cap(monkeypatch):
     # 1 load side + 1 Newton step from the Pade seed, its value and slope
     # from one sum, + 1 for the residual at the last iterate
     assert len(args) == 3
+
+
+def test_only_the_newton_step_sums_the_slope(monkeypatch):
+    # the load side and the reported residual read F alone, so they take the
+    # value loop; the one Newton step from the seed takes the slope loop
+    slopes = []
+    loop = redundancy._sum_ratios
+
+    def counting(params, x, rtol):
+        slopes.append(x)
+        return loop(params, x, rtol)
+
+    monkeypatch.setattr(redundancy, "_sum_ratios", counting)
+    sol = solve_roller(ROD, Q, method="root_find")
+    assert len(slopes) == 1
+    roller_consistency(ROD, Q, sol.X)
+    solve_roller(ROD, Q, method="series")
+    assert len(slopes) == 1
 
 
 @pytest.mark.parametrize("kernel", ["expansion", "displacement"])
@@ -877,6 +899,7 @@ def test_solve_roller_refuses_usage_before_any_sum(monkeypatch, kwargs):
         raise AssertionError("a 3F2 was summed")
 
     monkeypatch.setattr(redundancy, "_sum_ratios", no_sum)
+    monkeypatch.setattr(redundancy, "_sum_value", no_sum)
     with pytest.raises(UsageError):
         solve_roller(ROD, Q, **kwargs)
 
@@ -889,6 +912,7 @@ def test_linearized_and_series_sum_nothing_they_do_not_report(monkeypatch):
         raise AssertionError("a 3F2 was summed")
 
     monkeypatch.setattr(redundancy, "_sum_ratios", no_sum)
+    monkeypatch.setattr(redundancy, "_sum_value", no_sum)
     sol = solve_roller(ROD, 1199.999, method="linearized")
     assert (sol.X, sol.residual) == (3.0 * 1199.999 / 8.0, None)
     with pytest.raises(InfeasibleLoadError, match=re.escape("violates |P| < 2*EJ/L^2 = 400 N")):
@@ -916,6 +940,7 @@ def test_consistency_residual_refuses_rtol_after_its_gates(monkeypatch, rtol):
         raise AssertionError("a 3F2 was summed")
 
     monkeypatch.setattr(redundancy, "_sum_ratios", no_sum)
+    monkeypatch.setattr(redundancy, "_sum_value", no_sum)
     with pytest.raises(UsageError, match="tolerance"):
         roller_consistency(ROD, Q, 300.0, rtol=rtol)
     # the load and X gates speak first

@@ -6,6 +6,7 @@ formula) so a shared bug cannot cancel out.
 """
 
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodbend import special_functions
+from rodbend import quadrature, special_functions
 from rodbend.errors import DomainError, UsageError
 from rodbend.quadrature import IntegrandSpec, integrate
 from rodbend.special_functions import (
@@ -477,6 +478,41 @@ def test_sum_ratios_bits_unchanged(params, x, f_bits, s_bits):
     assert (f.hex(), s.hex()) == (f_bits, s_bits)
 
 
+# gauss_2f1, hyp_3f2 and the roller's load side and residual sum F alone
+# (_sum_value); the roller's Newton step sums F and S (_sum_ratios). The two
+# loops must give F the same bits
+@pytest.mark.parametrize("params, x, f_bits", [row[:3] for row in _SUM_RATIOS_BITS])
+def test_value_loop_gives_the_slope_loops_value_to_the_bit(params, x, f_bits):
+    assert special_functions._sum_value(params, x, 1e-13).hex() == f_bits
+
+
+def test_value_loop_gives_the_slope_loops_value_on_seeded_draws():
+    # negative arguments and parameters of either sign, at two tolerances
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        params = tuple(float(v) for v in rng.uniform(-4.0, 4.0, size=rng.choice([3, 5])))
+        x, rtol = float(rng.uniform(-0.95, 0.95)), float(rng.choice([1e-13, 1e-6]))
+        want = special_functions._sum_ratios(params, x, rtol)[0]
+        assert special_functions._sum_value(params, x, rtol).hex() == want.hex(), (params, x)
+
+
+@pytest.mark.parametrize("params, x", [(_ARCSIN, 1.0), (_ARCSIN, -1.0), (_UNIFORM, 1.5),
+                                       (_UNIFORM, -3.0), (_BUILTIN, math.nan)])
+def test_value_loop_refuses_what_the_slope_loop_refuses(monkeypatch, params, x):
+    errors = []
+    for loop in (special_functions._sum_ratios, special_functions._sum_value):
+        with pytest.raises(DomainError) as excinfo:
+            loop(params, x, 1e-13)
+        errors.append(str(excinfo.value))
+    # and both give up at the term cap with the same message
+    monkeypatch.setattr(special_functions, "_MAX_TERMS", 64)
+    for loop in (special_functions._sum_ratios, special_functions._sum_value):
+        with pytest.raises(DomainError) as excinfo:
+            loop(params, 0.999, 1e-13)
+        errors.append(str(excinfo.value))
+    assert errors[0] == errors[1] and errors[2] == errors[3] == "series did not converge within 64 terms"
+
+
 def test_ratio_tables_stay_bounded():
     # many parameter tuples, then two long sums: more blocks than are kept
     calls = [("hyp_3f2", (0.25 + i / 8, 1.0, 1.5, 7.0 / 6.0, 5.0 / 3.0, 0.5)) for i in range(16)]
@@ -836,13 +872,92 @@ def test_euler_integral_runs_at_the_callers_tolerance(monkeypatch, call, rtol):
     seen = []
     adaptive = special_functions._adaptive
 
-    def spy(pieces, rtol, atol, max_subdivisions):
+    def spy(pieces, rtol, atol, max_subdivisions, start=0.0):
         seen.append(rtol)
-        return adaptive(pieces, rtol, atol, max_subdivisions)
+        return adaptive(pieces, rtol, atol, max_subdivisions, start)
 
     monkeypatch.setattr(special_functions, "_adaptive", spy)
     call() if rtol is None else call(rtol=rtol)
     assert seen == [1e-13 if rtol is None else rtol]
+
+
+# an endpoint power (plus one) near 0: substituted with s = 3/own, every
+# Kronrod node had e = 0, so K41 equalled G20 and the rule stopped on
+# G(0) 0.5^own/own alone, 1.0e-7, 3.6e-7 and 1.0e-9 from these values
+@pytest.mark.parametrize("a, c", [(1e-6, 1.0), (1.0, 1.0 + 1e-6), (1e-8, 1.0)],
+                         ids=["a 1e-6", "c-a 1e-6", "a 1e-8"])
+def test_euler_integral_at_a_tiny_endpoint_power(a, c):
+    got = appell_f1(a, 0.5, 0.5, c, 0.7, -0.4)
+    assert got.hex() == appell_f1(a, 0.5, 0.5, c, 0.7, -0.4, method="integral").hex()
+    with mp.workdps(30):
+        want = lauricella_fd(a, (0.5, 0.5), c, (0.7, -0.4))[0]
+    assert rel_err(got, want) <= 1e-13
+
+
+# the exact endpoint part G(0) 0.5^own/own overflows: 1/own at a subnormal
+# a, and G(0) = (1 - x1)^(-b1) = 0.01^-200 at c - a = 0.01
+@pytest.mark.parametrize("args", [(1e-320, 0.5, 0.5, 1.0, 0.7, -0.4),
+                                  (0.5, 200.0, 0.5, 0.51, 0.99, 0.1)], ids=["1/own", "G(0)"])
+def test_euler_integral_refuses_an_endpoint_part_that_overflows(args):
+    with pytest.raises(UsageError, match=re.escape("integrand not finite inside [0.0, 1.0]")):
+        appell_f1(*args)
+
+
+def _euler_draws():
+    """40 seeded F1/FD3 inputs of the integral route, 10 in each family:
+    an endpoint power (a or c - a) from 1e-9 to 0.05, both from 0.05 to 4,
+    both from 4 to 20, and an FD3 with a unit slot whose (1-u) power
+    c - a - b_unit is from 1e-6 to 3; |x_i| <= 0.6 elsewhere."""
+    rng = np.random.default_rng(3535)
+    draws = []
+    for i in range(40):
+        family = i // 10
+        n = 3 if family == 3 else 2 + i % 2
+        b = [float(v) for v in rng.uniform(-2.0, 2.0, size=n)]
+        x = [float(v) for v in rng.uniform(-0.6, 0.6, size=n)]
+        if family == 0:
+            tiny, other = 10.0 ** rng.uniform(-9.0, math.log10(0.05)), rng.uniform(0.3, 3.0)
+            a, c = (tiny, tiny + other) if i % 4 < 2 else (other, other + tiny)
+        elif family == 1:
+            a = rng.uniform(0.05, 4.0)
+            c = a + rng.uniform(0.05, 4.0)
+        elif family == 2:
+            a = rng.uniform(4.0, 20.0)
+            c = a + rng.uniform(4.0, 20.0)
+        else:
+            slot = i % 3
+            a, x[slot] = rng.uniform(0.2, 3.0), 1.0
+            c = a + max(b[slot], 0.0) + 10.0 ** rng.uniform(-6.0, math.log10(3.0))
+        draws.append((float(a), b, float(c), x))
+    return draws
+
+
+def test_euler_integral_draws_are_within_rtol_of_the_oracle(monkeypatch):
+    panels = []
+    panel = quadrature._panel
+
+    def counting(f, lo, hi):
+        panels.append((lo, hi))
+        return panel(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel", counting)
+    for a, b, c, x in _euler_draws():
+        if len(x) == 2:
+            got = appell_f1(a, *b, c, *x, method="integral")
+        else:
+            got = lauricella_fd3(a, b, c, x, method="integral")
+        unit = sum(bi for bi, xi in zip(b, x) if xi == 1.0)
+        rest = [(bi, xi) for bi, xi in zip(b, x) if xi != 1.0]
+        with mp.workdps(30):
+            # a unit slot: G(c) G(c-a-b_unit) / (G(c-a) G(c-b_unit)) times the
+            # FD of the other slots with c lowered by b_unit
+            want = mp.gammaprod([c, c - a - unit], [c - a, c - unit]) * lauricella_fd(
+                a, [bi for bi, _ in rest], c - unit, [xi for _, xi in rest])[0]
+        assert rel_err(got, want) <= 1e-13, (a, b, c, x)
+    # 41-node panels over all 40 draws: 2.65 per call. Substituted with
+    # s = 3/own and no exact part, the same draws took 228, and 8 of them
+    # (the tiny endpoint powers below 1e-4) missed 1e-13 by up to 1.2e-5
+    assert len(panels) == 106
 
 
 # F1 and FD3 values on each route, as float.hex: the route choice, the
@@ -850,7 +965,11 @@ def test_euler_integral_runs_at_the_callers_tolerance(monkeypatch, call, rtol):
 # move a bit. Re-pinned: "F1 series" by one ulp when the shells came from
 # their recurrence (relative error against mpmath 7.98e-14 -> 8.00e-14),
 # "FD3 auto, unit argument" when the two halves of the Euler integral came
-# to share one error budget (7.0e-16 -> 3.6e-16)
+# to share one error budget (7.0e-16 -> 3.6e-16); four of the six
+# integral-route cases by one or two ulps when the Euler substitution came
+# to make the endpoint power t^3: "F1 auto, integral at 0.8" 2.8e-16 ->
+# 4.5e-16, "F1 cancelling, auto" 1.2e-16 -> 2.5e-16, "FD3 auto, integral at
+# 0.8" 1.0e-16 -> 4.2e-16, "FD3 auto, unit argument" 3.6e-16 -> 5.3e-16
 _FD_ROUTE_BITS = {
     "F1 auto, series": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.2, -0.12),
                         "0x1.0954d5f53eacbp+0"),
@@ -858,18 +977,18 @@ _FD_ROUTE_BITS = {
                           "0x1.3631aa1ad0c4dp+0"),
     "F1 series": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, -0.4, method="series"),
                   "0x1.3631aa1ad0a98p+0"),
-    "F1 cancelling, auto": (lambda: appell_f1(*_CANCELLING_F1), "0x1.b871975458929p-7"),
+    "F1 cancelling, auto": (lambda: appell_f1(*_CANCELLING_F1), "0x1.b87197545892ap-7"),
     "FD3 auto, unit argument": (
         lambda: lauricella_fd3(0.5, (0.3, 0.3, 0.3), 1.5, (0.2, 0.1, 1.0)),
-        "0x1.4df62b7f2ddc5p+0"),
+        "0x1.4df62b7f2ddc4p+0"),
     "FD3 auto, integral": (
         lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.7, -0.4, 0.3)),
         "0x1.5039245447ac8p+0"),
     "F1 auto, integral at 0.8": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.8, -0.4),
-                                 "0x1.4a7045c48083dp+0"),
+                                 "0x1.4a7045c48083ep+0"),
     "FD3 auto, integral at 0.8": (
         lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.8, -0.4, 0.3)),
-        "0x1.6724eb6536ac9p+0"),
+        "0x1.6724eb6536acbp+0"),
 }
 
 
@@ -885,22 +1004,25 @@ def test_fd_route_bits_unchanged(case):
 # integrand multiplied in one factor per live slot. The shell loop now runs
 # a fixed three-slot window with zero steps past the live factors, and the
 # integrand a two- or three-factor expression padded with exact ones, so
-# every count of live factors must give the same bits
+# every count of live factors must give the same bits. The integral bits of
+# "F1, 2 live", "FD3, 2 live" and "FD3, 3 live" were re-pinned when the
+# Euler substitution came to make the endpoint power t^3 (relative error
+# against mpmath 1.9e-16 -> 1.3e-17 and 2.4e-16 -> 4.4e-17)
 _LIVE_FACTOR_BITS = {
     "F1, 0 live": (lambda m: appell_f1(1.0, 0.0, 0.6, 2.3, 0.4, 0.0, method=m),
                    ("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
     "F1, 1 live": (lambda m: appell_f1(1.0, 0.6, 0.4, 2.3, 0.4, 0.0, method=m),
                    ("0x1.21a1b2a1b11b2p+0", "0x1.21a1b2a1b11c7p+0")),
     "F1, 2 live": (lambda m: appell_f1(1.0, 0.6, 0.4, 2.3, 0.4, -0.3, method=m),
-                   ("0x1.13856b0c4c33cp+0", "0x1.13856b0c4c366p+0")),
+                   ("0x1.13856b0c4c33cp+0", "0x1.13856b0c4c367p+0")),
     "FD3, 0 live": (lambda m: lauricella_fd3(1.0, (0.0, 0.5, 0.7), 2.3, (0.4, 0.0, 0.0), method=m),
                     ("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
     "FD3, 1 live": (lambda m: lauricella_fd3(1.0, (0.6, 0.0, 0.7), 2.3, (0.4, -0.3, 0.0), method=m),
                     ("0x1.21a1b2a1b11b2p+0", "0x1.21a1b2a1b11c7p+0")),
     "FD3, 2 live": (lambda m: lauricella_fd3(1.0, (0.6, 0.4, 0.0), 2.3, (0.4, -0.3, 0.2), method=m),
-                    ("0x1.13856b0c4c33cp+0", "0x1.13856b0c4c366p+0")),
+                    ("0x1.13856b0c4c33cp+0", "0x1.13856b0c4c367p+0")),
     "FD3, 3 live": (lambda m: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.4, -0.3, 0.2), method=m),
-                    ("0x1.21340b1adb30ap+0", "0x1.21340b1adb31fp+0")),
+                    ("0x1.21340b1adb30ap+0", "0x1.21340b1adb31ep+0")),
 }
 
 # the integral route alone: a unit slot folded into the (1-u) power, beside
@@ -923,7 +1045,12 @@ _UNIT_SLOT_BITS = {
 # factor _SLOT_LIVE[digit], "b" a factor with b_i = 0, "x" one with x_i = 0,
 # "u" a unit argument (the integral route alone); three slots are an FD3,
 # two an F1. The live factors are chosen so that their order moves the last
-# bits, so a slot read out of turn shows
+# bits, so a slot read out of turn shows. Integral bits re-pinned when the
+# Euler substitution came to make the endpoint power t^3, with the relative
+# error against mpmath: the six orders of "012", 2.0e-16-3.4e-16 -> 8.5e-17;
+# "x12", "1b2" and "12x", 2.0e-16 -> 3.6e-17; the unit slots "u01", "0u1"
+# and "10u", 9.5e-17 -> 2.7e-16, "xu0" 6.2e-17 -> 1.4e-16 and "uxb"
+# 1.9e-16 -> 4.5e-17
 _SLOT_LIVE = ((0.62, 0.41), (-0.73, -0.24), (1.41, 0.32))
 _SLOT_DEAD = {"b": (0.0, 0.5), "x": (0.7, 0.0), "u": (0.6, 1.0)}
 
@@ -937,12 +1064,12 @@ def _slot_call(pattern, method="auto"):
 
 
 _SLOT_BITS = {
-    "012": ("0x1.941dfe786f810p+0", "0x1.941dfe786f833p+0"),
-    "021": ("0x1.941dfe786f810p+0", "0x1.941dfe786f833p+0"),
-    "102": ("0x1.941dfe786f810p+0", "0x1.941dfe786f833p+0"),
-    "120": ("0x1.941dfe786f80fp+0", "0x1.941dfe786f833p+0"),
-    "201": ("0x1.941dfe786f810p+0", "0x1.941dfe786f832p+0"),
-    "210": ("0x1.941dfe786f80fp+0", "0x1.941dfe786f832p+0"),
+    "012": ("0x1.941dfe786f810p+0", "0x1.941dfe786f830p+0"),
+    "021": ("0x1.941dfe786f810p+0", "0x1.941dfe786f830p+0"),
+    "102": ("0x1.941dfe786f810p+0", "0x1.941dfe786f830p+0"),
+    "120": ("0x1.941dfe786f80fp+0", "0x1.941dfe786f830p+0"),
+    "201": ("0x1.941dfe786f810p+0", "0x1.941dfe786f830p+0"),
+    "210": ("0x1.941dfe786f80fp+0", "0x1.941dfe786f830p+0"),
     "x01": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
     "0b1": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
     "01x": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
@@ -952,9 +1079,9 @@ _SLOT_BITS = {
     "x10": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
     "1b0": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
     "10x": ("0x1.3b030c8ffcc4ap+0", "0x1.3b030c8ffcc62p+0"),
-    "x12": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
-    "1b2": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
-    "12x": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239535p+0"),
+    "x12": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239534p+0"),
+    "1b2": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239534p+0"),
+    "12x": ("0x1.5c54eac23952bp+0", "0x1.5c54eac239534p+0"),
     "b20": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
     "2x0": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
     "20b": ("0x1.7428d868a319ap+0", "0x1.7428d868a31b5p+0"),
@@ -978,14 +1105,14 @@ _SLOT_BITS = {
     "b2": ("0x1.420833b643b0ap+0", "0x1.420833b643b20p+0"),
 }
 _UNIT_SLOT_PATTERN_BITS = {
-    "u01": "0x1.3bf84c1834716p+1",
-    "0u1": "0x1.3bf84c1834716p+1",
-    "10u": "0x1.3bf84c1834716p+1",
+    "u01": "0x1.3bf84c1834718p+1",
+    "0u1": "0x1.3bf84c1834718p+1",
+    "10u": "0x1.3bf84c1834718p+1",
     "u2b": "0x1.466fecb865771p+1",
-    "xu0": "0x1.1dc0acfaabe34p+1",
+    "xu0": "0x1.1dc0acfaabe33p+1",
     "b1u": "0x1.05ab1a2380399p+1",
     "2ux": "0x1.466fecb865771p+1",
-    "uxb": "0x1.db6db6db6db6dp+0",
+    "uxb": "0x1.db6db6db6db6fp+0",
 }
 _LIVE_FACTOR_BITS.update({f"slots {p}": (lambda m, p=p: _slot_call(p, m), bits)
                           for p, bits in _SLOT_BITS.items()})
