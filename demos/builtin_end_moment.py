@@ -5,12 +5,16 @@ the redundant unknown is the clamping moment X. The series route
 analytically continues a leading-order approximation of the tip
 integral, so its limit differs from the exact closed route by design;
 both are printed side by side. The exact tip integral itself is printed
-by its two routes, its positive series (the default) and the quadrature.
+by its two routes: its positive series, which the closed route sums, and
+the deflection quadrature at the clamp, the dual route of every tip
+closed form.
 """
 
 from rodbend import (
+    BuiltInCombined,
     RodProperties,
     builtin_tip_integral,
+    integrate_deflection,
     solve_builtin,
     stabilized_from,
 )
@@ -30,7 +34,7 @@ print(f"closed, approximate integral : {closed_approx.X:.6f} N m")
 print(f"closed, exact integral       : {closed_exact.X:.6f} N m")
 
 i_series = builtin_tip_integral(rod, q)
-i_quad = builtin_tip_integral(rod, q, mode="quadrature")
+i_quad = integrate_deflection(BuiltInCombined(q), rod, 0.0, rtol=1e-13)
 i_approx = builtin_tip_integral(rod, q, mode="hyp_approx")
 print(f"\ntip integral I [m]: exact by its series {i_series:.15f}, by quadrature "
       f"{i_quad:.15f}")

@@ -287,12 +287,7 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10) -> float:
     NearCriticalLoadError when the relative margin is below 1e-6, where
     the integrand is numerically intractable.
     """
-    return _deflection(load, rod, _position(x, rod), _check_rtol(rtol))
-
-
-def _deflection(load, rod, x: float, rtol: float) -> float:
-    """``integrate_deflection`` at a checked position and rtol: the one
-    _adaptive piece a hint-free ``integrate`` sums, with its atol 1e-14."""
+    x, rtol = _position(x, rod), _check_rtol(rtol)
     L, EJ = rod.L, rod.EJ
     if x == L:
         return 0.0
@@ -312,6 +307,7 @@ def _deflection(load, rod, x: float, rtol: float) -> float:
     def integrand(xis):
         return [h / math.sqrt((EJ - h) * (EJ + h)) for h in [load.H(xi, L) for xi in xis]]
 
+    # the one piece a hint-free ``integrate`` would sum, with its atol 1e-14
     try:
         value, _ = _adaptive([(integrand, x, L)], rtol, 1e-14, 4096)
     except _NotConverged as exc:

@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from ._value import Frozen, set_field
 from .elastica import (_TIP_PARAMS, BuiltInCombined, RodProperties, TipShear, UniformLoad,
                        _require_feasible, _tip_argument, _tip_closed_form, feasibility_check)
 from .errors import (DEFAULT_RTOL, BracketError, NearCriticalLoadError, UsageError, _check_rtol,
                      _integer)
-from .quadrature import _deflection
-from .series_tools import PowerSeries, compose, hyp3f2_taylor, lagrange_revert
 from .special_functions import _MAX_TERMS, _shells_within, _sum_ratios, _sum_value
+
+if TYPE_CHECKING:  # the series code imports series_tools and fractions where it runs
+    from .series_tools import PowerSeries
 
 __all__ = [
     "RedundancySolution",
@@ -194,6 +195,10 @@ def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float):
 def _tip_series(d: int, r: int, params, order: int) -> PowerSeries:
     """(w/d) pFq(params; (w/r)^2) exactly, a tip closed form over L in w = m L^p/EJ;
     a 2F1 is padded to a 3F2 with a 1 above and below, which is exact in rationals only."""
+    from fractions import Fraction
+
+    from .series_tools import PowerSeries, hyp3f2_taylor
+
     a = [Fraction(n, m) for n, m in params]
     u = hyp3f2_taylor(a[:2] + [1, 1] + a[2:] if len(a) == 3 else a, order).coefficients
     return PowerSeries(tuple(Fraction(r, d) * c / r ** k for k, c in enumerate(u)), order)
@@ -203,6 +208,8 @@ def _tip_series(d: int, r: int, params, order: int) -> PowerSeries:
 def _roller_series_cached(order: int, kernel: str) -> PowerSeries:
     # zero tip displacement: the reaction's tip series at v = X L^2/EJ, with the
     # parameters of ``kernel``, equals the load's at w, so v(w) is its reversion at it
+    from .series_tools import compose, lagrange_revert
+
     d, r, _ = TipShear.tip
     reaction = _tip_series(-d, r, _KERNEL_SHAPES[kernel].tip[2], order)
     return compose(lagrange_revert(reaction), _tip_series(*UniformLoad.tip, order))
@@ -230,6 +237,8 @@ def builtin_reaction_series(order: int = 19) -> PowerSeries:
     closed map 2 phi/(1 + phi^2) with the tip-integral series phi(w).
     """
     _check_order(order)
+    from .series_tools import PowerSeries, compose
+
     # phi(w) = I/L, the 2F1 approximation of the tip integral over L
     phi = _tip_series(*BuiltInCombined.tip, order)
     # 2 t / (1 + t^2) = 2 sum (-1)^m t^(2m+1)
@@ -370,8 +379,8 @@ def _radius(rod: RodProperties, q: float, relation: str) -> str:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in ("series", "quadrature", "hyp_approx"):
-        raise UsageError(f"mode must be 'series', 'quadrature' or 'hyp_approx', got {mode!r}")
+    if mode not in ("series", "hyp_approx"):
+        raise UsageError(f"mode must be 'series' or 'hyp_approx', got {mode!r}")
 
 
 def _pfaff_j(n: int) -> float:
@@ -442,10 +451,10 @@ def builtin_tip_integral(rod: RodProperties, q: float, mode: str = "series",
     positive; it stops when the tail bound t (w/12)^2/(1 - (w/12)^2) of its
     last term t is at most 2^-53 of the sum, not at ``rtol``, which is
     checked but unused. It answers only I < L (w < 11.669): a partial sum
-    that reaches L is refused with NearCriticalLoadError. "quadrature"
-    integrates the exact integrand adaptively to ``rtol``; "hyp_approx" uses
-    the closed 2F1 approximation, which is reliable only well below the
-    critical load (leading order in q) and is refused with
+    that reaches L is refused with NearCriticalLoadError. Its dual route is
+    the quadrature ``integrate_deflection(BuiltInCombined(q), rod, 0.0, rtol)``.
+    "hyp_approx" uses the closed 2F1 approximation, which is reliable only
+    well below the critical load (leading order in q) and is refused with
     NearCriticalLoadError past w = 6, where its argument w^2/36 passes 1,
     and below it where its series would need more than 10^6 terms.
     """
@@ -470,8 +479,6 @@ def _tip_integral(load: BuiltInCombined, rod: RodProperties, mode: str, rtol: fl
                 f"EJ/L = {rod.EJ / rod.L:.6g} N m"
             )
         return rod.L * phi
-    if mode == "quadrature":
-        return _deflection(load, rod, 0.0, rtol)
     x = _tip_argument(BuiltInCombined, rod)(q)
     if x > 1.0:
         raise NearCriticalLoadError(
@@ -496,17 +503,14 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
     'closed' evaluates X = 2 EJ I / (L^2 + I^2) with the tip integral I
     from ``integral_mode`` (see ``builtin_tip_integral``): the tip couple
     whose deflection ``tip_deflection_moment`` cancels I. That couple
-    stays below its bound EJ/L only while I < L (w = qL^3/EJ < 11.669), so
-    a larger I is refused with NearCriticalLoadError. The default mode
-    "series" sums the exact integral's positive series to its tail bound
-    2^-53, not to ``rtol``, and refuses as soon as a partial sum reaches
-    L, after at most about 570 terms; "quadrature" is its dual route, at
-    ``rtol``. The series method follows the 2F1-approximation
-    route, so its limit is the closed value with mode "hyp_approx", and
-    like that route it is refused with NearCriticalLoadError from its
-    radius w = qL^3/EJ = 6 on, half the feasible range.
-    ``n_terms`` is the largest series index k, so the series sums the
-    n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
+    stays below its bound EJ/L only while I < L (w = qL^3/EJ < 11.669),
+    and neither mode returns a larger I. The dual route takes I from
+    ``integrate_deflection(BuiltInCombined(q), rod, 0.0, rtol)``. The
+    series method follows the 2F1-approximation route, so its limit is the
+    closed value with mode "hyp_approx", and like that route it is refused
+    with NearCriticalLoadError from its radius w = qL^3/EJ = 6 on, half
+    the feasible range. ``n_terms`` is the largest series index k, so the
+    series sums the n_terms + 1 nonzero terms w^1 .. w^(2 n_terms + 1).
     """
     _check_mode(integral_mode)
     rtol = _check_rtol(rtol)
@@ -530,11 +534,6 @@ def solve_builtin(rod: RodProperties, q: float, method: str, n_terms: int = 11,
         X, label = trace[-1][1], f"series({n_terms})"
     elif method == "closed":
         i_val = _tip_integral(load, rod, integral_mode, rtol)
-        if i_val >= L:
-            raise NearCriticalLoadError(
-                f"tip integral I = {i_val:.6g} m reaches L = {L:.6g} m: the end moment "
-                f"cancelling it would pass the tip-couple bound EJ/L = {EJ / L:.6g} N m"
-            )
         X = 2.0 * EJ * i_val / (L ** 2 + i_val ** 2)
         trace, label = (), f"closed({integral_mode})"
     else:

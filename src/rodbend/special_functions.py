@@ -220,9 +220,12 @@ def gauss_summation(a: float, b: float, c: float) -> float:
     A pole of G(c-a) or G(c-b) in the denominator makes the value exactly 0.
     """
     _finite("Gauss summation", a, b, c)  # admitted; the arithmetic stays in the given types
-    if not c > a + b:
+    # c - a - b of floats rounded once: rounding c - a first is amplified near a
+    # pole of G or at a small c - a - b; an int or Fraction stays exact
+    rest = math.fsum((c, -a, -b)) if any(isinstance(v, float) for v in (a, b, c)) else c - a - b
+    if not rest > 0:
         raise DomainError(f"Gauss summation needs c > a + b, got c={c}, a+b={a + b}")
-    args = (c, c - a - b, c - a, c - b)
+    args = (c, rest, c - a, c - b)
     for v in args[:2]:
         if _is_nonpositive_integer(v):
             raise DomainError(f"gamma argument {v} is a nonpositive integer")
@@ -246,13 +249,12 @@ def hyp_3f2(a1: float, a2: float, a3: float, b1: float, b2: float, x: float,
 
 
 def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
-                  rtol: float, unit_b: float = 0.0) -> float:
+                  rtol: float, beta: float) -> float:
     """Euler-type integral for F1/FD values.
 
-    prefactor(a, c) * int_0^1 u^(a-1) (1-u)^(beta-1) prod (1-x_i u)^(-b_i) du
-    with beta = c - a - unit_b; ``factors`` lists at most three (b_i, x_i)
-    pairs with x_i < 1, and unit arguments are folded into ``unit_b`` by the
-    caller.
+    prefactor(a, c) * int_0^1 u^(a-1) (1-u)^(beta-1) prod (1-x_i u)^(-b_i) du;
+    ``factors`` lists at most three (b_i, x_i) pairs with x_i < 1, and the
+    caller folds the unit arguments' b_i into beta = c - a - b_unit.
 
     The interval is split at 1/2. On each half, with e the distance from
     the endpoint and own its power plus one, the integrand is e^(own-1) G(e)
@@ -267,10 +269,8 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     start at t^3. Both halves are integrated on one error budget, relative
     to the whole value, exact parts included.
     """
-    alpha1 = a              # exponent of u, plus one
-    beta1 = c - a - unit_b  # exponent of (1-u), plus one
     comp = [(bi, xi) for bi, xi in factors if bi != 0.0 and xi != 0.0]
-    if not comp and not unit_b:
+    if not comp and beta == c - a:
         # the integral is B(a, c-a) itself; return the exact quotient
         return 1.0
 
@@ -330,8 +330,8 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     # as (1 - x_i) + x_i e to avoid cancellation. Both halves are positive,
     # exact parts included, so rtol * |sum| is no looser than the two bounds
     # rtol * |half| added.
-    left, exact_left = half(alpha1, beta1, [(-bi, 1.0, -xi) for bi, xi in comp])
-    right, exact_right = half(beta1, alpha1, [(-bi, 1.0 - xi, xi) for bi, xi in comp])
+    left, exact_left = half(a, beta, [(-bi, 1.0, -xi) for bi, xi in comp])
+    right, exact_right = half(beta, a, [(-bi, 1.0 - xi, xi) for bi, xi in comp])
     total = _adaptive([left, right], rtol, _IRT_ATOL, 4096, exact_left + exact_right)[0]
     # G(c) / (G(a) G(c-a)) with c > a > 0: all arguments positive
     return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * total
@@ -373,20 +373,21 @@ def _fd_route(name: str, method: str, a: float, b: Sequence[float], c: float,
     if method == "integral":
         if not c > a > 0:
             raise DomainError(f"{name} integral path needs c > a > 0, got a={a}, c={c}")
-        unit_b = 0.0
-        factors = []
+        unit_b, factors = [], []
         for bi, xi in zip(b, x):
             if xi > 1:
                 raise DomainError(f"{name} argument {xi} > 1 is outside the real domain")
             if xi == 1.0:
-                unit_b += bi
+                unit_b.append(bi)
             else:
                 factors.append((bi, xi))
-        if unit_b and not c > a + unit_b:
-            raise DomainError(
-                f"unit argument needs c > a + b_i at the unit slots (c={c}, a+b={a + unit_b})"
-            )
-        return _irt_integral(a, c, factors, rtol=rtol, unit_b=unit_b)
+        # the (1-u) power c - a - b_unit, rounded once, is the value the check
+        # tests; c > a makes it positive without a unit slot
+        beta = math.fsum([c, -a] + [-bi for bi in unit_b])
+        if not beta > 0.0:
+            raise DomainError(f"unit argument needs c > a + b_i at the unit slots "
+                              f"(c={c}, a+b={a + math.fsum(unit_b)})")
+        return _irt_integral(a, c, factors, rtol=rtol, beta=beta)
 
     if not top < 1.0:
         raise DomainError(f"{name} series needs all |x_i| < 1, got {x}")

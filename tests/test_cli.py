@@ -611,5 +611,13 @@ def test_eval_loads_only_the_special_functions(name):
 def test_deflect_loads_no_series_code(name):
     loaded = _rodbend_loads(COMMANDS[name])
     assert "rodbend.elastica" in loaded
-    # a cold ``import fractions`` costs milliseconds; only solve and table need it
+    # a cold ``import fractions`` costs milliseconds; only the series code needs it
     assert not {"rodbend.redundancy", "rodbend.series_tools", "fractions"} & loaded
+
+
+@pytest.mark.parametrize("name", [n for n in COMMANDS if n.startswith("solve")])
+def test_solve_loads_no_series_code(name):
+    # redundancy imports series_tools and fractions only where a series is built
+    loaded = _rodbend_loads(COMMANDS[name])
+    assert "rodbend.redundancy" in loaded
+    assert not {"rodbend.series_tools", "fractions"} & loaded

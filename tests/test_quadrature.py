@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from rodbend import quadrature
-from rodbend.elastica import RodProperties, TipMoment, TipShear, UniformLoad
+from rodbend.elastica import BuiltInCombined, RodProperties, TipMoment, TipShear, UniformLoad
 from rodbend.errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
 from rodbend.quadrature import IntegrandSpec, integrate, integrate_deflection
-from rodbend.redundancy import solve_builtin
 from rodbend.special_functions import appell_f1, lauricella_fd3
 
 from _oracle import gauss_kronrod
@@ -214,8 +213,8 @@ def test_panel_is_the_node_by_node_sum_to_the_bit(f, lo, hi):
     assert [v.hex() for v in got] == [v.hex() for v in _panel_node_by_node(f, lo, hi)]
 
 
-# integrand evaluations, counted as panels x 41 nodes: the built-in closed
-# solve at q = 1000 on its quadrature route, the F1/FD3 integral-route cases of
+# integrand evaluations, counted as panels x 41 nodes: the built-in tip
+# integral at q = 1000 by the deflection quadrature, the F1/FD3 integral-route cases of
 # test_special_functions._FD_ROUTE_BITS and a two-piece hinted integral.
 # The two halves of an Euler integral, and the two pieces of integrate(),
 # share one error budget: the unit-argument FD3, the 0.8 cases and the
@@ -225,7 +224,7 @@ def test_panel_is_the_node_by_node_sum_to_the_bit(f, lo, hi):
 # 3.6e-16 -> 5.3e-16)
 EVALUATIONS = {
     "built-in closed": (
-        lambda: solve_builtin(ROD, 1000.0, method="closed", integral_mode="quadrature"), 41),
+        lambda: integrate_deflection(BuiltInCombined(1000.0), ROD, 0.0, rtol=1e-13), 41),
     "F1 auto, integral": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.7, -0.4), 82),
     "F1 auto, integral at 0.8": (lambda: appell_f1(1.0, 0.6, 0.4, 2.3, 0.8, -0.4), 82),
     "FD3 auto, integral": (lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.7, -0.4, 0.3)), 82),

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodbend import redundancy, special_functions
+from rodbend import redundancy, series_tools, special_functions
 from rodbend.elastica import (
+    BuiltInCombined,
     RodProperties,
     tip_deflection_moment,
     tip_deflection_shear,
@@ -26,6 +27,7 @@ from rodbend.errors import (
     NearCriticalLoadError,
     UsageError,
 )
+from rodbend.quadrature import integrate_deflection
 from rodbend.redundancy import (
     RedundancySolution,
     builtin_reaction_series,
@@ -219,8 +221,9 @@ def test_root_find_builds_no_series(monkeypatch):
     def refuse(*args):
         raise AssertionError("a root-find solve built a reaction series")
 
-    for name in ("lagrange_revert", "compose", "_roller_series_cached"):
-        monkeypatch.setattr(redundancy, name, refuse)
+    for name in ("lagrange_revert", "compose"):
+        monkeypatch.setattr(series_tools, name, refuse)
+    monkeypatch.setattr(redundancy, "_roller_series_cached", refuse)
     for kernel in ("expansion", "displacement"):
         for q in (300.0, 1000.0, 1187.9):
             solve_roller(ROD, q, method="root_find", kernel=kernel)
@@ -436,6 +439,17 @@ def test_kernel_changes_cubic_coefficient_but_not_linear():
 
 # ------------------------------------------------------------- built-in solver
 
+def _quadrature_tip_integral(rod, q):
+    """The tip integral's dual route: the deflection quadrature at the clamp."""
+    return integrate_deflection(BuiltInCombined(q), rod, 0.0, rtol=1e-13)
+
+
+def _quadrature_end_moment(rod, q):
+    """The closed end moment 2EJ I/(L^2 + I^2) on the quadrature's I."""
+    i_val = _quadrature_tip_integral(rod, q)
+    return 2.0 * rod.EJ * i_val / (rod.L ** 2 + i_val ** 2)
+
+
 def test_builtin_linearized_end_moment():
     sol = solve_builtin(ROD, Q, method="linearized")
     assert sol.X == pytest.approx(1000.0 / 12.0, rel=1e-15)
@@ -458,18 +472,19 @@ def test_builtin_series_converged_values():
 
 
 def test_builtin_tip_integral_both_modes():
-    assert builtin_tip_integral(ROD, Q, mode="quadrature") == pytest.approx(
-        0.22072840604112143, rel=1e-9)
+    assert builtin_tip_integral(ROD, Q) == pytest.approx(0.22072840604112143, rel=1e-9)
+    assert _quadrature_tip_integral(ROD, Q) == pytest.approx(0.22072840604112143, rel=1e-9)
     assert builtin_tip_integral(ROD, Q, mode="hyp_approx") == pytest.approx(
         0.2547671086182601, rel=1e-12)
     assert builtin_tip_integral(ROD, 0.0) == 0.0
 
 
 def test_builtin_closed_both_modes():
-    quad = solve_builtin(ROD, Q, method="closed", integral_mode="quadrature")
+    exact = solve_builtin(ROD, Q, method="closed")
     approx = solve_builtin(ROD, Q, method="closed", integral_mode="hyp_approx")
-    assert quad.method == "closed(quadrature)"
-    assert quad.X == pytest.approx(84.18956038383605, rel=1e-9)
+    assert exact.method == "closed(series)"
+    assert exact.X == pytest.approx(84.18956038383605, rel=1e-9)
+    assert _quadrature_end_moment(ROD, Q) == pytest.approx(84.18956038383605, rel=1e-9)
     assert approx.X == pytest.approx(95.69559819137936, rel=1e-12)
 
 
@@ -478,7 +493,7 @@ def test_builtin_series_limit_is_the_approx_closure():
     # its limit must sit on closed(hyp_approx), not on the exact integral
     x_series = solve_builtin(ROD, Q, method="series", n_terms=11).X
     x_approx = solve_builtin(ROD, Q, method="closed", integral_mode="hyp_approx").X
-    x_quad = solve_builtin(ROD, Q, method="closed", integral_mode="quadrature").X
+    x_quad = _quadrature_end_moment(ROD, Q)
     assert abs(x_series - x_approx) / x_approx < 0.01
     assert abs(x_quad - x_approx) / x_approx > 0.10
 
@@ -512,7 +527,7 @@ def test_builtin_closed_near_critical_quadrature_refused_with_exit_2_class():
     # deflection quadrature cannot reach rtol 1e-13 within its subdivision
     # budget; that is a near-critical load, not a usage error
     with pytest.raises(NearCriticalLoadError, match=re.escape("1.250e-06")) as info:
-        solve_builtin(ROD, 2399.997, method="closed", integral_mode="quadrature")
+        _quadrature_tip_integral(ROD, 2399.997)
     assert "deflection quadrature stopped at error" in str(info.value)
     # the default series route refuses it sooner: its partial sum passes L
     with pytest.raises(NearCriticalLoadError, match=re.escape("within the first 10 terms")):
@@ -521,6 +536,8 @@ def test_builtin_closed_near_critical_quadrature_refused_with_exit_2_class():
     # closed map's value there would be its mirror root: refused too
     with pytest.raises(NearCriticalLoadError, match=re.escape("tip-couple bound EJ/L = 200 N m")):
         solve_builtin(ROD, 2399.9, method="closed")
+    # just below it, q = 2333 is w = 11.665, where I = 0.99714 L: X = 199.9992 N m
+    assert 199.999 < solve_builtin(ROD, 2333.0, method="closed").X < ROD.EJ / ROD.L
 
 
 @pytest.mark.parametrize("q", [1000.0, 2300.0, 2330.0])
@@ -539,18 +556,6 @@ def test_builtin_closed_refused_where_the_tip_integral_passes_L(q):
         solve_builtin(ROD, q, method="closed")
     with mp.workdps(40), pytest.raises(ValueError, match="reaches L"):
         builtin_end_moment(q)
-
-
-def test_builtin_closed_quadrature_refused_where_the_tip_integral_passes_L():
-    # the quadrature mode integrates past I = L without complaint, so the
-    # closed map's own I >= L check refuses it
-    for q, i_val in ((2334.0, "1.00044"), (2380.0, "1.25741"), (2399.9, "2.35292")):
-        with pytest.raises(NearCriticalLoadError, match=f"^tip integral I = {re.escape(i_val)} m "
-                                                        "reaches L = 1 m: "):
-            solve_builtin(ROD, q, method="closed", integral_mode="quadrature")
-    # q = 2333 is w = 11.665, where I = 0.99714 L: X = 199.9992 N m
-    X = solve_builtin(ROD, 2333.0, method="closed", integral_mode="quadrature").X
-    assert 199.999 < X < ROD.EJ / ROD.L
 
 
 def test_builtin_closed_moment_cancels_the_tip_integral():
@@ -646,10 +651,10 @@ def test_tip_series_agrees_with_the_quadrature_below_w_star(rod):
     for w in [0.1 * i for i in range(1, 117)] + [11.65, 11.669]:
         q = w * rod.EJ / rod.L ** 3
         series = builtin_tip_integral(rod, q)
-        quad = builtin_tip_integral(rod, q, mode="quadrature")
+        quad = _quadrature_tip_integral(rod, q)
         assert abs(series - quad) <= 1e-13 * quad, w
         x_series = solve_builtin(rod, q, "closed").X
-        x_quad = solve_builtin(rod, q, "closed", integral_mode="quadrature").X
+        x_quad = _quadrature_end_moment(rod, q)
         assert abs(x_series - x_quad) <= 1e-13 * x_quad, w
 
 
@@ -871,7 +876,7 @@ def test_builtin_refuses_a_bad_tolerance(call, q, bad):
 ], ids=["linearized", "series", "closed", "integral", "integral-bad-rtol"])
 def test_builtin_refuses_an_unknown_integral_mode(call, q):
     with pytest.raises(UsageError, match=re.escape(
-            "mode must be 'series', 'quadrature' or 'hyp_approx', got 'bogus'")):
+            "mode must be 'series' or 'hyp_approx', got 'bogus'")):
         call(q)
 
 
@@ -977,7 +982,7 @@ def test_series_order_is_bounded(monkeypatch):
     def no_build(*args):
         raise AssertionError("a coefficient was built")
 
-    monkeypatch.setattr(redundancy, "hyp3f2_taylor", no_build)
+    monkeypatch.setattr(series_tools, "hyp3f2_taylor", no_build)
     for build in (roller_reaction_series, builtin_reaction_series):
         with pytest.raises(UsageError, match=re.escape("[1, 101], got 103")):
             build(103)
@@ -1025,7 +1030,7 @@ def test_roller_stress_report():
 
 
 def test_builtin_stress_report():
-    sol = solve_builtin(ROD, Q, method="closed", integral_mode="quadrature")
+    sol = solve_builtin(ROD, Q, method="closed")
     rep = max_bending_stress_report(sol)
     assert rep["M_end_linearized_Nm"] == pytest.approx(83.33333333333333, rel=1e-14)
     assert rep["M_end_nonlinear_Nm"] == pytest.approx(84.18956038383605, rel=1e-9)

@@ -125,9 +125,23 @@ def test_2f1_rejects_nonpositive_integer_c():
 
 # ----------------------------------------------------------- gauss_summation
 
+# an FD3 whose unit slot leaves the (1-u) power c - a - b2 = 8.2e-4: rounding
+# c - a before subtracting b2 put it 1.4e-13 off mpmath
+_ROUNDED_POWER_FD3 = (0.8301892836705042, (1.8516880831856661, 1.366844359538565,
+                                           -1.4411580482979631),
+                      2.1978505842605904, (0.4911277174856681, 1.0, 0.24849961047453273))
+
+
 def test_gauss_summation_sample():
     # Gamma(2)Gamma(1)/Gamma(3/2)^2 = 4/pi
     assert rel_err(gauss_summation(0.5, 0.5, 2.0), 4.0 / math.pi) < 1e-13
+    # the FD3's a, b2 and c: c - a - b = 8.2e-4 sits near the pole of Gamma at
+    # 0, where a rounding of c - a is amplified by about c/(c - a - b); with
+    # c - a rounded first the value was 1.4e-13 off
+    a, b, c = _ROUNDED_POWER_FD3[0], _ROUNDED_POWER_FD3[1][1], _ROUNDED_POWER_FD3[2]
+    with mp.workdps(30):
+        want = gamma_ratio([c, mp.mpf(c) - a - b], [mp.mpf(c) - a, mp.mpf(c) - b])
+    assert rel_err(gauss_summation(a, b, c), want) < 1e-13
 
 
 def test_gauss_summation_matches_beta_integral():
@@ -941,23 +955,25 @@ def test_euler_integral_draws_are_within_rtol_of_the_oracle(monkeypatch):
         return panel(f, lo, hi)
 
     monkeypatch.setattr(quadrature, "_panel", counting)
-    for a, b, c, x in _euler_draws():
+    for a, b, c, x in _euler_draws() + [_ROUNDED_POWER_FD3]:
         if len(x) == 2:
             got = appell_f1(a, *b, c, *x, method="integral")
         else:
             got = lauricella_fd3(a, b, c, x, method="integral")
-        unit = sum(bi for bi, xi in zip(b, x) if xi == 1.0)
         rest = [(bi, xi) for bi, xi in zip(b, x) if xi != 1.0]
         with mp.workdps(30):
             # a unit slot: G(c) G(c-a-b_unit) / (G(c-a) G(c-b_unit)) times the
-            # FD of the other slots with c lowered by b_unit
+            # FD of the other slots with c lowered by b_unit, on the exact inputs
+            unit = mp.fsum(bi for bi, xi in zip(b, x) if xi == 1.0)
+            c = mp.mpf(c)
             want = mp.gammaprod([c, c - a - unit], [c - a, c - unit]) * lauricella_fd(
                 a, [bi for bi, _ in rest], c - unit, [xi for _, xi in rest])[0]
         assert rel_err(got, want) <= 1e-13, (a, b, c, x)
-    # 41-node panels over all 40 draws: 2.65 per call. Substituted with
-    # s = 3/own and no exact part, the same draws took 228, and 8 of them
-    # (the tiny endpoint powers below 1e-4) missed 1e-13 by up to 1.2e-5
-    assert len(panels) == 106
+    # 41-node panels over all 40 draws: 2.65 per call, and 2 for the
+    # rounded-power FD3. Substituted with s = 3/own and no exact part, the
+    # draws took 228, and 8 of them (the tiny endpoint powers below 1e-4)
+    # missed 1e-13 by up to 1.2e-5
+    assert len(panels) == 106 + 2
 
 
 # F1 and FD3 values on each route, as float.hex: the route choice, the
