@@ -41,6 +41,10 @@ def _fmt(v: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    # no flag is taken by its prefix (--E would read as --EJ), subcommands' included
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with 2 on bad usage; 2 is reserved for infeasible loads here
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -48,9 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_rod_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--L", type=float, help="rod length [m]")
-    p.add_argument("--E", type=float, help="Young modulus [N/m^2]")
-    p.add_argument("--J", type=float, help="second moment of area [m^4]")
-    p.add_argument("--EJ", type=float, help="flexural stiffness [N m^2] (instead of --E/--J)")
+    p.add_argument("--EJ", type=float, help="flexural stiffness [N m^2]")
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
@@ -99,17 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_rod(args):
     from .elastica import RodProperties
-    has_ej = args.EJ is not None
-    has_pair = args.E is not None or args.J is not None
-    if args.L is None:
-        raise UsageError("--L is required")
-    if has_ej and has_pair:
-        raise UsageError("give either --EJ or both --E and --J, not both")
-    if has_ej:
-        return RodProperties.from_stiffness(args.L, args.EJ)
-    if args.E is None or args.J is None:
-        raise UsageError("give either --EJ or both --E and --J")
-    return RodProperties(L=args.L, E=args.E, J=args.J)
+    for flag in ("L", "EJ"):
+        if getattr(args, flag) is None:
+            raise UsageError(f"--{flag} is required")
+    return RodProperties(args.L, args.EJ)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 
 from ._value import Frozen, set_field
-from .errors import DEFAULT_RTOL, InfeasibleLoadError, UsageError, _integer, _real
+from .errors import (DEFAULT_RTOL, InfeasibleLoadError, NearCriticalLoadError, UsageError,
+                     _check_rtol, _integer, _real)
 from .quadrature import _position, integrate_deflection
-from .special_functions import gauss_2f1, hyp_3f2
+from .special_functions import _MAX_TERMS, _shells_within, gauss_2f1, hyp_3f2
 
 __all__ = [
     "RodProperties",
@@ -40,28 +41,21 @@ __all__ = [
 
 
 class RodProperties(Frozen):
-    """Uniform rod: length L [m], Young modulus E [N/m^2], second moment J [m^4]."""
+    """Uniform rod: length L [m] and flexural stiffness EJ [N m^2]."""
 
-    __slots__ = ("L", "E", "J")
+    __slots__ = ("L", "EJ")
 
-    def __init__(self, L: float, E: float, J: float):
-        for name, v in (("L", L), ("E", E), ("J", J)):
+    def __init__(self, L: float, EJ: float):
+        for name, v in (("L", L), ("EJ", EJ)):
             v = _real(name, v)
             if not (math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be finite and positive, got {v}")
             set_field(self, name, v)
-        if not (math.isfinite(self.EJ) and self.EJ > 0):
-            raise UsageError(f"EJ = E*J must be finite and positive, got {self.EJ}")
-
-    @property
-    def EJ(self) -> float:
-        """Flexural stiffness [N m^2]."""
-        return self.E * self.J
 
     @classmethod
     def from_stiffness(cls, L: float, EJ: float) -> "RodProperties":
-        """Build a rod from L and the stiffness product directly (J = 1)."""
-        return cls(L=L, E=EJ, J=1.0)
+        """The rod of length L and stiffness EJ, the same as ``RodProperties(L, EJ)``."""
+        return cls(L, EJ)
 
 
 class LoadCase(Frozen):
@@ -188,9 +182,41 @@ def _tip_argument(shape, rod: RodProperties):
     return lambda m: Lp * m ** 2 / den
 
 
+# each tip kernel's series as a refusal names it, and what the refusal advises
+_TIP_NAMES = {
+    UniformLoad: ("the uniform load's tip 3F2", ""),
+    TipShear: ("the tip force's tip 3F2", ""),
+    BuiltInCombined: ("the 2F1 approximation of the tip integral",
+                      "; use --method closed, whose tip integral is exact"),
+}
+
+
+def _require_summable(shape, m: float, x: float, rod: RodProperties, rtol: float) -> None:
+    """Refuse, before summing any term, a tip kernel argument x < 1 (``shape``'s,
+    at magnitude m) whose series needs more than _MAX_TERMS terms to reach rtol.
+
+    Every tip kernel's terms fall at least as x^k, so ln(rtol)/ln(x) terms
+    suffice. Below x = 0.999 that is under 7.5e5 for every positive float
+    rtol, so one comparison passes the common case; x = 1 is left to the
+    summation, which refuses it at once (or sums a 2F1 there in closed form).
+    """
+    if 0.999 < x < 1.0:
+        rtol = _check_rtol(rtol)  # before the logarithm, which a negative rtol would break
+        if not _shells_within(x, rtol, _MAX_TERMS):
+            what, advice = _TIP_NAMES[shape]
+            (name,), p, r = shape.__slots__, shape.bound[2], shape.tip[1]
+            w = rod.L ** p * m / rod.EJ
+            raise NearCriticalLoadError(
+                f"{what} needs more than {_MAX_TERMS} terms to reach rtol={rtol:g} at "
+                f"w = {name}L^{p}/EJ = {w:.9g}, within {1.0 - abs(w) / r:.2g} of its "
+                f"radius {r}{advice}")
+
+
 def _tip_closed_form(shape, m: float, rod: RodProperties, rtol: float) -> float:
-    """``shape``'s tip closed form at a gated magnitude m."""
+    """``shape``'s tip closed form at a gated magnitude m, refused near its radius
+    by ``_require_summable``."""
     x, params = _tip_argument(shape, rod)(m), _TIP_PARAMS[shape]
+    _require_summable(shape, m, x, rod, rtol)
     pfq = gauss_2f1 if len(params) == 3 else hyp_3f2
     return (rod.L ** (shape.bound[2] + 1) * m / (shape.tip[0] * rod.EJ)) * pfq(*params, x, rtol)
 

@@ -24,10 +24,11 @@ from typing import TYPE_CHECKING
 
 from ._value import Frozen, set_field
 from .elastica import (_TIP_PARAMS, BuiltInCombined, RodProperties, TipShear, UniformLoad,
-                       _require_feasible, _tip_argument, _tip_closed_form, feasibility_check)
+                       _require_feasible, _require_summable, _tip_argument, _tip_closed_form,
+                       feasibility_check)
 from .errors import (DEFAULT_RTOL, BracketError, NearCriticalLoadError, UsageError, _check_rtol,
                      _integer)
-from .special_functions import _MAX_TERMS, _shells_within, _sum_ratios, _sum_value
+from .special_functions import _sum_ratios, _sum_value
 
 if TYPE_CHECKING:  # the series code imports series_tools and fractions where it runs
     from .series_tools import PowerSeries
@@ -174,15 +175,21 @@ def _roller_residual(rod: RodProperties, q: float, kernel: str, rtol: float):
     weight S = F + 2zF' in one loop and returns its argument z; r'(X) = -8S.
     Both give r the same bits.
 
-    Checks nothing: the caller gates the kernel, the load, X and rtol. The
-    summation loops refuse an argument that rounds to 1 at once.
+    The caller gates the kernel, the load, X and rtol. ``_require_summable``
+    refuses a load side, or a reaction side in ``residual``, whose 3F2 would
+    need more than 10^6 terms; ``newton`` needs no such check, as the root
+    finder's iterates stay at or below its bracket top, where z <= 0.998001.
+    The summation loops refuse an argument that rounds to 1 at once.
     """
-    load_side = 3.0 * rod.L * q * _sum_value(_TIP_PARAMS[UniformLoad],
-                                             _tip_argument(UniformLoad, rod)(q), rtol)
+    x = _tip_argument(UniformLoad, rod)(q)
+    _require_summable(UniformLoad, q, x, rod, rtol)
+    load_side = 3.0 * rod.L * q * _sum_value(_TIP_PARAMS[UniformLoad], x, rtol)
     params, argument = _TIP_PARAMS[_KERNEL_SHAPES[kernel]], _tip_argument(TipShear, rod)
 
     def residual(X):
-        return load_side - 8.0 * X * _sum_value(params, argument(X), rtol)
+        z = argument(X)
+        _require_summable(TipShear, X, z, rod, rtol)
+        return load_side - 8.0 * X * _sum_value(params, z, rtol)
 
     def newton(X):
         z = argument(X)
@@ -228,7 +235,6 @@ def roller_reaction_series(order: int = 19, kernel: str = "expansion") -> PowerS
     return _roller_series_cached(order, kernel)
 
 
-@lru_cache(maxsize=8)
 def builtin_reaction_series(order: int = 19) -> PowerSeries:
     """End-moment expansion in w = L^3 q / EJ for the built-in rod.
 
@@ -237,6 +243,11 @@ def builtin_reaction_series(order: int = 19) -> PowerSeries:
     closed map 2 phi/(1 + phi^2) with the tip-integral series phi(w).
     """
     _check_order(order)
+    return _builtin_series_cached(order)
+
+
+@lru_cache(maxsize=8)
+def _builtin_series_cached(order: int) -> PowerSeries:
     from .series_tools import PowerSeries, compose
 
     # phi(w) = I/L, the 2F1 approximation of the tip integral over L
@@ -484,14 +495,7 @@ def _tip_integral(load: BuiltInCombined, rod: RodProperties, mode: str, rtol: fl
         raise NearCriticalLoadError(
             f"the 2F1 approximation of the tip integral diverges past "
             f"{_radius(rod, q, '>')}; use --method closed, whose tip integral is exact")
-    # the 2F1 loop sums at most _MAX_TERMS terms, and its terms fall at least
-    # as x^k: refuse an argument that needs more before summing any
-    if x < 1.0 and not _shells_within(x, rtol, _MAX_TERMS):
-        w, radius = rod.L ** 3 * q / rod.EJ, BuiltInCombined.tip[1]
-        raise NearCriticalLoadError(
-            f"the 2F1 approximation of the tip integral needs more than {_MAX_TERMS} terms "
-            f"to reach rtol={rtol:g} at w = qL^3/EJ = {w:.9g}, within {1.0 - w / radius:.2g} "
-            f"of its radius {radius}; use --method closed, whose tip integral is exact")
+    # below the radius _tip_closed_form refuses, before summing, a sum past 10^6 terms
     return _tip_closed_form(BuiltInCombined, q, rod, rtol)
 
 

@@ -49,30 +49,20 @@ BOUNDS = {
 
 # ------------------------------------------------------------ rod properties
 
-def test_stiffness_is_product_of_modulus_and_inertia():
-    rod = RodProperties(L=2.0, E=70e9, J=1e-8)
-    assert rod.EJ == 70e9 * 1e-8
-
-
 def test_from_stiffness_round_trip():
+    # a rod is its length and its flexural stiffness, two fields
     rod = RodProperties.from_stiffness(1.5, 350.0)
     assert rod.L == 1.5
     assert rod.EJ == 350.0
+    assert RodProperties.__slots__ == ("L", "EJ")
+    assert rod == RodProperties(1.5, 350.0)
 
 
 def test_nonpositive_dimensions_rejected():
     with pytest.raises(UsageError):
-        RodProperties(L=0.0, E=1.0, J=1.0)
+        RodProperties(L=0.0, EJ=1.0)
     with pytest.raises(UsageError):
         RodProperties.from_stiffness(1.0, -5.0)
-
-
-@pytest.mark.parametrize("E, J", [(1e200, 1e200), (1e-200, 1e-200)],
-                         ids=["overflow", "underflow"])
-def test_stiffness_product_must_be_finite_and_positive(E, J):
-    # each factor is valid, but E*J rounds to inf or to 0
-    with pytest.raises(UsageError, match="EJ = E\\*J must be finite and positive"):
-        RodProperties(L=1.0, E=E, J=J)
 
 
 # ------------------------------------------------------- moments and shapes
@@ -178,10 +168,10 @@ def test_magnitudes_that_are_not_numbers_refused(shape, v):
 
 
 @pytest.mark.parametrize("v", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
-@pytest.mark.parametrize("field", ["L", "E", "J"])
+@pytest.mark.parametrize("field", ["L", "EJ"])
 def test_rod_dimensions_that_are_not_numbers_refused(field, v):
     with pytest.raises(UsageError, match=f"{field} must be a real number"):
-        RodProperties(**{"L": 1.0, "E": 200.0, "J": 1.0, field: v})
+        RodProperties(**{"L": 1.0, "EJ": 200.0, field: v})
 
 
 # every public tolerance outside the special functions (tests/
@@ -233,8 +223,8 @@ def test_real_number_types_pass(v):
     assert bending_moment(UniformLoad(v), 1.0, ROD) == -float(v) / 2.0
     # every number is stored and computed as a float, so each result is a
     # Python float with the bits of the float input
-    rod = RodProperties(L=v, E=v, J=v)
-    assert all(type(f) is float and f == v for f in (rod.L, rod.E, rod.J))
+    rod = RodProperties(L=v, EJ=v)
+    assert all(type(f) is float and f == v for f in (rod.L, rod.EJ))
     for shape in BOUNDS:
         (field,) = shape.__slots__
         assert type(getattr(shape(v), field)) is float
@@ -328,9 +318,11 @@ GATES = {
 @pytest.mark.parametrize("gate", sorted(GATES))
 def test_gate_verdicts_at_the_bound(monkeypatch, rod, gate):
     # stub the work behind the gates so that the gate alone decides: just
-    # below the bound the 3F2 series sums 10^6 terms before it gives up,
-    # and the roller root 0 stays inside the |X| bound, as the linearized
-    # reaction 3qL/8 would not
+    # below the bound the 3F2 series would need more than 10^6 terms, which
+    # the term-budget check refuses before summing, and the roller root 0
+    # stays inside the |X| bound, as the linearized reaction 3qL/8 would not
+    for module in (elastica, redundancy):
+        monkeypatch.setattr(module, "_require_summable", lambda *args, **kwargs: None)
     monkeypatch.setattr(elastica, "hyp_3f2", lambda *args, **kwargs: 1.0)
     monkeypatch.setattr(redundancy, "_sum_ratios", lambda *args, **kwargs: (1.0, 1.0))
     monkeypatch.setattr(redundancy, "_sum_value", lambda *args, **kwargs: 1.0)

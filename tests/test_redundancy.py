@@ -837,6 +837,26 @@ def test_edge_of_the_3f2_domain_refused_at_once(case):
     assert time.perf_counter() - start < 0.1
 
 
+# just below a tip-shear or uniform-load bound, where a tip kernel's 3F2 would
+# need more than 10^6 terms to reach rtol 1e-13 (1 - x below about 3.0e-5)
+_NEAR_THE_TIP_KERNEL_RADIUS = {
+    "solve_roller": lambda: solve_roller(ROD, 1199.999, "root_find"),
+    "tip_deflection_uniform": lambda: tip_deflection_uniform(ROD, 1199.999),
+    "tip_deflection_shear": lambda: tip_deflection_shear(ROD, 400.0 * (1.0 - 1e-9)),
+    "roller_consistency": lambda: roller_consistency(ROD, 0.0, 400.0 * (1.0 - 1e-12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEAR_THE_TIP_KERNEL_RADIUS))
+def test_tip_kernels_refused_before_summing_near_their_radius(case):
+    # refused as near-critical before any term is summed, not summed to the
+    # loop's budget and failed as a domain error after about 0.4 s
+    start = time.perf_counter()
+    with pytest.raises(NearCriticalLoadError, match="tip 3F2 needs more than 1000000 terms"):
+        _NEAR_THE_TIP_KERNEL_RADIUS[case]()
+    assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (0.0, "0.0"), (-1.0, "-1.0"),
                                         (math.inf, "inf"), (10 ** 400, "inf")],
                          ids=["nan", "zero", "negative", "inf", "huge-int"])
@@ -858,7 +878,7 @@ def test_solve_roller_refuses_a_bad_tolerance(method, bad, shown):
     lambda q, rtol: solve_builtin(ROD, q, "closed", integral_mode="hyp_approx", rtol=rtol),
     lambda q, rtol: builtin_tip_integral(ROD, q, rtol=rtol),
     lambda q, rtol: builtin_tip_integral(ROD, q, mode="hyp_approx", rtol=rtol),
-], ids=["linearized", "series", "closed", "closed-hyp_approx", "integral-quadrature",
+], ids=["linearized", "series", "closed", "closed-hyp_approx", "integral-series",
         "integral-hyp_approx"])
 def test_builtin_refuses_a_bad_tolerance(call, q, bad):
     with pytest.raises(UsageError) as excinfo:
@@ -992,7 +1012,7 @@ def test_series_order_is_bounded(monkeypatch):
     # a bool or a non-integer is refused as a usage error that is also a
     # TypeError, before any coefficient is built
     for build in (roller_reaction_series, builtin_reaction_series):
-        for bad in (3.5, 3.0, True):
+        for bad in (3.5, 3.0, True, [3]):
             with pytest.raises(UsageError, match=re.escape(
                     f"series order must be an integer, got {bad!r}")) as excinfo:
                 build(bad)
@@ -1009,7 +1029,7 @@ def test_cold_series_builds_at_the_order_cap_stay_fast():
     # both series at order 101 build in about 0.45 s on integer vectors, and
     # took about 5 s with one Fraction gcd per coefficient product
     redundancy._roller_series_cached.cache_clear()
-    builtin_reaction_series.cache_clear()
+    redundancy._builtin_series_cached.cache_clear()
     start = time.perf_counter()
     roller_reaction_series(101)
     builtin_reaction_series(101)
