@@ -19,7 +19,7 @@ from rodbend import (
     stabilized_from,
 )
 
-rod = RodProperties.from_stiffness(1.0, 200.0)
+rod = RodProperties(1.0, 200.0)
 q = 1000.0
 
 lin = solve_builtin(rod, q, method="linearized")

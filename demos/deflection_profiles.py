@@ -15,7 +15,7 @@ from rodbend import (
     tip_deflection_uniform,
 )
 
-rod = RodProperties.from_stiffness(1.0, 200.0)  # L = 1 m, EJ = 200 N m^2
+rod = RodProperties(1.0, 200.0)  # L = 1 m, EJ = 200 N m^2
 
 print(f"rod: L={rod.L} m, EJ={rod.EJ} N m^2")
 print(f"uniform-load feasibility bound: q < {6.0 * rod.EJ / rod.L ** 3:.0f} N/m\n")

@@ -15,7 +15,7 @@ from rodbend import (
     solve_roller,
 )
 
-rod = RodProperties.from_stiffness(1.0, 200.0)
+rod = RodProperties(1.0, 200.0)
 q = 1000.0
 
 print("=== propped cantilever (roller) ===")

@@ -9,7 +9,7 @@ equation, including the convergence trace and the effect of stiffness.
 
 from rodbend import RodProperties, solve_roller, stabilized_from
 
-rod = RodProperties.from_stiffness(1.0, 200.0)
+rod = RodProperties(1.0, 200.0)
 q = 1000.0
 
 lin = solve_roller(rod, q, method="linearized")
@@ -31,7 +31,7 @@ for n, x_n in trace:
 print("\nreaction vs flexural stiffness (same L, q):")
 print(f"{'EJ [N m^2]':>12} {'X [N]':>12} {'off linearized [%]':>20}")
 for ej in (200.0, 300.0, 400.0, 1000.0, 1e6):
-    sol = solve_roller(RodProperties.from_stiffness(1.0, ej), q, method="root_find")
+    sol = solve_roller(RodProperties(1.0, ej), q, method="root_find")
     print(f"{ej:12.0f} {sol.X:12.6f} {sol.deviation_pct:20.6f}")
 
 print("\nthe stiffer the rod, the closer the reaction sits to 3qL/8 = 375 N;")

@@ -25,7 +25,7 @@ _MODULE_OF = {
                      "cumulative_moment", "deflection_profile", "feasibility_check",
                      "linearized_deflection", "tip_deflection_moment",
                      "tip_deflection_shear", "tip_deflection_uniform"),
-        "quadrature": ("IntegrandSpec", "integrate", "integrate_deflection"),
+        "quadrature": ("integrate", "integrate_deflection"),
         "redundancy": ("RedundancySolution", "builtin_reaction_series",
                        "builtin_tip_integral", "max_bending_stress_report",
                        "roller_consistency", "roller_reaction_series", "solve_builtin",

@@ -137,6 +137,8 @@ def cmd_solve(args) -> str:
     method = args.method.replace("-", "_")
     if method == "series" and args.n is None:
         raise UsageError("--method series requires --n")
+    if method != "series" and args.n is not None:
+        raise UsageError(f"--n applies to --method series only, not {args.method}")
     if args.problem == "roller":
         if method == "closed":
             raise UsageError("the roller problem has no closed method; use root-find")

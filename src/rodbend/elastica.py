@@ -54,7 +54,8 @@ class RodProperties(Frozen):
 
     @classmethod
     def from_stiffness(cls, L: float, EJ: float) -> "RodProperties":
-        """The rod of length L and stiffness EJ, the same as ``RodProperties(L, EJ)``."""
+        """The rod of length L and stiffness EJ, the same as ``RodProperties(L, EJ)``;
+        kept because the benchmark harness (``perfbench/worker.py``) builds its rods here."""
         return cls(L, EJ)
 
 

@@ -25,10 +25,9 @@ import math
 import sys
 from typing import Callable
 
-from ._value import Frozen, set_field
-from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _check_rtol, _integer, _real
+from .errors import InfeasibleLoadError, NearCriticalLoadError, UsageError, _check_rtol, _real
 
-__all__ = ["IntegrandSpec", "integrate", "integrate_deflection"]
+__all__ = ["integrate", "integrate_deflection"]
 
 # 41-point Kronrod nodes on [-1, 1] (nonnegative half, ascending; the rule
 # is symmetric) and their weights, with the weights of the embedded 20-point
@@ -102,47 +101,6 @@ _KW = _WK[:0:-1] + _WK
 _GW = _WG[::-1] + _WG
 
 
-class IntegrandSpec(Frozen):
-    """One definite integral with tolerances and singularity hints.
-
-    ``lo_exponent``/``hi_exponent`` declare that the integrand behaves like
-    (x - lo)**p resp. (hi - x)**p at the endpoint. Hints must be > -1
-    (integrable); None means the integrand is regular there. ``lo``, ``hi``,
-    the hints and the tolerances are stored as floats, whatever real type
-    comes in. ``f`` is called once per node with a float and must return a
-    float; numpy ufuncs work too, since they accept and return scalars.
-    """
-
-    __slots__ = ("f", "lo", "hi", "lo_exponent", "hi_exponent", "rtol", "atol",
-                 "max_subdivisions")
-
-    def __init__(self, f: Callable[[float], float], lo: float, hi: float,
-                 lo_exponent: float | None = None, hi_exponent: float | None = None,
-                 rtol: float = 1e-10, atol: float = 1e-14, max_subdivisions: int = 4096):
-        lo, hi = _real("lo", lo), _real("hi", hi)
-        if not lo < hi:
-            raise UsageError(f"empty or reversed interval [{lo}, {hi}]")
-        rtol = _check_rtol(rtol)
-        atol = _real("atol", atol)
-        if not (math.isfinite(atol) and atol >= 0):
-            raise UsageError(f"atol must be finite and nonnegative, got {atol}")
-        _integer("max_subdivisions", max_subdivisions)
-        if not max_subdivisions >= 1:
-            raise UsageError(f"max_subdivisions must be at least 1, got {max_subdivisions}")
-        for name, p in (("lo_exponent", lo_exponent), ("hi_exponent", hi_exponent)):
-            if p is not None:
-                p = _real(name, p)
-                if not p > -1:
-                    raise UsageError(f"{name}={p} is not integrable (need > -1)")
-            set_field(self, name, p)
-        set_field(self, "f", f)
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "rtol", rtol)
-        set_field(self, "atol", atol)
-        set_field(self, "max_subdivisions", max_subdivisions)
-
-
 def _panel(f, lo, hi):
     """Gauss-Kronrod panel: returns (K41 value, error estimate |K41 - G20|).
 
@@ -173,13 +131,17 @@ def _panel(f, lo, hi):
 class _NotConverged(UsageError):
     """The subdivision budget ran out; ``error`` is the estimate reached."""
 
-    def __init__(self, max_subdivisions, error):
-        super().__init__(f"quadrature did not converge within {max_subdivisions} subdivisions "
+    def __init__(self, budget, error):
+        super().__init__(f"quadrature did not converge within {budget} subdivisions "
                          f"(error {error:.3e}); integrand may have a non-integrable singularity")
         self.error = error
 
 
-def _adaptive(pieces, rtol, atol, max_subdivisions, start=0.0):
+# panels allowed per piece of an integral
+_MAX_SUBDIVISIONS = 4096
+
+
+def _adaptive(pieces, rtol, atol, start=0.0):
     """Integrate the sum over ``pieces``, a list of (f, lo, hi) with ``f`` a
     list-in, list-out integrand as ``_panel`` takes it, on one error budget:
     bisect the worst panel among all pieces until the summed error estimate
@@ -187,7 +149,7 @@ def _adaptive(pieces, rtol, atol, max_subdivisions, start=0.0):
 
     ``start`` is a part of the value known exactly, added to the sum before
     the first panel, so that the stop test is relative to the whole value.
-    The panel budget is ``max_subdivisions`` per piece. Returns the summed
+    The panel budget is ``_MAX_SUBDIVISIONS`` per piece. Returns the summed
     (value, error estimate).
     """
     total, total_err = start, 0.0
@@ -200,7 +162,7 @@ def _adaptive(pieces, rtol, atol, max_subdivisions, start=0.0):
         total_err += err
     heapq.heapify(heap)
     count = len(heap)
-    budget = max_subdivisions * count
+    budget = _MAX_SUBDIVISIONS * count
     while total_err > max(atol, rtol * abs(total)):
         if count >= budget:
             raise _NotConverged(budget, total_err)
@@ -238,16 +200,37 @@ def _absorb(f, end, width, p, direction):
     return (g, 0.0, 1.0), abs(g([t_clamp])[0]) * t_clamp / 3.0
 
 
-def integrate(spec: IntegrandSpec) -> tuple[float, float]:
-    """Evaluate the integral described by ``spec``.
+def integrate(f: Callable[[float], float], lo: float, hi: float,
+              lo_exponent: float | None = None, hi_exponent: float | None = None,
+              rtol: float = 1e-10, atol: float = 1e-14) -> tuple[float, float]:
+    """Integral of ``f`` over [lo, hi], as (value, error_estimate).
 
-    Returns (value, error_estimate). The estimate is the summed
-    Gauss/Kronrod discrepancy plus, for declared endpoint
-    singularities, the representability floor from the substitution
-    layer; it is conservative on smooth pieces.
+    ``lo_exponent``/``hi_exponent`` declare that the integrand behaves like
+    (x - lo)**p resp. (hi - x)**p at the endpoint. Hints must be > -1
+    (integrable); None means the integrand is regular there. The bounds,
+    hints and tolerances are used as floats, whatever real type comes in.
+    ``f`` is called once per node with a float and must return a float;
+    numpy ufuncs work too, since they accept and return scalars.
+
+    The estimate is the summed Gauss/Kronrod discrepancy plus, for
+    declared endpoint singularities, the representability floor from the
+    substitution layer; it is conservative on smooth pieces.
     """
-    f, lo, hi = spec.f, spec.lo, spec.hi
-    p_lo, p_hi = spec.lo_exponent, spec.hi_exponent
+    lo, hi = _real("lo", lo), _real("hi", hi)
+    if not lo < hi:
+        raise UsageError(f"empty or reversed interval [{lo}, {hi}]")
+    rtol = _check_rtol(rtol)
+    atol = _real("atol", atol)
+    if not (math.isfinite(atol) and atol >= 0):
+        raise UsageError(f"atol must be finite and nonnegative, got {atol}")
+    hints = []
+    for name, p in (("lo_exponent", lo_exponent), ("hi_exponent", hi_exponent)):
+        if p is not None:
+            p = _real(name, p)
+            if not p > -1:
+                raise UsageError(f"{name}={p} is not integrable (need > -1)")
+        hints.append(p)
+    p_lo, p_hi = hints
     pieces, floor = [], 0.0
     if p_lo is None and p_hi is None:
         pieces.append((lambda xs: [f(x) for x in xs], lo, hi))
@@ -262,7 +245,7 @@ def integrate(spec: IntegrandSpec) -> tuple[float, float]:
 
     # below the floor the rule error is dominated by rounding of the
     # endpoint offset, so tightening further cannot help
-    value, err = _adaptive(pieces, spec.rtol, max(spec.atol, 2.0 * floor), spec.max_subdivisions)
+    value, err = _adaptive(pieces, rtol, max(atol, 2.0 * floor))
     return value, err + floor
 
 
@@ -309,7 +292,7 @@ def integrate_deflection(load, rod, x: float, rtol: float = 1e-10) -> float:
 
     # the one piece a hint-free ``integrate`` would sum, with its atol 1e-14
     try:
-        value, _ = _adaptive([(integrand, x, L)], rtol, 1e-14, 4096)
+        value, _ = _adaptive([(integrand, x, L)], rtol, 1e-14)
     except _NotConverged as exc:
         raise NearCriticalLoadError(
             f"load within {margin:.3e} of the curvature bound: the deflection quadrature "

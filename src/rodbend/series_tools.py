@@ -51,13 +51,6 @@ class PowerSeries(Frozen):
         set_field(self, "coefficients", coefficients)
         set_field(self, "order", order)
 
-    @classmethod
-    def from_coefficients(cls, coeffs: Sequence, order: int | None = None) -> "PowerSeries":
-        if order is None:
-            order = len(coeffs) - 1
-        _count("order", order)  # before the slice, which takes no float or str
-        return cls(coefficients=coeffs[: order + 1], order=order)
-
     def coefficient(self, n: int) -> Fraction:
         _count("coefficient index", n)
         if n > self.order:

@@ -332,7 +332,7 @@ def _irt_integral(a: float, c: float, factors: Sequence[tuple[float, float]],
     # rtol * |half| added.
     left, exact_left = half(a, beta, [(-bi, 1.0, -xi) for bi, xi in comp])
     right, exact_right = half(beta, a, [(-bi, 1.0 - xi, xi) for bi, xi in comp])
-    total = _adaptive([left, right], rtol, _IRT_ATOL, 4096, exact_left + exact_right)[0]
+    total = _adaptive([left, right], rtol, _IRT_ATOL, exact_left + exact_right)[0]
     # G(c) / (G(a) G(c-a)) with c > a > 0: all arguments positive
     return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * total
 
@@ -524,6 +524,8 @@ def reduce_f1_to_3f2(a: float, b: float, c: float, x: float,
     Returns 3F2((a+1)/2, a/2, b; (c+1)/2, c/2; x^2).
     """
     _finite("F1 reduction", a, b, c, x)
+    # (c+1)/2 or c/2 is a nonpositive integer only when c is one
+    _check_lower((c,), "F1 reduction")
     rtol = _check_rtol(rtol)
     if not abs(x) < 1:
         raise DomainError(f"reduction needs |x| < 1, got x={x}")

@@ -21,7 +21,7 @@ from rodbend.elastica import (
     tip_deflection_shear,
     tip_deflection_uniform,
 )
-from rodbend.quadrature import IntegrandSpec, integrate, integrate_deflection
+from rodbend.quadrature import integrate, integrate_deflection
 from rodbend.redundancy import (
     builtin_reaction_series,
     max_bending_stress_report,
@@ -156,13 +156,11 @@ def test_criterion_5_closed_forms_match_quadrature():
 def _euler_2f1_at_unit(a: float, b: float, c: float) -> float:
     # 2F1(a, b; c; 1) * Beta(b, c - b) by direct quadrature of the Euler
     # integrand; independent of the log-gamma route
-    spec = IntegrandSpec(
-        f=lambda u: u ** (b - 1.0) * (1.0 - u) ** (c - a - b - 1.0),
-        lo=0.0, hi=1.0,
+    val, _ = integrate(
+        lambda u: u ** (b - 1.0) * (1.0 - u) ** (c - a - b - 1.0), 0.0, 1.0,
         lo_exponent=b - 1.0, hi_exponent=c - a - b - 1.0,
         rtol=1e-11, atol=1e-15,
     )
-    val, _ = integrate(spec)
     with mp.workdps(30):
         return gamma_ratio([c], [b, c - b]) * val
 

@@ -142,6 +142,18 @@ def test_solve_series_requires_n(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("problem, method", [
+    ("roller", "root-find"), ("roller", "linearized"), ("builtin", "closed"),
+    ("builtin", "linearized"),
+])
+def test_solve_refuses_n_without_series(capsys, problem, method):
+    # --n used to be dropped in silence
+    code, out, err = run(capsys, "solve", problem, *ROD_ARGS,
+                         "--q", "1000", "--method", method, "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == f"rodbend: error: --n applies to --method series only, not {method}\n"
+
+
 def test_solve_method_problem_mismatch(capsys):
     code, _, err = run(capsys, "solve", "roller", *ROD_ARGS,
                        "--q", "1000", "--method", "closed")
@@ -397,6 +409,19 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys, argv):
 class _FullStream:
     def write(self, text):
         raise OSError(28, "No space left on device")
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_standard_output_exits_0(capsys, monkeypatch):
+    # a reader that has gone, as in `rodbend ... | head -c0`, is no error
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["eval", "2f1", "0.5", "0.5", "1.5", "0.36"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_unwritable_standard_output_exits_1(capsys, monkeypatch):

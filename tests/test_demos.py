@@ -25,7 +25,9 @@ def test_demos_found():
 def test_demo_runs_clean(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    # a child process inherits no warning filter from this one, so ask for
+    # every warning to be an error
+    result = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert not re.search(r"\bnan\b", result.stdout + result.stderr, re.IGNORECASE)

@@ -11,7 +11,7 @@ import pytest
 from rodbend import quadrature
 from rodbend.elastica import BuiltInCombined, RodProperties, TipMoment, TipShear, UniformLoad
 from rodbend.errors import InfeasibleLoadError, NearCriticalLoadError, UsageError
-from rodbend.quadrature import IntegrandSpec, integrate, integrate_deflection
+from rodbend.quadrature import integrate, integrate_deflection
 from rodbend.special_functions import appell_f1, lauricella_fd3
 
 from _oracle import gauss_kronrod
@@ -21,25 +21,22 @@ ROD = RodProperties.from_stiffness(1.0, 200.0)
 
 
 def test_polynomial_is_exact():
-    val, est = integrate(IntegrandSpec(f=lambda x: x * x, lo=0.0, hi=1.0))
+    val, est = integrate(lambda x: x * x, 0.0, 1.0)
     assert abs(val - 1.0 / 3.0) < 1e-15
     assert est < 1e-13
 
 
 def test_arcsine_endpoint_singularity():
     # int_0^1 u / sqrt(1 - u^2) du = 1
-    spec = IntegrandSpec(f=lambda u: u / np.sqrt(1.0 - u * u),
-                         lo=0.0, hi=1.0, hi_exponent=-0.5)
-    val, est = integrate(spec)
+    val, est = integrate(lambda u: u / np.sqrt(1.0 - u * u), 0.0, 1.0, hi_exponent=-0.5)
     assert abs(val - 1.0) < 1e-7
     assert abs(val - 1.0) <= 10.0 * est
 
 
 def test_beta_function_both_endpoints():
     # Beta(1/2, 1/2) = pi
-    spec = IntegrandSpec(f=lambda u: 1.0 / np.sqrt(u * (1.0 - u)),
-                         lo=0.0, hi=1.0, lo_exponent=-0.5, hi_exponent=-0.5)
-    val, est = integrate(spec)
+    val, est = integrate(lambda u: 1.0 / np.sqrt(u * (1.0 - u)), 0.0, 1.0,
+                         lo_exponent=-0.5, hi_exponent=-0.5)
     assert abs(val - math.pi) < 1e-6
     assert abs(val - math.pi) <= 10.0 * est
 
@@ -48,13 +45,13 @@ def test_beta_function_both_endpoints():
 def test_hinted_power_at_a_zero_endpoint_within_1e_15(p):
     # offsets from a zero endpoint are clamped only at the smallest normal
     # float, so the substituted piece keeps its tail
-    val, _ = integrate(IntegrandSpec(f=lambda x: x ** p, lo=0.0, hi=1.0, lo_exponent=p))
+    val, _ = integrate(lambda x: x ** p, 0.0, 1.0, lo_exponent=p)
     assert abs(val - 1.0 / (1.0 + p)) <= 1e-15 / (1.0 + p)
 
 
 def test_hinted_power_near_minus_one_is_covered_by_its_estimate():
     # x^-0.99: the clamped tail is not negligible, and the estimate says so
-    val, est = integrate(IntegrandSpec(f=lambda x: x ** -0.99, lo=0.0, hi=1.0, lo_exponent=-0.99))
+    val, est = integrate(lambda x: x ** -0.99, 0.0, 1.0, lo_exponent=-0.99)
     assert abs(val - 100.0) <= est
 
 
@@ -62,9 +59,9 @@ def test_additivity_over_split_interval():
     def f(x):
         return np.exp(-x) * np.sin(3.0 * x)
 
-    whole, _ = integrate(IntegrandSpec(f=f, lo=0.0, hi=2.0, rtol=1e-12))
-    left, _ = integrate(IntegrandSpec(f=f, lo=0.0, hi=0.7, rtol=1e-12))
-    right, _ = integrate(IntegrandSpec(f=f, lo=0.7, hi=2.0, rtol=1e-12))
+    whole, _ = integrate(f, 0.0, 2.0, rtol=1e-12)
+    left, _ = integrate(f, 0.0, 0.7, rtol=1e-12)
+    right, _ = integrate(f, 0.7, 2.0, rtol=1e-12)
     assert abs(whole - (left + right)) < 1e-12
 
 
@@ -77,30 +74,28 @@ def test_error_estimate_honesty_battery():
         (lambda u: u / np.sqrt(1.0 - u * u), 0.0, 1.0, None, -0.5, 1.0),
     ]
     for f, lo, hi, plo, phi, exact in cases:
-        val, est = integrate(IntegrandSpec(f=f, lo=lo, hi=hi,
-                                           lo_exponent=plo, hi_exponent=phi))
+        val, est = integrate(f, lo, hi, lo_exponent=plo, hi_exponent=phi)
         assert abs(val - exact) <= 10.0 * est + 1e-14
 
 
 def test_steep_but_smooth_integrand():
-    val, _ = integrate(IntegrandSpec(f=lambda x: np.exp(-100.0 * x * x),
-                                     lo=-1.0, hi=1.0, rtol=1e-12))
+    val, _ = integrate(lambda x: np.exp(-100.0 * x * x), -1.0, 1.0, rtol=1e-12)
     assert abs(val - math.sqrt(math.pi) / 10.0) < 1e-12
 
 
 def test_reversed_interval_rejected():
     with pytest.raises(UsageError):
-        IntegrandSpec(f=lambda x: x, lo=1.0, hi=0.0)
+        integrate(lambda x: x, 1.0, 0.0)
 
 
 def test_nonintegrable_hint_rejected():
     with pytest.raises(UsageError):
-        IntegrandSpec(f=lambda x: x, lo=0.0, hi=1.0, lo_exponent=-1.0)
+        integrate(lambda x: x, 0.0, 1.0, lo_exponent=-1.0)
 
 
 def test_nonpositive_rtol_rejected():
     with pytest.raises(UsageError):
-        IntegrandSpec(f=lambda x: x, lo=0.0, hi=1.0, rtol=0.0)
+        integrate(lambda x: x, 0.0, 1.0, rtol=0.0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -108,14 +103,11 @@ def test_nonpositive_rtol_rejected():
     (dict(atol=math.inf), "atol must be finite and nonnegative"),
     (dict(atol=-1.0), "atol must be finite and nonnegative"),
     (dict(rtol=math.inf), "tolerance must be finite and positive, got inf"),
-    (dict(max_subdivisions=0), "max_subdivisions must be at least 1"),
-    (dict(max_subdivisions=-5), "max_subdivisions must be at least 1"),
-], ids=["atol-nan", "atol-inf", "atol-negative", "rtol-inf", "subdivisions-0",
-        "subdivisions-negative"])
+], ids=["atol-nan", "atol-inf", "atol-negative", "rtol-inf"])
 def test_nonsense_tolerances_rejected(kwargs, message):
     # each of these used to integrate u^2 over [0, 1] as if nothing were wrong
     with pytest.raises(UsageError, match=message):
-        IntegrandSpec(f=lambda u: u * u, lo=0.0, hi=1.0, **kwargs)
+        integrate(lambda u: u * u, 0.0, 1.0, **kwargs)
 
 
 # None is no hint, so it is no refusal there
@@ -128,30 +120,41 @@ NOT_NUMBER_HINTS = [(v, i) for v, i in zip(NOT_NUMBERS, NOT_NUMBER_IDS) if v is 
 def test_hints_that_are_not_numbers_refused(field, v):
     # a bool hint was taken as 1 or 0
     with pytest.raises(UsageError, match=f"^{field} must be a real number") as excinfo:
-        IntegrandSpec(f=lambda u: u * u, lo=0.0, hi=1.0, **{field: v})
+        integrate(lambda u: u * u, 0.0, 1.0, **{field: v})
     assert isinstance(excinfo.value, TypeError)
 
 
-def test_hints_and_tolerances_are_stored_as_floats():
-    spec = IntegrandSpec(abs, 0, 1, Fraction(-1, 2), np.float32(0.25), np.float64(1e-12), 0)
-    assert (spec.lo_exponent, spec.hi_exponent, spec.rtol, spec.atol) == (-0.5, 0.25, 1e-12, 0.0)
-    assert all(type(v) is float for v in (spec.lo_exponent, spec.hi_exponent, spec.rtol,
-                                          spec.atol))
+def test_hints_and_tolerances_are_read_as_floats():
+    # an int, Fraction or numpy bound, hint or tolerance gives the bits of
+    # the all-float call
+    def f(u):
+        return u ** -0.5 * (1.0 - u) ** 0.25 * math.exp(u)
+
+    want = integrate(f, 0.0, 1.0, -0.5, 0.25, 1e-12, 0.0)
+    got = integrate(f, 0, np.float32(1), Fraction(-1, 2), np.float32(0.25), np.float64(1e-12), 0)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert all(type(v) is float for v in got)
 
 
-def test_zero_atol_and_one_subdivision_accepted():
-    val, _ = integrate(IntegrandSpec(f=lambda u: u * u, lo=0.0, hi=1.0, atol=0.0,
-                                     max_subdivisions=1))
+def test_zero_atol_and_one_subdivision_accepted(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    val, _ = integrate(lambda u: u * u, 0.0, 1.0, atol=0.0)
     assert abs(val - 1.0 / 3.0) < 1e-15
 
 
-def test_undeclared_nonintegrable_singularity_raises():
+def test_undeclared_nonintegrable_singularity_raises(monkeypatch):
     # 1/x on (0, 1] with no hint: either the endpoint panel sees inf or
     # the subdivision budget runs out; both are usage errors, not NaN
-    spec = IntegrandSpec(f=lambda x: 1.0 / x, lo=0.0, hi=1.0,
-                         max_subdivisions=512)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 512)
     with pytest.raises(UsageError):
-        integrate(spec)
+        integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def test_subdivision_budget_refused(monkeypatch):
+    # a kink at 1/3 is never a panel edge, so bisection always has work left
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 8)
+    with pytest.raises(UsageError, match=r"^quadrature did not converge within 8 subdivisions "):
+        integrate(lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("f, where", [
@@ -163,7 +166,7 @@ def test_undeclared_nonintegrable_singularity_raises():
 ], ids=["nan", "inf", "pole"])
 def test_one_non_finite_node_value_refused(f, where):
     with pytest.raises(UsageError, match=re.escape(f"integrand not finite inside {where}")):
-        integrate(IntegrandSpec(f=f, lo=0.0, hi=1.0))
+        integrate(f, 0.0, 1.0)
 
 
 # ------------------------------------------------------------- the rule
@@ -232,9 +235,9 @@ EVALUATIONS = {
         lambda: lauricella_fd3(1.0, (0.6, 0.4, 0.5), 2.3, (0.8, -0.4, 0.3)), 82),
     "FD3 auto, unit argument": (lambda: lauricella_fd3(0.5, (0.3, 0.3, 0.3), 1.5, (0.2, 0.1, 1.0)),
                                 164),
-    "two-piece hinted": (lambda: integrate(IntegrandSpec(
-        f=lambda u: math.sqrt(u * (1.0 - u)) * math.exp(-10.0 * u) / (1.01 - u), lo=0.0, hi=1.0,
-        lo_exponent=0.5, hi_exponent=0.5, rtol=1e-12)), 82),
+    "two-piece hinted": (lambda: integrate(
+        lambda u: math.sqrt(u * (1.0 - u)) * math.exp(-10.0 * u) / (1.01 - u), 0.0, 1.0,
+        lo_exponent=0.5, hi_exponent=0.5, rtol=1e-12), 82),
 }
 
 
@@ -321,5 +324,5 @@ def test_deflection_is_one_hint_free_integral():
         return h / math.sqrt((ROD.EJ - h) * (ROD.EJ + h))
 
     for x in (0.0, 0.3):
-        value, _ = integrate(IntegrandSpec(f=integrand, lo=x, hi=ROD.L, rtol=1e-12))
+        value, _ = integrate(integrand, x, ROD.L, rtol=1e-12)
         assert integrate_deflection(load, ROD, x, rtol=1e-12) == -value

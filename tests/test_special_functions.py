@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from rodbend import quadrature, special_functions
 from rodbend.errors import DomainError, UsageError
-from rodbend.quadrature import IntegrandSpec, integrate
+from rodbend.quadrature import integrate
 from rodbend.special_functions import (
     appell_f1,
     gauss_2f1,
@@ -153,14 +153,12 @@ def test_gauss_summation_matches_beta_integral():
         a = rng.uniform(0.1, 1.5)
         b = rng.uniform(0.65, 1.6)
         c = a + b + rng.uniform(0.65, 2.0)
-        spec = IntegrandSpec(
-            f=lambda u: u ** (b - 1.0) * (1.0 - u) ** (c - a - b - 1.0),
-            lo=0.0, hi=1.0,
+        val, est = integrate(
+            lambda u: u ** (b - 1.0) * (1.0 - u) ** (c - a - b - 1.0), 0.0, 1.0,
             lo_exponent=b - 1.0 if b < 1.0 else None,
             hi_exponent=c - a - b - 1.0 if c - a - b < 1.0 else None,
             rtol=1e-12,
         )
-        val, est = integrate(spec)
         with mp.workdps(30):
             inv_beta = gamma_ratio([c], [b, c - b])
         want = inv_beta * val
@@ -728,6 +726,18 @@ def test_reduce_f1_to_3f2_rejects_large_argument():
         reduce_f1_to_3f2(2.0, 0.5, 3.0, 1.0)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, -2.0, -3.0])
+def test_reduce_f1_to_3f2_refusal_names_c(c):
+    # the refusal named c/2 or (c+1)/2, the 3F2's lower parameter, not c
+    with pytest.raises(DomainError,
+                       match=f"^F1 reduction: lower parameter {c} is a nonpositive integer$"):
+        reduce_f1_to_3f2(2.0, 0.5, c, 0.4)
+
+
+def test_reduce_f1_to_3f2_takes_a_negative_half_integer_c():
+    assert math.isfinite(reduce_f1_to_3f2(2.0, 0.5, -0.5, 0.4))
+
+
 # ---------------------------------------------------------- non-finite input
 
 # one valid call per guarded function, arguments in signature order
@@ -886,9 +896,9 @@ def test_euler_integral_runs_at_the_callers_tolerance(monkeypatch, call, rtol):
     seen = []
     adaptive = special_functions._adaptive
 
-    def spy(pieces, rtol, atol, max_subdivisions, start=0.0):
+    def spy(pieces, rtol, atol, start=0.0):
         seen.append(rtol)
-        return adaptive(pieces, rtol, atol, max_subdivisions, start)
+        return adaptive(pieces, rtol, atol, start)
 
     monkeypatch.setattr(special_functions, "_adaptive", spy)
     call() if rtol is None else call(rtol=rtol)
